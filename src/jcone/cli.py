@@ -12,12 +12,11 @@ import json
 import sys
 
 from .errors import JConeError
-from .fileio import (canonical_dumps, matrix_to_payload, payload_to_matrix,
-                     read_matrix)
+from .fileio import canonical_dumps, matrix_to_payload, read_matrix
 from .geometry import geodesic
 from .jcalc import pow_J, random_pj
 from .jstruct import Signature, is_j_positive
-from .means import riccati_residual, weighted_mean
+from .means import weighted_mean
 from .order import j_leq
 from .propcheck import run_suite
 
@@ -34,15 +33,20 @@ def _parse_signature(text: str) -> Signature:
         raise InputError(f"bad --signature {text!r}: expected p,q") from exc
 
 
-def _load_jpositive(path: str, sig: Signature, tol: float, name: str):
-    try:
-        X = read_matrix(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrix {name} from {path}: {exc}") from exc
-    try:
-        return is_j_positive(X, sig, tol)
-    except JConeError as exc:
-        raise InputError(f"matrix {name} fails {type(exc).__name__}: {exc}") from exc
+def _load_jpositive(args, sig: Signature, *names: str) -> list:
+    """Read and certify the matrix file given by each named option, in order."""
+    out = []
+    for name in names:
+        path = getattr(args, name)
+        try:
+            X = read_matrix(path)
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read matrix {name} from {path}: {exc}") from exc
+        try:
+            out.append(is_j_positive(X, sig, args.tol))
+        except JConeError as exc:
+            raise InputError(f"matrix {name} fails {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 def _emit(out_path: str | None, text: str):
@@ -55,8 +59,7 @@ def _emit(out_path: str | None, text: str):
 
 def cmd_mean(args) -> int:
     sig = _parse_signature(args.signature)
-    A = _load_jpositive(args.a, sig, args.tol, "a")
-    B = _load_jpositive(args.b, sig, args.tol, "b")
+    A, B = _load_jpositive(args, sig, "a", "b")
     result = weighted_mean(A, B, args.t)
     if args.emit_diff:
         diff = (result.mean.matrix
@@ -73,8 +76,7 @@ def cmd_geodesic(args) -> int:
     sig = _parse_signature(args.signature)
     if args.samples < 2:
         raise InputError("--samples must be at least 2")
-    A = _load_jpositive(args.a, sig, args.tol, "a")
-    B = _load_jpositive(args.b, sig, args.tol, "b")
+    A, B = _load_jpositive(args, sig, "a", "b")
     payloads = []
     for k in range(args.samples):
         t = k / (args.samples - 1)
@@ -85,7 +87,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_pow(args) -> int:
     sig = _parse_signature(args.signature)
-    X = _load_jpositive(args.x, sig, args.tol, "x")
+    X, = _load_jpositive(args, sig, "x")
     try:
         result = pow_J(X, args.t)
     except ValueError as exc:
@@ -96,8 +98,7 @@ def cmd_pow(args) -> int:
 
 def cmd_order(args) -> int:
     sig = _parse_signature(args.signature)
-    X = _load_jpositive(args.x, sig, args.tol, "x")
-    Y = _load_jpositive(args.y, sig, args.tol, "y")
+    X, Y = _load_jpositive(args, sig, "x", "y")
     verdict = j_leq(X, Y, tol=args.tol)
     _emit(args.out, canonical_dumps({"holds": verdict.holds,
                                      "margin": verdict.margin}))
@@ -106,8 +107,7 @@ def cmd_order(args) -> int:
 
 def cmd_riccati(args) -> int:
     sig = _parse_signature(args.signature)
-    A = _load_jpositive(args.a, sig, args.tol, "a")
-    B = _load_jpositive(args.b, sig, args.tol, "b")
+    A, B = _load_jpositive(args, sig, "a", "b")
     result = weighted_mean(A, B, 0.5)
     _emit(args.out, canonical_dumps(matrix_to_payload(result.mean.matrix)))
     print(canonical_dumps({"residual": result.riccati_residual}))

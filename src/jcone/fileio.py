@@ -13,20 +13,14 @@ import json
 import numpy as np
 
 from .matcore import QMatrix, field_of
-from .scalars import Quaternion, scalar_from_json, scalar_to_json
+from .scalars import scalar_from_json, scalar_to_json
 
 
 def matrix_to_payload(X) -> dict:
     field = field_of(X)
-    if isinstance(X, QMatrix):
-        rows, cols = X.shape
-        data = [[scalar_to_json(X.entry(i, j), "H") for j in range(cols)]
-                for i in range(rows)]
-    else:
-        X = np.asarray(X)
-        rows, cols = X.shape
-        data = [[scalar_to_json(X[i, j], field) for j in range(cols)]
-                for i in range(rows)]
+    rows, cols = X.shape
+    data = [[scalar_to_json(X[i, j], field) for j in range(cols)]
+            for i in range(rows)]
     return {"field": field, "rows": rows, "cols": cols, "data": data}
 
 

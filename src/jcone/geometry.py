@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotJHermitian, SignatureMismatch, StepTooSmall
-from .jstruct import JPositive, Signature, is_j_hermitian, is_j_positive
-from .matcore import (fnorm, mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
-                      trd)
+import numpy as np
+
+from .errors import NotJHermitian, NotPositive, SignatureMismatch, StepTooSmall
+from .jstruct import JPositive, is_j_hermitian, is_j_positive
+from .matcore import adjoint, fnorm, mat_inverse, matrix_function, trd
 
 MIN_STEP = 1e-7
 
@@ -22,6 +23,20 @@ MIN_STEP = 1e-7
 def _check_pair(A: JPositive, B: JPositive):
     if A.signature != B.signature or A.field != B.field:
         raise SignatureMismatch("operands live over different signatures or fields")
+
+
+def _positive_function(X, f):
+    """f(X) for X positive definite by construction from certified operands.
+
+    JA and (JA)^{-1/2} JB (JA)^{-1/2} are positive definite whenever A and B
+    lie in P_J, so they are not held to the relative threshold of mat_pow_pd,
+    which rejects ill-conditioned ones: only an eigenvalue computed <= 0 is.
+    """
+    def checked(w):
+        if w[0] <= 0.0:
+            raise NotPositive(f"computed eigenvalue {w[0]:.3e} not positive")
+        return f(w)
+    return matrix_function(X, checked)
 
 
 def metric_omega(P: JPositive, U, V) -> float:
@@ -40,14 +55,13 @@ def geodesic(A: JPositive, B: JPositive, t: float) -> JPositive:
     j = A.signature.matrix_for(A.matrix)
     pa = j @ A.matrix
     pb = j @ B.matrix
-    rt = mat_sqrt_pd(pa)
+    rt = _positive_function(pa, lambda w: np.power(w, 0.5))
     rti = mat_inverse(rt)
     mid = rti @ pb @ rti
     # Symmetrize before and after the fractional power: the congruence
     # products accumulate rounding that the membership test would reject.
-    from .matcore import adjoint
     mid = (mid + adjoint(mid)) * 0.5
-    out = rt @ mat_pow_pd(mid, float(t)) @ rt
+    out = rt @ _positive_function(mid, lambda w: np.power(w, float(t))) @ rt
     out = (out + adjoint(out)) * 0.5
     return is_j_positive(j @ out, A.signature)
 
@@ -85,5 +99,5 @@ def geodesic_distance(A: JPositive, B: JPositive) -> float:
     """Length of the geodesic segment: ||log((JA)^{-1/2} JB (JA)^{-1/2})||_F."""
     _check_pair(A, B)
     j = A.signature.matrix_for(A.matrix)
-    rti = mat_inverse(mat_sqrt_pd(j @ A.matrix))
-    return fnorm(mat_log_pd(rti @ (j @ B.matrix) @ rti))
+    rti = mat_inverse(_positive_function(j @ A.matrix, lambda w: np.power(w, 0.5)))
+    return fnorm(_positive_function(rti @ (j @ B.matrix) @ rti, np.log))

@@ -12,8 +12,9 @@ import numpy as np
 
 from .errors import NotJHermitian, Singular
 from .jstruct import JPositive, Signature, is_j_hermitian, is_j_positive, sharp
-from .matcore import (QMatrix, adjoint, field_of, fnorm, mat_exp_h,
-                      mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd)
+from .matcore import (_quat_project_out, adjoint, block2x2, eigvals_hermitian,
+                      fnorm, from_real_parts, mat_exp_h, mat_inverse,
+                      mat_log_pd, mat_pow_pd, mat_sqrt_pd, zeros)
 
 MAX_POWER = 32.0
 
@@ -80,20 +81,14 @@ def polar_decompose_bullet(g, sig: Signature):
 
 
 def _min_over_max_eig(H) -> float:
-    from .matcore import eigvals_hermitian
     lam = eigvals_hermitian(H)
     top = max(abs(lam[0]), abs(lam[-1]), 1e-300)
     return lam[-1] / top
 
 
 def _random_matrix(n: int, field: str, rng: np.random.Generator):
-    if field == "R":
-        return rng.standard_normal((n, n))
-    if field == "C":
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return QMatrix(a, b)
+    """Gaussian matrix: every real component standard normal."""
+    return from_real_parts(lambda: rng.standard_normal((n, n)), field)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -136,18 +131,15 @@ def random_pj_bounded(sig: Signature, field: str, seed, radius: float = 2.0) -> 
 
 def _random_unitary_block(n: int, field: str, rng: np.random.Generator):
     if n == 0:
-        from .matcore import zeros
         return zeros(0, field)
     g = _random_matrix(n, field, rng)
-    if isinstance(g, QMatrix):
-        cols = []
+    if field == "H":
+        # numpy has no quaternionic QR: Gram-Schmidt on the columns of g.
+        u = zeros(n, field)
         for k in range(n):
-            x = QMatrix(g.a[:, k].reshape(-1, 1), g.b[:, k].reshape(-1, 1))
-            from .matcore import _quat_scale_right, _quat_vdot
-            for u in cols:
-                x = x - _quat_scale_right(u, _quat_vdot(u, x))
-            cols.append(x / fnorm(x))
-        return QMatrix(np.hstack([c.a for c in cols]), np.hstack([c.b for c in cols]))
+            x = _quat_project_out(g[:, k:k + 1], u[:, :k])
+            u[:, k:k + 1] = x / fnorm(x)
+        return u
     q, r = np.linalg.qr(g)
     # Fix the phase so the distribution does not depend on the QR convention.
     d = np.diagonal(r)
@@ -159,14 +151,5 @@ def random_kj(sig: Signature, field: str, seed):
     rng = _as_rng(seed)
     up = _random_unitary_block(sig.p, field, rng)
     uq = _random_unitary_block(sig.q, field, rng)
-    if field == "H":
-        n = sig.n
-        a = np.zeros((n, n), dtype=complex)
-        b = np.zeros((n, n), dtype=complex)
-        a[:sig.p, :sig.p], b[:sig.p, :sig.p] = up.a, up.b
-        a[sig.p:, sig.p:], b[sig.p:, sig.p:] = uq.a, uq.b
-        return QMatrix(a, b)
-    out = np.zeros((sig.n, sig.n), dtype=complex if field == "C" else float)
-    out[:sig.p, :sig.p] = up
-    out[sig.p:, sig.p:] = uq
-    return out
+    z, p = zeros(sig.n, field), sig.p
+    return block2x2(up, z[:p, p:], z[p:, :p], uq)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotHermitian,
                      NotJHermitian, NotJPositive)
-from .matcore import (QMatrix, adjoint, eigvals_hermitian, field_of, fnorm,
-                      mat_inverse)
+from .matcore import (adjoint, block2x2, eigvals_hermitian, field_of, fnorm,
+                      from_real, identity, is_positive_definite, mat_inverse)
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,7 @@ class Signature:
         return np.concatenate([np.ones(self.p), -np.ones(self.q)])
 
     def matrix(self, field: str = "R"):
-        j = np.diag(self.diag())
-        if field == "H":
-            return QMatrix(j.astype(complex))
-        if field == "C":
-            return j.astype(complex)
-        return j
+        return from_real(np.diag(self.diag()), field)
 
     def matrix_for(self, X):
         return self.matrix(field_of(X))
@@ -68,7 +63,6 @@ def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
 def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in the J-unitary group: g# g = Id."""
     _check_dim(g, sig)
-    from .matcore import identity
     eye = identity(sig.n, field_of(g))
     return fnorm(sharp(g, sig) @ g - eye) <= tol * max(1.0, fnorm(g) ** 2)
 
@@ -76,7 +70,6 @@ def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
 def is_in_K_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in K_J = U_J intersect U, the block-diagonal unitaries."""
     _check_dim(g, sig)
-    from .matcore import identity
     eye = identity(sig.n, field_of(g))
     unitary = fnorm(adjoint(g) @ g - eye) <= tol * max(1.0, fnorm(g) ** 2)
     return unitary and is_in_U_J(g, sig, tol)
@@ -92,29 +85,15 @@ class JHermitianBlocks:
     signature: Signature
 
     def reassemble(self):
-        A, B, D = self.a_block, self.b_block, self.d_block
-        if self.signature.p == 0:
-            return D
-        if self.signature.q == 0:
-            return A
-        if isinstance(A, QMatrix):
-            C = -adjoint(B)
-            return QMatrix(np.block([[A.a, B.a], [C.a, D.a]]),
-                           np.block([[A.b, B.b], [C.b, D.b]]))
-        return np.block([[A, B], [-adjoint(B), D]])
+        B = self.b_block
+        return block2x2(self.a_block, B, -adjoint(B), self.d_block)
 
 
 def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
     if not is_j_hermitian(H, sig, tol):
         raise NotJHermitian("sharp-symmetry residual too large")
     p = sig.p
-    if isinstance(H, QMatrix):
-        A = QMatrix(H.a[:p, :p], H.b[:p, :p])
-        B = QMatrix(H.a[:p, p:], H.b[:p, p:])
-        D = QMatrix(H.a[p:, p:], H.b[p:, p:])
-    else:
-        A, B, D = H[:p, :p], H[:p, p:], H[p:, p:]
-    return JHermitianBlocks(A, B, D, sig)
+    return JHermitianBlocks(H[:p, :p], H[:p, p:], H[p:, p:], sig)
 
 
 def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
@@ -122,7 +101,7 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
     A, B, D = blocks.a_block, blocks.b_block, blocks.d_block
     p, q = blocks.signature.p, blocks.signature.q
     if p == 0:
-        return q == 0 or _pd(-D, tol)
+        return q == 0 or is_positive_definite(-D, tol)
     lam = eigvals_hermitian(A)
     scale = max(1.0, abs(lam[0]), abs(lam[-1]))
     if abs(lam[-1]) <= tol * scale:
@@ -132,12 +111,7 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
     if q == 0:
         return True
     comp = (-D) - adjoint(B) @ mat_inverse(A) @ B
-    return _pd(comp, tol)
-
-
-def _pd(X, tol: float) -> bool:
-    lam = eigvals_hermitian(X)
-    return lam[-1] > tol * max(1.0, abs(lam[0]), abs(lam[-1]))
+    return is_positive_definite(comp, tol)
 
 
 @dataclass(frozen=True)
@@ -189,16 +163,9 @@ def phi_J_inv(P, sig: Signature, tol: float = 1e-10):
 
 
 def j_inner(x, y, sig: Signature):
-    """The indefinite form B(x, y) = x* J y on column vectors."""
-    if isinstance(x, QMatrix):
-        if x.shape != (sig.n, 1) or y.shape != (sig.n, 1):
-            raise DimensionMismatch("expected n x 1 quaternionic columns")
-        s = sig.diag().reshape(-1, 1)
-        jy = QMatrix(y.a * s, y.b * s)
-        from .matcore import _quat_vdot
-        return _quat_vdot(x, jy)
-    x = np.asarray(x).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    if x.shape[0] != sig.n or y.shape[0] != sig.n:
-        raise DimensionMismatch(f"expected vectors of length {sig.n}")
-    return np.vdot(x, sig.diag() * y)
+    """The indefinite form B(x, y) = x* J y on vectors of length n or n x 1 columns."""
+    n = sig.n
+    if x.shape not in ((n,), (n, 1)) or y.shape not in ((n,), (n, 1)):
+        raise DimensionMismatch(f"expected vectors of length {n}")
+    x, y = x.reshape(n, 1), y.reshape(n, 1)
+    return (adjoint(x) @ sig.matrix_for(y) @ y)[0, 0]

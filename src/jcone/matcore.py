@@ -1,9 +1,18 @@
 """Dense square matrices over R, C and H with Hermitian spectral calculus.
 
 Real and complex matrices are plain numpy arrays (real dtype means R, complex
-dtype means C).  Quaternionic matrices are stored as a pair (a, b) of complex
-arrays meaning A + B*j, and all spectral work routes through the embedding
-Psi(A + B*j) = [[A, B], [-conj(B), conj(A)]] into 2n x 2n complex matrices.
+dtype means C).  Quaternionic matrices are QMatrix objects: 2-D indexing,
+slicing, slice assignment, reshape, +, -, real scaling, @ and .H behave as
+they do for arrays, and X[i, j] is a Quaternion.
+
+How H is stored is private to this module: a QMatrix holds a pair (a, b) of
+complex arrays meaning A + B*j, and all spectral work routes through the
+embedding Psi(A + B*j) = [[A, B], [-conj(B), conj(A)]] into 2n x 2n complex
+matrices.  Each spectral function checks that its argument is Hermitian once,
+embeds it once, makes its LAPACK call and reads the quaternionic result off
+the top blocks of the embedded one, which lies in the image of Psi by
+construction.  The structural test of psi_inverse is for 2n x 2n matrices
+that come from outside the library.
 """
 
 from __future__ import annotations
@@ -32,6 +41,19 @@ class QMatrix:
     @property
     def shape(self):
         return self.a.shape
+
+    def __getitem__(self, key):
+        # Integer indices give a Quaternion, slices a QMatrix.
+        a, b = self.a[key], self.b[key]
+        if isinstance(a, np.ndarray):
+            return QMatrix(a, b)
+        return Quaternion.from_complex_pair(complex(a), complex(b))
+
+    def __setitem__(self, key, value: "QMatrix"):
+        self.a[key], self.b[key] = value.a, value.b
+
+    def reshape(self, *shape) -> "QMatrix":
+        return QMatrix(self.a.reshape(*shape), self.b.reshape(*shape))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.a + other.a, self.b + other.b)
@@ -68,18 +90,11 @@ class QMatrix:
         z2 = complex(np.trace(self.b))
         return Quaternion.from_complex_pair(z1, z2)
 
-    def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_complex_pair(complex(self.a[i, j]), complex(self.b[i, j]))
-
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":
         a = np.array([[complex(q.a, q.b) for q in row] for row in rows])
         b = np.array([[complex(q.c, q.d) for q in row] for row in rows])
         return QMatrix(a, b)
-
-    def to_quaternions(self):
-        m, n = self.shape
-        return [[self.entry(i, j) for j in range(n)] for i in range(m)]
 
     @staticmethod
     def eye(n: int) -> "QMatrix":
@@ -99,20 +114,39 @@ def field_of(X) -> str:
     return "C" if np.iscomplexobj(X) else "R"
 
 
-def identity(n: int, field: str):
+def is_matrix(X) -> bool:
+    """True for a matrix over one of the three fields."""
+    return isinstance(X, (np.ndarray, QMatrix))
+
+
+def from_real(M: np.ndarray, field: str):
+    """The real matrix M as a matrix over the field."""
     if field == "H":
-        return QMatrix.eye(n)
+        return QMatrix(M)
+    return M.astype(complex) if field == "C" else M
+
+
+def from_real_parts(part, field: str):
+    """X0 over R, X0 + X1 i over C, X0 + X1 i + X2 j + X3 k over H.
+
+    Each real matrix Xk = part() is taken in that order, so a random draw
+    consumes its generator the same way whatever the storage of H.
+    """
+    x = part()
+    if field == "R":
+        return x
+    z = x + 1j * part()
     if field == "C":
-        return np.eye(n, dtype=complex)
-    return np.eye(n)
+        return z
+    return QMatrix(z, part() + 1j * part())
+
+
+def identity(n: int, field: str):
+    return from_real(np.eye(n), field)
 
 
 def zeros(n: int, field: str):
-    if field == "H":
-        return QMatrix.zeros((n, n))
-    if field == "C":
-        return np.zeros((n, n), dtype=complex)
-    return np.zeros((n, n))
+    return from_real(np.zeros((n, n)), field)
 
 
 def adjoint(X):
@@ -158,22 +192,39 @@ def psi_structural_residual(M: np.ndarray) -> float:
     return float(np.linalg.norm(M @ j2n - j2n @ np.conj(M)))
 
 
-def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
-    M = np.asarray(M, dtype=complex)
-    if psi_structural_residual(M) > tol * max(1.0, np.linalg.norm(M)):
-        raise NotInImage("matrix does not satisfy M J2n = J2n conj(M)")
+def _top_blocks(M: np.ndarray) -> QMatrix:
     n = M.shape[0] // 2
     return QMatrix(M[:n, :n], M[:n, n:])
 
 
+def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
+    """Inverse of the embedding, for 2n x 2n matrices from outside the library."""
+    M = np.asarray(M, dtype=complex)
+    if psi_structural_residual(M) > tol * max(1.0, np.linalg.norm(M)):
+        raise NotInImage("matrix does not satisfy M J2n = J2n conj(M)")
+    return _top_blocks(M)
+
+
+def _embed(X) -> np.ndarray:
+    """The matrix the LAPACK calls see: Psi(X) over H, X itself over R and C."""
+    return psi_matrix(X) if isinstance(X, QMatrix) else np.asarray(X)
+
+
+def _unembed(M: np.ndarray, X):
+    """Bring a result computed on _embed(X) back to the field of X.
+
+    Over H the result lies in the image of Psi by construction, so its top
+    blocks are read off without the structural test of psi_inverse.
+    """
+    return _top_blocks(M) if isinstance(X, QMatrix) else M
+
+
 def mat_inverse(X):
-    if isinstance(X, QMatrix):
-        return psi_inverse(mat_inverse(psi_matrix(X)))
-    X = np.asarray(X)
-    sv = np.linalg.svd(X, compute_uv=False)
+    M = _embed(X)
+    sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-13 * max(1.0, sv[0]):
         raise Singular("smallest singular value below threshold")
-    return np.linalg.inv(X)
+    return _unembed(np.linalg.inv(M), X)
 
 
 def _check_hermitian(X, tol: float = 1e-10):
@@ -190,10 +241,7 @@ class SpectralDecomposition:
 
     def reconstruct(self):
         U = self.unitary
-        if isinstance(U, QMatrix):
-            lam = QMatrix(np.diag(self.eigenvalues.astype(complex)))
-            return U @ lam @ U.H
-        return U @ np.diag(self.eigenvalues) @ U.conj().T
+        return U @ from_real(np.diag(self.eigenvalues), field_of(U)) @ adjoint(U)
 
 
 def _quat_vdot(x: QMatrix, y: QMatrix) -> Quaternion:
@@ -208,68 +256,82 @@ def _quat_scale_right(x: QMatrix, s: Quaternion) -> QMatrix:
     return QMatrix(x.a * s1 - x.b * np.conj(s2), x.a * s2 + x.b * np.conj(s1))
 
 
-def _quaternionic_eig(X: QMatrix) -> SpectralDecomposition:
-    """Spectral decomposition with a quaternionic unitary, via the embedding.
+def _quat_project_out(x: QMatrix, U: QMatrix) -> QMatrix:
+    """x less its components along the orthonormal columns of U, taken one
+    column at a time (modified Gram-Schmidt over H)."""
+    for k in range(U.shape[1]):
+        u = U[:, k:k + 1]
+        x = x - _quat_scale_right(u, _quat_vdot(u, x))
+    return x
+
+
+def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
+    """Quaternionic unitary factor from the descending eigenpairs of Psi(X).
 
     Eigenvectors of Psi(X) come in pairs spanning one quaternionic line each;
     a quaternionic Gram-Schmidt pass selects n of the 2n and orthonormalizes
     inside degenerate clusters.
     """
-    n = X.shape[0]
-    w, V = np.linalg.eigh(psi_matrix(X))
-    w, V = w[::-1], V[:, ::-1]
-    cols = []
+    n = V.shape[0] // 2
+    U = QMatrix.zeros((n, n))
     vals = []
     for k in range(2 * n):
-        if len(cols) == n:
+        m = len(vals)
+        if m == n:
             break
-        v = V[:, k]
-        x = QMatrix(v[:n].reshape(-1, 1), -np.conj(v[n:]).reshape(-1, 1))
-        for u in cols:
-            x = x - _quat_scale_right(u, _quat_vdot(u, x))
+        v = V[:, k:k + 1]
+        x = _quat_project_out(QMatrix(v[:n], -np.conj(v[n:])), U[:, :m])
         nrm = fnorm(x)
         if nrm > 1e-3:
-            cols.append(x / nrm)
+            U[:, m:m + 1] = x / nrm
             vals.append(w[k])
-    if len(cols) != n:
+    if len(vals) != n:
         raise NotHermitian("quaternionic eigenvector selection failed")
-    U = QMatrix(np.hstack([c.a for c in cols]), np.hstack([c.b for c in cols]))
     return SpectralDecomposition(U, np.array(vals))
 
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     _check_hermitian(X, tol)
+    w, V = np.linalg.eigh(_embed(X))
+    w, V = w[::-1], V[:, ::-1]
     if isinstance(X, QMatrix):
-        return _quaternionic_eig(X)
-    w, U = np.linalg.eigh(np.asarray(X))
-    return SpectralDecomposition(U[:, ::-1], w[::-1])
+        return _quaternionic_eig(w, V)
+    return SpectralDecomposition(V, w)
+
+
+def _eigvals(M: np.ndarray, X) -> np.ndarray:
+    # Over H each eigenvalue of X appears twice in M = Psi(X): keep one of each.
+    w = np.linalg.eigvalsh(M)[::-1]
+    return w[::2] if isinstance(X, QMatrix) else w
 
 
 def eigvals_hermitian(X, tol: float = 1e-10) -> np.ndarray:
     """Descending real eigenvalues; for H the doubled embedded list is halved."""
     _check_hermitian(X, tol)
-    if isinstance(X, QMatrix):
-        w = np.linalg.eigvalsh(psi_matrix(X))[::-1]
-        return w[::2]
-    return np.linalg.eigvalsh(np.asarray(X))[::-1]
+    return _eigvals(_embed(X), X)
+
+
+def _apply(M: np.ndarray, f) -> np.ndarray:
+    w, U = np.linalg.eigh(M)
+    out = (U * f(w)) @ U.conj().T
+    return out if np.iscomplexobj(M) else out.real
 
 
 def matrix_function(X, f):
     """Apply a real function to a Hermitian matrix through its eigenvalues."""
     _check_hermitian(X)
-    if isinstance(X, QMatrix):
-        return psi_inverse(matrix_function(psi_matrix(X), f))
-    X = np.asarray(X)
-    w, U = np.linalg.eigh(X)
-    out = (U * f(w)) @ U.conj().T
-    return out.real if not np.iscomplexobj(X) else out
+    return _unembed(_apply(_embed(X), f), X)
 
 
-def _check_pd_for_function(X, tol: float = 1e-10):
-    lam = eigvals_hermitian(X)
-    if lam[-1] <= tol * max(1.0, abs(lam[0]), abs(lam[-1])):
+def _pd_function(X, f):
+    """matrix_function restricted to positive definite X."""
+    _check_hermitian(X)
+    M = _embed(X)
+    lam = _eigvals(M, X)
+    if lam[-1] <= 1e-10 * max(1.0, abs(lam[0]), abs(lam[-1])):
         raise NotPositive("smallest eigenvalue at or below the positivity threshold")
+    return _unembed(_apply(M, f), X)
 
 
 def mat_exp_h(X):
@@ -277,13 +339,11 @@ def mat_exp_h(X):
 
 
 def mat_log_pd(X):
-    _check_pd_for_function(X)
-    return matrix_function(X, np.log)
+    return _pd_function(X, np.log)
 
 
 def mat_pow_pd(X, t: float):
-    _check_pd_for_function(X)
-    return matrix_function(X, lambda w: np.power(w, float(t)))
+    return _pd_function(X, lambda w: np.power(w, float(t)))
 
 
 def mat_sqrt_pd(X):

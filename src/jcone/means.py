@@ -14,17 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (NotBulletCommuting, NotJHermitian, PremiseViolated,
-                     SignatureMismatch, WeightOutOfRange)
-from .geometry import geodesic
+                     WeightOutOfRange)
+from .geometry import _check_pair, geodesic
 from .jcalc import bullet, bullet_commutator, pow_J
-from .jstruct import JPositive, Signature, is_j_hermitian, is_j_positive
+from .jstruct import JPositive, is_j_hermitian, is_j_positive
 from .matcore import (block2x2, eigvals_hermitian, fnorm, mat_inverse)
 from .order import OrderVerdict, j_leq
-
-
-def _check_pair(A: JPositive, B: JPositive):
-    if A.signature != B.signature or A.field != B.field:
-        raise SignatureMismatch("operands live over different signatures or fields")
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,24 @@ disappears and the last failing instance is reported as the counterexample.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnknownSuite
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
-from .jcalc import (bullet, bullet_inverse, exp_J, log_J, pow_J,
-                    random_invertible, random_jhermitian, random_kj, random_pj,
-                    random_pj_bounded)
+from .jcalc import (_random_matrix, bullet, exp_J, pow_J, random_invertible,
+                    random_jhermitian, random_kj, random_pj_bounded)
 from .jstruct import (JPositive, Signature, is_j_hermitian, is_j_positive,
                       phi_J, phi_J_inv, sharp)
-from .matcore import (QMatrix, adjoint, allclose, fnorm, identity, mat_exp_h,
-                      mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
-                      matrix_function, psi_matrix, psi_structural_residual,
-                      trd)
+from .matcore import (adjoint, fnorm, hermitian_eig, identity, is_matrix,
+                      mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
+                      mat_sqrt_pd, matrix_function, psi_matrix,
+                      psi_structural_residual, trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
-                    commuting_bullet_mean, furuta_check, harmonic_mean_J,
-                    maximality_check, riccati_residual, weighted_mean)
+                    furuta_check, harmonic_mean_J, maximality_check,
+                    weighted_mean)
 from .order import j_leq
 
 SUITES = ("powers", "order", "geometry", "means", "inequalities", "quaternion")
@@ -46,6 +45,7 @@ class Context:
 class TrialOutcome:
     ok: bool
     margin: float
+    # Named inputs of the trial, serialized only if it ends up reported.
     witness: dict | None = None
 
 
@@ -74,18 +74,13 @@ class PropertySpec:
     property_id: str
     suites: tuple
     func: object
-    # Module whose Invariants entry this property realizes, if any.
-    source: str | None = None
 
 
 def _payload(X):
+    """Matrix file payload of a matrix witness; other values pass through."""
     if isinstance(X, JPositive):
         X = X.matrix
-    return matrix_to_payload(X)
-
-
-def _witness(**mats) -> dict:
-    return {name: _payload(m) for name, m in mats.items()}
+    return matrix_to_payload(X) if is_matrix(X) else X
 
 
 def _rel_err(X, Y) -> float:
@@ -126,7 +121,7 @@ def _prop_inverse_exponential_law(ctx, rng, eps):
     j = ctx.sig.matrix_for(X)
     rhs = mat_exp_h(-(j @ X)) @ j
     err = _rel_err(mat_inverse(E.matrix), rhs)
-    return TrialOutcome(err <= 1e-10, 1e-10 - err, _witness(X=X))
+    return TrialOutcome(err <= 1e-10, 1e-10 - err, dict(X=X))
 
 
 def _prop_inverse_generic_gap(ctx, rng, eps):
@@ -150,7 +145,7 @@ def _prop_kj_congruence_powers(ctx, rng, eps):
         lhs = pow_J(is_j_positive(g @ X.matrix @ sharp(g, ctx.sig), ctx.sig), t)
         rhs = g @ pow_J(X, t).matrix @ sharp(g, ctx.sig)
         worst = min(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(X=X, g=g))
+    return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
 def _prop_commuting_power_factorization(ctx, rng, eps):
@@ -163,7 +158,7 @@ def _prop_commuting_power_factorization(ctx, rng, eps):
         lhs = pow_J(prod, t).matrix
         rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
         worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(S=S))
+    return TrialOutcome(worst >= 0.0, worst, dict(S=S))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +171,7 @@ def _prop_power_monotone_unit(ctx, rng, eps):
     for t in (0.25, 0.5, 0.75, 1.0):
         v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
         worst = min(worst, v.margin + ctx.tol * scale)
-    return TrialOutcome(worst >= 0.0, worst, _witness(X=X, Y=Y))
+    return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
 def _prop_power_monotone_breaks_t2(ctx, rng, eps):
@@ -193,7 +188,7 @@ def _prop_power_monotone_breaks_t2(ctx, rng, eps):
     premise = j_leq(X, Y, tol=ctx.tol)
     v = j_leq(pow_J(X, 2.0), pow_J(Y, 2.0), tol=ctx.tol)
     ok = premise.holds and v.margin < -1e-6
-    return TrialOutcome(ok, -v.margin, _witness(X=X, Y=Y))
+    return TrialOutcome(ok, -v.margin, dict(X=X, Y=Y))
 
 
 def _prop_order_congruence(ctx, rng, eps):
@@ -203,7 +198,7 @@ def _prop_order_congruence(ctx, rng, eps):
     rhs = sharp(C, ctx.sig) @ Y.matrix @ C
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
     scale = max(1.0, fnorm(lhs), fnorm(rhs))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, _witness(X=X, Y=Y, C=C))
+    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y, C=C))
 
 
 def _prop_inverse_antimonotone(ctx, rng, eps):
@@ -212,7 +207,7 @@ def _prop_inverse_antimonotone(ctx, rng, eps):
     yi = is_j_positive(mat_inverse(Y.matrix), ctx.sig)
     v = j_leq(yi, xi, tol=ctx.tol)
     scale = max(1.0, fnorm(xi.matrix), fnorm(yi.matrix))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, _witness(X=X, Y=Y))
+    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +228,7 @@ def _prop_pullback_geodesic(ctx, rng, eps):
         lhs = phi_J(geodesic(A, B, t).matrix, ctx.sig)
         rhs = _classical_geodesic(j @ A.matrix, j @ B.matrix, t)
         worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(A=A, B=B))
+    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
 def _prop_metric_invariance(ctx, rng, eps):
@@ -248,7 +243,7 @@ def _prop_metric_invariance(ctx, rng, eps):
     inv_err = abs(base - moved) / max(1.0, abs(base))
     positivity = metric_omega(P, U, U)
     ok = inv_err <= 1e-9 and positivity > 0.0
-    return TrialOutcome(ok, min(1e-9 - inv_err, positivity), _witness(P=P, U=U, V=V))
+    return TrialOutcome(ok, min(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
 
 
 def _prop_segment_additivity(ctx, rng, eps):
@@ -259,7 +254,7 @@ def _prop_segment_additivity(ctx, rng, eps):
     total = geodesic_distance(A, B)
     err = abs(geodesic_distance(A, G) + geodesic_distance(G, B) - total)
     err /= max(1.0, total)
-    return TrialOutcome(err <= 1e-8, 1e-8 - err, _witness(A=A, B=B))
+    return TrialOutcome(err <= 1e-8, 1e-8 - err, dict(A=A, B=B))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,7 @@ def _mean(A, B, t):
 def _prop_mean_symmetry(ctx, rng, eps):
     A, B = _random_pair(ctx, rng)
     err = _rel_err(_mean(A, B, 0.5).matrix, _mean(B, A, 0.5).matrix)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, _witness(A=A, B=B))
+    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
 def _prop_mean_inversion(ctx, rng, eps):
@@ -286,7 +281,7 @@ def _prop_mean_inversion(ctx, rng, eps):
     rhs = _mean(is_j_positive(mat_inverse(A.matrix), ctx.sig),
                 is_j_positive(mat_inverse(B.matrix), ctx.sig), 0.5).matrix
     err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, _witness(A=A, B=B))
+    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
 def _prop_mean_idempotence(ctx, rng, eps):
@@ -297,7 +292,7 @@ def _prop_mean_idempotence(ctx, rng, eps):
     B = is_j_positive(A.matrix + bump, ctx.sig)
     moved = fnorm(_mean(A, B, t).matrix - A.matrix)
     ok = same_err <= ctx.tol and moved > 1e-8
-    return TrialOutcome(ok, min(ctx.tol - same_err, moved - 1e-8), _witness(A=A, B=B))
+    return TrialOutcome(ok, min(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
 
 
 def _prop_mean_scaling(ctx, rng, eps):
@@ -311,14 +306,14 @@ def _prop_mean_scaling(ctx, rng, eps):
                         is_j_positive(beta * B.matrix, ctx.sig), t).matrix
             rhs = (alpha ** (1.0 - t)) * (beta ** t) * base
             worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(A=A, B=B))
+    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
 def _prop_mean_time_reversal(ctx, rng, eps):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.0, 1.0)
     err = _rel_err(_mean(A, B, t).matrix, _mean(B, A, 1.0 - t).matrix)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, _witness(A=A, B=B))
+    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
 def _prop_mean_monotonicity(ctx, rng, eps):
@@ -330,7 +325,7 @@ def _prop_mean_monotonicity(ctx, rng, eps):
     v = j_leq(lhs, rhs, tol=ctx.tol)
     scale = max(1.0, fnorm(lhs.matrix), fnorm(rhs.matrix))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
-                        _witness(A=A, B=B, C=C, D=D))
+                        dict(A=A, B=B, C=C, D=D))
 
 
 def _prop_mean_kj_congruence(ctx, rng, eps):
@@ -342,7 +337,7 @@ def _prop_mean_kj_congruence(ctx, rng, eps):
                 is_j_positive(g @ B.matrix @ gs, ctx.sig), t).matrix
     rhs = g @ _mean(A, B, t).matrix @ gs
     err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, _witness(A=A, B=B, g=g))
+    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B, g=g))
 
 
 def _prop_mean_joint_concavity(ctx, rng, eps):
@@ -357,7 +352,7 @@ def _prop_mean_joint_concavity(ctx, rng, eps):
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
     scale = max(1.0, fnorm(lhs), fnorm(rhs))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
-                        _witness(A=A, B=B, C=C, D=D))
+                        dict(A=A, B=B, C=C, D=D))
 
 
 def _prop_mean_composition(ctx, rng, eps):
@@ -366,7 +361,7 @@ def _prop_mean_composition(ctx, rng, eps):
     lhs = _mean(_mean(A, B, t), _mean(A, B, s), u).matrix
     rhs = _mean(A, B, (1.0 - u) * t + u * s).matrix
     err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, _witness(A=A, B=B))
+    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
 def _prop_mean_agm_sandwich(ctx, rng, eps):
@@ -379,7 +374,7 @@ def _prop_mean_agm_sandwich(ctx, rng, eps):
     upper = j_leq(geo, ari, tol=ctx.tol)
     scale = max(1.0, fnorm(ari.matrix))
     worst = min(lower.margin, upper.margin) + ctx.tol * scale
-    return TrialOutcome(lower.holds and upper.holds, worst, _witness(A=A, B=B))
+    return TrialOutcome(lower.holds and upper.holds, worst, dict(A=A, B=B))
 
 
 def _prop_mean_pullback_oracle(ctx, rng, eps):
@@ -390,7 +385,7 @@ def _prop_mean_pullback_oracle(ctx, rng, eps):
         lhs = phi_J(_mean(A, B, t).matrix, ctx.sig)
         rhs = _classical_geodesic(j @ A.matrix, j @ B.matrix, t)
         worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(A=A, B=B))
+    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
 NONCOMMUTING_DIFF = np.array([[0.263207, 0.768429], [-0.857469, -2.50336]])
@@ -420,7 +415,7 @@ def _prop_ando_hiai(ctx, rng, eps):
         v = ando_hiai_check(A, B, t, r, tol=ctx.tol)
         ok = ok and v.holds and not v.vacuous
         worst = min(worst, v.conclusion_margin + ctx.tol)
-    return TrialOutcome(ok, worst, _witness(A=A, B=B))
+    return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
 def _prop_furuta(ctx, rng, eps):
@@ -435,7 +430,7 @@ def _prop_furuta(ctx, rng, eps):
             scale = max(1.0, fnorm(A.matrix) ** r)
             ok = ok and v.holds
             worst = min(worst, v.margin + ctx.tol * scale)
-    return TrialOutcome(ok, worst, _witness(A=A, B=B))
+    return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
 def _prop_maximality(ctx, rng, eps):
@@ -462,61 +457,54 @@ def _prop_maximality(ctx, rng, eps):
     if abs(feas.margin) > 1e-9 * scale:
         ok = ok and ((not feas.holds) or dom.holds)
     return TrialOutcome(ok, min(at_max.margin + ctx.tol, -above.margin),
-                        _witness(A=A, B=B))
+                        dict(A=A, B=B))
 
 
 # ---------------------------------------------------------------------------
 # quaternion suite
 
-def _random_q(n, rng):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return QMatrix(a, b)
-
-
 def _prop_psi_homomorphism(ctx, rng, eps):
     n = ctx.sig.n
-    X, Y = _random_q(n, rng), _random_q(n, rng)
+    X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     e1 = np.linalg.norm(psi_matrix(X @ Y) - psi_matrix(X) @ psi_matrix(Y))
     e2 = np.linalg.norm(psi_matrix(X.H) - psi_matrix(X).conj().T)
     e3 = np.linalg.norm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))
     scale = max(1.0, np.linalg.norm(psi_matrix(X)) * np.linalg.norm(psi_matrix(Y)))
     err = max(e1, e2, e3) / scale
-    return TrialOutcome(err <= 1e-9, 1e-9 - err, _witness(X=X, Y=Y))
+    return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))
 
 
 def _prop_trd_cyclicity(ctx, rng, eps):
     n = ctx.sig.n
-    X, Y = _random_q(n, rng), _random_q(n, rng)
+    X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     err = abs(trd(X @ Y) - trd(Y @ X)) / max(1.0, fnorm(X) * fnorm(Y))
-    return TrialOutcome(err <= 1e-12, 1e-12 - err, _witness(X=X, Y=Y))
+    return TrialOutcome(err <= 1e-12, 1e-12 - err, dict(X=X, Y=Y))
 
 
 def _prop_quat_spectral(ctx, rng, eps):
-    from .matcore import hermitian_eig
     n = ctx.sig.n
-    Y = _random_q(n, rng)
+    Y = _random_matrix(n, "H", rng)
     X = (Y + Y.H) * 0.5
     dec = hermitian_eig(X)
     recon = _rel_err(dec.reconstruct(), X)
     U = dec.unitary
-    unit = fnorm(U.H @ U - QMatrix.eye(n))
+    unit = fnorm(U.H @ U - identity(n, "H"))
     ok = recon <= 1e-9 and unit <= 1e-9
-    return TrialOutcome(ok, 1e-9 - max(recon, unit), _witness(X=X))
+    return TrialOutcome(ok, 1e-9 - max(recon, unit), dict(X=X))
 
 
 def _prop_quat_exp_log(ctx, rng, eps):
     n = ctx.sig.n
-    Y = _random_q(n, rng)
+    Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
     H = H * (3.0 / max(1.0, fnorm(H)))
     err = _rel_err(mat_log_pd(mat_exp_h(H)), H)
-    return TrialOutcome(err <= 1e-9, 1e-9 - err, _witness(H=H))
+    return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(H=H))
 
 
 def _prop_quat_functional_calculus(ctx, rng, eps):
     n = ctx.sig.n
-    Y = _random_q(n, rng)
+    Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
     H = H * (2.0 / max(1.0, fnorm(H)))
     worst = np.inf
@@ -525,12 +513,12 @@ def _prop_quat_functional_calculus(ctx, rng, eps):
         lhs = psi_matrix(matrix_function(P, f))
         rhs = matrix_function(psi_matrix(P), f)
         worst = min(worst, 1e-9 - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, _witness(H=H))
+    return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
 def _prop_quat_image_structure(ctx, rng, eps):
     n = ctx.sig.n
-    Y = _random_q(n, rng)
+    Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
     H = H * (2.0 / max(1.0, fnorm(H)))
     P = psi_matrix(mat_exp_h(H))
@@ -539,53 +527,49 @@ def _prop_quat_image_structure(ctx, rng, eps):
         M = matrix_function(P, f)
         res = psi_structural_residual(M) / max(1.0, np.linalg.norm(M))
         worst = min(worst, 1e-10 - res)
-    return TrialOutcome(worst >= 0.0, worst, _witness(H=H))
+    return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
 # ---------------------------------------------------------------------------
 # registry and runner
 
 REGISTRY = [
-    PropertySpec("powers.exp_noninjectivity", ("powers",), _prop_exp_noninjectivity, "jcalc"),
-    PropertySpec("powers.inverse_exponential_law", ("powers",), _prop_inverse_exponential_law, "jcalc"),
-    PropertySpec("powers.inverse_generic_gap", ("powers",), _prop_inverse_generic_gap, "jcalc"),
-    PropertySpec("powers.kj_congruence", ("powers",), _prop_kj_congruence_powers, "jcalc"),
-    PropertySpec("powers.commuting_factorization", ("powers",), _prop_commuting_power_factorization, "jcalc"),
-    PropertySpec("order.power_monotone_unit", ("order",), _prop_power_monotone_unit, "order"),
-    PropertySpec("order.power_monotone_breaks_t2", ("order",), _prop_power_monotone_breaks_t2, "order"),
-    PropertySpec("order.congruence", ("order",), _prop_order_congruence, "order"),
-    PropertySpec("order.inverse_antimonotone", ("order",), _prop_inverse_antimonotone, "order"),
-    PropertySpec("geometry.pullback_geodesic", ("geometry",), _prop_pullback_geodesic, "geometry"),
-    PropertySpec("geometry.metric_invariance", ("geometry",), _prop_metric_invariance, "geometry"),
-    PropertySpec("geometry.segment_additivity", ("geometry",), _prop_segment_additivity, "geometry"),
-    PropertySpec("means.symmetry", ("means",), _prop_mean_symmetry, "means"),
-    PropertySpec("means.inversion", ("means",), _prop_mean_inversion, "means"),
-    PropertySpec("means.idempotence", ("means",), _prop_mean_idempotence, "means"),
-    PropertySpec("means.scaling", ("means",), _prop_mean_scaling, "means"),
-    PropertySpec("means.time_reversal", ("means",), _prop_mean_time_reversal, "means"),
-    PropertySpec("means.monotonicity", ("means",), _prop_mean_monotonicity, "means"),
-    PropertySpec("means.kj_congruence", ("means",), _prop_mean_kj_congruence, "means"),
-    PropertySpec("means.joint_concavity", ("means",), _prop_mean_joint_concavity, "means"),
-    PropertySpec("means.composition", ("means",), _prop_mean_composition, "means"),
-    PropertySpec("means.agm_sandwich", ("means",), _prop_mean_agm_sandwich, "means"),
-    PropertySpec("means.pullback_oracle", ("means",), _prop_mean_pullback_oracle, "means"),
-    PropertySpec("means.noncommuting_witness", ("means",), _prop_noncommuting_witness, "means"),
-    PropertySpec("ineq.ando_hiai", ("inequalities",), _prop_ando_hiai, None),
-    PropertySpec("ineq.furuta", ("inequalities",), _prop_furuta, None),
-    PropertySpec("ineq.maximality", ("inequalities",), _prop_maximality, None),
-    PropertySpec("quat.psi_homomorphism", ("quaternion",), _prop_psi_homomorphism, None),
-    PropertySpec("quat.trd_cyclicity", ("quaternion",), _prop_trd_cyclicity, None),
-    PropertySpec("quat.spectral_reconstruction", ("quaternion",), _prop_quat_spectral, None),
-    PropertySpec("quat.exp_log_roundtrip", ("quaternion",), _prop_quat_exp_log, None),
-    PropertySpec("quat.functional_calculus", ("quaternion",), _prop_quat_functional_calculus, "matcore"),
-    PropertySpec("quat.image_structure", ("quaternion",), _prop_quat_image_structure, None),
+    PropertySpec("powers.exp_noninjectivity", ("powers",), _prop_exp_noninjectivity),
+    PropertySpec("powers.inverse_exponential_law", ("powers",), _prop_inverse_exponential_law),
+    PropertySpec("powers.inverse_generic_gap", ("powers",), _prop_inverse_generic_gap),
+    PropertySpec("powers.kj_congruence", ("powers",), _prop_kj_congruence_powers),
+    PropertySpec("powers.commuting_factorization", ("powers",), _prop_commuting_power_factorization),
+    PropertySpec("order.power_monotone_unit", ("order",), _prop_power_monotone_unit),
+    PropertySpec("order.power_monotone_breaks_t2", ("order",), _prop_power_monotone_breaks_t2),
+    PropertySpec("order.congruence", ("order",), _prop_order_congruence),
+    PropertySpec("order.inverse_antimonotone", ("order",), _prop_inverse_antimonotone),
+    PropertySpec("geometry.pullback_geodesic", ("geometry",), _prop_pullback_geodesic),
+    PropertySpec("geometry.metric_invariance", ("geometry",), _prop_metric_invariance),
+    PropertySpec("geometry.segment_additivity", ("geometry",), _prop_segment_additivity),
+    PropertySpec("means.symmetry", ("means",), _prop_mean_symmetry),
+    PropertySpec("means.inversion", ("means",), _prop_mean_inversion),
+    PropertySpec("means.idempotence", ("means",), _prop_mean_idempotence),
+    PropertySpec("means.scaling", ("means",), _prop_mean_scaling),
+    PropertySpec("means.time_reversal", ("means",), _prop_mean_time_reversal),
+    PropertySpec("means.monotonicity", ("means",), _prop_mean_monotonicity),
+    PropertySpec("means.kj_congruence", ("means",), _prop_mean_kj_congruence),
+    PropertySpec("means.joint_concavity", ("means",), _prop_mean_joint_concavity),
+    PropertySpec("means.composition", ("means",), _prop_mean_composition),
+    PropertySpec("means.agm_sandwich", ("means",), _prop_mean_agm_sandwich),
+    PropertySpec("means.pullback_oracle", ("means",), _prop_mean_pullback_oracle),
+    PropertySpec("means.noncommuting_witness", ("means",), _prop_noncommuting_witness),
+    PropertySpec("ineq.ando_hiai", ("inequalities",), _prop_ando_hiai),
+    PropertySpec("ineq.furuta", ("inequalities",), _prop_furuta),
+    PropertySpec("ineq.maximality", ("inequalities",), _prop_maximality),
+    PropertySpec("quat.psi_homomorphism", ("quaternion",), _prop_psi_homomorphism),
+    PropertySpec("quat.trd_cyclicity", ("quaternion",), _prop_trd_cyclicity),
+    PropertySpec("quat.spectral_reconstruction", ("quaternion",), _prop_quat_spectral),
+    PropertySpec("quat.exp_log_roundtrip", ("quaternion",), _prop_quat_exp_log),
+    PropertySpec("quat.functional_calculus", ("quaternion",), _prop_quat_functional_calculus),
+    PropertySpec("quat.image_structure", ("quaternion",), _prop_quat_image_structure),
 ]
 
 REGISTRY_BY_ID = {spec.property_id: spec for spec in REGISTRY}
-
-# How many Invariants entries each module contributes; the registry test in
-# the suite checks this tally against the source tags above.
-SOURCE_COUNTS = {"jcalc": 5, "order": 4, "geometry": 3, "means": 12, "matcore": 1}
 
 
 def _trial_rng(seed: int, property_id: str, trial: int) -> np.random.Generator:
@@ -618,7 +602,7 @@ def _shrink(spec: PropertySpec, ctx: Context, seed: int, trial: int,
         if outcome.ok:
             break
         last_failing = outcome
-    witness = last_failing.witness or {}
+    witness = {name: _payload(m) for name, m in (last_failing.witness or {}).items()}
     return {"trial": trial, "margin": last_failing.margin, "inputs": witness}
 
 

@@ -13,16 +13,6 @@ import numpy as np
 
 FIELDS = ("R", "C", "H")
 
-# Real dimension of each field, used when drawing random scalars.
-FIELD_DIM = {"R": 1, "C": 2, "H": 4}
-
-
-def promote(field_a: str, field_b: str) -> str:
-    """Smallest field containing both arguments (R < C < H)."""
-    if field_a not in FIELDS or field_b not in FIELDS:
-        raise ValueError(f"unknown field: {field_a!r}, {field_b!r}")
-    return FIELDS[max(FIELDS.index(field_a), FIELDS.index(field_b))]
-
 
 @dataclass(frozen=True)
 class Quaternion:

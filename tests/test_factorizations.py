@@ -1,0 +1,64 @@
+"""Cubic-cost factorizations per cone operation, and the Psi boundary.
+
+The counts do not depend on the machine, the seed or the size, so they pin
+the work each operation does: a change that adds a factorization fails here.
+"""
+
+import numpy as np
+import pytest
+
+import jcone.matcore
+from jcone.geometry import geodesic_distance
+from jcone.jcalc import pow_J, random_pj
+from jcone.jstruct import Signature, is_j_positive
+from jcone.means import weighted_mean
+from jcone.order import j_leq
+
+ROUTINES = ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve")
+SIG = Signature(2, 1)
+
+# Operation -> (call on a pair of cone elements, numpy.linalg calls).
+OPERATIONS = {
+    "weighted_mean_t0.5": (lambda A, B: weighted_mean(A, B, 0.5), 7),
+    "weighted_mean_t0.3": (lambda A, B: weighted_mean(A, B, 0.3), 5),
+    "geodesic_distance": (geodesic_distance, 4),
+    "pow_J": (lambda A, B: pow_J(A, 0.7), 3),
+    "j_leq": (j_leq, 1),
+    "is_j_positive": (lambda A, B: is_j_positive(A.matrix, SIG), 1),
+}
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    calls = []
+    for name in ROUTINES:
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, _routine=routine, _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_factorization_count(linalg_calls, op, field):
+    A, B = random_pj(SIG, field, 1), random_pj(SIG, field, 2)
+    call, expected = OPERATIONS[op]
+    linalg_calls.clear()
+    call(A, B)
+    assert len(linalg_calls) == expected, linalg_calls
+
+
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_no_structural_test_inside_the_library(monkeypatch, op):
+    # Quaternionic results come back through Psi without psi_inverse's test.
+    A, B = random_pj(SIG, "H", 1), random_pj(SIG, "H", 2)
+
+    def forbidden(M):
+        raise AssertionError("internal Psi round trip re-tested its structure")
+
+    monkeypatch.setattr(jcone.matcore, "psi_structural_residual", forbidden)
+    OPERATIONS[op][0](A, B)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from jcone.errors import NotJHermitian, SignatureMismatch, StepTooSmall
+from jcone.errors import (NotJHermitian, NotPositive, SignatureMismatch,
+                          StepTooSmall)
 from jcone.geometry import (GeodesicPath, curve_ode_residual, geodesic,
                             geodesic_distance, geodesic_ode_residual,
                             metric_omega)
-from jcone.jcalc import random_invertible, random_jhermitian, random_pj_bounded
-from jcone.jstruct import Signature, in_pj, is_j_positive, phi_J, sharp
+from jcone.jcalc import (random_invertible, random_jhermitian, random_pj,
+                         random_pj_bounded)
+from jcone.jstruct import (JPositive, Signature, in_pj, is_j_positive, phi_J,
+                           sharp)
+from jcone.means import weighted_mean
 from jcone.matcore import allclose, fnorm, mat_inverse, mat_pow_pd, mat_sqrt_pd
 
 SIG = Signature(1, 1)
@@ -187,3 +191,40 @@ class TestDistance:
                 G = geodesic(A, B, t)
                 assert (geodesic_distance(A, G) + geodesic_distance(G, B)
                         == pytest.approx(total, rel=1e-8, abs=1e-8))
+
+
+class TestIllConditioned:
+    """Certified operands whose congruence (JA)^{-1/2} JB (JA)^{-1/2} has
+    lambda_min / lambda_max far below 1e-10, while its spectrum is positive."""
+
+    J = SIG.matrix()
+    A = is_j_positive(J @ np.diag([1e4, 1e-4]), SIG)
+    B = is_j_positive(J @ np.diag([1e-4, 1e4]), SIG)
+
+    def test_closed_form_mean(self):
+        assert fnorm(weighted_mean(self.A, self.B, 0.5).mean.matrix - self.J) <= 1e-12
+
+    def test_closed_form_distance(self):
+        expected = 8.0 * np.sqrt(2.0) * np.log(10.0)
+        assert geodesic_distance(self.A, self.B) == pytest.approx(expected, rel=1e-12)
+
+    def test_closed_form_geodesic(self):
+        for t in (0.0, 0.1, 0.25, 0.5, 0.8, 1.0):
+            g = self.J @ geodesic(self.A, self.B, t).matrix
+            np.testing.assert_allclose(np.diag(g), [10 ** (4 - 8 * t), 10 ** (8 * t - 4)],
+                                       rtol=1e-12)
+            assert abs(g[0, 1]) <= 1e-12 and abs(g[1, 0]) <= 1e-12
+
+    def test_seeded_large_pair(self):
+        sig = Signature(128, 128)
+        A, B = random_pj(sig, "R", 1), random_pj(sig, "R", 2)
+        result = weighted_mean(A, B, 0.5)
+        assert result.riccati_residual <= 1e-8 * fnorm(B.matrix)
+
+    def test_nonpositive_spectrum_still_rejected(self):
+        # A forged certificate: JA = diag(1, -1) is not positive definite.
+        forged = JPositive(self.J @ np.diag([1.0, -1.0]), SIG, 1.0)
+        with pytest.raises(NotPositive):
+            geodesic(forged, self.B, 0.5)
+        with pytest.raises(NotPositive):
+            geodesic_distance(forged, self.B)

@@ -9,7 +9,7 @@ from jcone.matcore import (QMatrix, adjoint, allclose, eigvals_hermitian,
                            mat_log_pd, mat_pow_pd, mat_sqrt_pd,
                            matrix_function, psi_inverse, psi_matrix,
                            psi_structural_residual, trd)
-from jcone.scalars import QUAT_I, QUAT_J, Quaternion
+from jcone.scalars import QUAT_I, QUAT_J, QUAT_K, Quaternion
 
 
 def random_mat(n, field, rng):
@@ -82,6 +82,32 @@ class TestBasics:
         for _ in range(50):
             A, B = random_mat(3, "H", rng), random_mat(3, "H", rng)
             assert trd(A @ B) == pytest.approx(trd(B @ A), abs=1e-11)
+
+
+class TestQMatrixIndexing:
+    X = QMatrix.from_quaternions([[QUAT_I, QUAT_J],
+                                  [Quaternion(1.0, 2.0, 3.0, 4.0), QUAT_K]])
+
+    def test_entries_are_quaternions(self):
+        assert self.X[0, 1] == QUAT_J
+        assert self.X[1, 0] == Quaternion(1.0, 2.0, 3.0, 4.0)
+
+    def test_slices_are_qmatrices(self):
+        col = self.X[:, 1:2]
+        assert isinstance(col, QMatrix) and col.shape == (2, 1)
+        assert col[1, 0] == QUAT_K
+
+    def test_reshape_is_row_major(self):
+        flat = self.X.reshape(4, 1)
+        assert flat.shape == (4, 1)
+        assert [flat[k, 0] for k in range(4)] == [QUAT_I, QUAT_J,
+                                                   self.X[1, 0], QUAT_K]
+
+    def test_slice_assignment(self):
+        Y = QMatrix.zeros((2, 2))
+        Y[:, 0:1] = self.X[:, 1:2]
+        assert Y[0, 0] == QUAT_J and Y[1, 0] == QUAT_K
+        assert Y[0, 1] == Quaternion(0.0)
 
 
 class TestPsi:

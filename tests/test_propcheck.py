@@ -5,9 +5,9 @@ import pytest
 
 from jcone.errors import UnknownSuite
 from jcone.jstruct import Signature
-from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SOURCE_COUNTS, SUITES,
-                             Context, PropertyReport, PropertySpec,
-                             TrialOutcome, run_property, run_suite)
+from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SUITES, Context,
+                             PropertyReport, PropertySpec, TrialOutcome,
+                             run_property, run_suite)
 
 SIG = Signature(1, 1)
 
@@ -20,14 +20,6 @@ class TestRegistry:
     def test_every_suite_nonempty(self):
         for suite in SUITES:
             assert any(suite in spec.suites for spec in REGISTRY)
-
-    def test_invariant_coverage_counts(self):
-        # Each module's randomized invariants map to exactly one property id.
-        tally = {}
-        for spec in REGISTRY:
-            if spec.source is not None:
-                tally[spec.source] = tally.get(spec.source, 0) + 1
-        assert tally == SOURCE_COUNTS
 
 
 class TestRunner:
@@ -67,10 +59,30 @@ class TestMutationSanity:
             return TrialOutcome(margin >= 0.0, margin,
                                 {"x": {"value": x, "eps": eps}})
 
-        spec = PropertySpec("test.broken", ("powers",), broken, None)
+        spec = PropertySpec("test.broken", ("powers",), broken)
         report = run_property(spec, Context(SIG, "R", 1e-8), trials=5, seed=3)
         assert report.failures == 5
         assert report.counterexample is not None
         assert report.worst_margin < 0.0
         # Shrinking halves eps down to the floor while the failure persists.
         assert report.counterexample["inputs"]["x"]["eps"] < 1.0
+
+    def test_counterexample_inputs_are_matrix_payloads(self):
+        # No tolerance is met at -1: the witness matrices are serialized
+        # into the report as matrix file payloads.
+        spec = REGISTRY_BY_ID["means.symmetry"]
+        report = run_property(spec, Context(SIG, "C", -1.0), trials=1, seed=0)
+        inputs = report.counterexample["inputs"]
+        assert sorted(inputs) == ["A", "B"]
+        assert inputs["A"]["field"] == "C" and inputs["A"]["rows"] == 2
+        assert json.loads(report.to_json_line())["counterexample"]["inputs"] == inputs
+
+    def test_passing_trials_serialize_nothing(self, monkeypatch):
+        import jcone.propcheck
+
+        def forbidden(X):
+            raise AssertionError("witness serialized for a passing trial")
+
+        monkeypatch.setattr(jcone.propcheck, "matrix_to_payload", forbidden)
+        reports = run_suite("means", SIG, "H", trials=2, seed=1)
+        assert all(r.failures == 0 for r in reports)
