@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotJHermitian, Singular
-from .jstruct import JPositive, Signature, is_j_hermitian, is_j_positive, sharp
+from .errors import Singular
+from .jstruct import (JPositive, Signature, certify_constructed, is_j_positive,
+                      phi_J, sharp)
 from .matcore import (_quat_project_out, adjoint, block2x2, eigvals_hermitian,
-                      fnorm, from_real_parts, mat_exp_h, mat_inverse,
-                      mat_log_pd, mat_pow_pd, mat_sqrt_pd, zeros)
+                      fnorm, from_real_parts, mat_inverse, mat_sqrt_pd,
+                      spectral_function, zeros)
 
 MAX_POWER = 32.0
 
@@ -43,16 +44,14 @@ def bullet_commutator(X, Y, sig: Signature):
 
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """exp_J(X) = J exp(JX); maps the J-Hermitian space onto P_J."""
-    if not is_j_hermitian(X, sig, tol):
-        raise NotJHermitian("exp_J needs a J-Hermitian argument")
-    j = sig.matrix_for(X)
-    return is_j_positive(j @ mat_exp_h(j @ X), sig, tol)
+    out, w = spectral_function(phi_J(X, sig, tol), np.exp)
+    return certify_constructed(sig.matrix_for(X) @ out, sig, np.exp(w))
 
 
 def log_J(X: JPositive):
     """log_J(X) = J log(JX); inverse of exp_J on P_J."""
     j = X.signature.matrix_for(X.matrix)
-    return j @ mat_log_pd(j @ X.matrix)
+    return j @ spectral_function(j @ X.matrix, np.log, floor=0.0)[0]
 
 
 def pow_J(X: JPositive, t: float) -> JPositive:
@@ -61,7 +60,8 @@ def pow_J(X: JPositive, t: float) -> JPositive:
     if abs(t) > MAX_POWER:
         raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
     j = X.signature.matrix_for(X.matrix)
-    return is_j_positive(j @ mat_pow_pd(j @ X.matrix, t), X.signature)
+    out, w = spectral_function(j @ X.matrix, lambda w: np.power(w, t), floor=0.0)
+    return certify_constructed(j @ out, X.signature, np.power(w, t))
 
 
 def polar_decompose_bullet(g, sig: Signature):

@@ -4,6 +4,11 @@ Provides the sharp involution X -> J X* J, membership tests for J-Hermitian
 matrices, J-positive matrices and the (J-)unitary groups, the block shape of
 J-Hermitian matrices with the Schur positivity test, and the bijection
 phi_J: X -> JX between the J-Hermitian space and the Hermitian matrices.
+
+Boundary rule: is_j_positive certifies outside input at the caller's tol, by
+phi_J (the one J-Hermitian test) and a relative threshold on lambda_min(JX).
+Construction rule: certify_constructed certifies a value built from certified
+members from eigenvalues of JX in hand, rejecting one <= 0 or not finite.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IndeterminateSchur, NotHermitian,
-                     NotJHermitian, NotJPositive)
-from .matcore import (adjoint, block2x2, eigvals_hermitian, field_of, fnorm,
-                      from_real, identity, is_positive_definite, mat_inverse)
+from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
+                     NotJPositive)
+from .matcore import (_check_hermitian, adjoint, block2x2, eigvals_hermitian,
+                      eigvals_unchecked, field_of, fnorm, from_real, identity,
+                      is_positive_definite, mat_inverse)
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,11 @@ def sharp(X, sig: Signature):
 
 
 def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
-    _check_dim(X, sig)
-    return fnorm(sharp(X, sig) - X) <= tol * max(1.0, fnorm(X))
+    try:
+        phi_J(X, sig, tol)
+        return True
+    except NotJHermitian:
+        return False
 
 
 def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
@@ -90,8 +99,7 @@ class JHermitianBlocks:
 
 
 def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
-    if not is_j_hermitian(H, sig, tol):
-        raise NotJHermitian("sharp-symmetry residual too large")
+    phi_J(H, sig, tol)
     p = sig.p
     return JHermitianBlocks(H[:p, :p], H[:p, p:], H[p:, p:], sig)
 
@@ -128,14 +136,21 @@ class JPositive:
 
 
 def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
-    """Certify membership in P_J; raises on rejection."""
-    if not is_j_hermitian(X, sig, tol):
-        raise NotJHermitian("sharp-symmetry residual too large")
-    jx = sig.matrix_for(X) @ X
-    lam = eigvals_hermitian(jx)
+    """Certify membership in P_J of X from outside the library; raises on rejection."""
+    lam = eigvals_unchecked(phi_J(X, sig, tol))
     if lam[-1] <= tol * max(1.0, abs(lam[0]), abs(lam[-1])):
         raise NotJPositive(f"lambda_min(JX) = {lam[-1]:.3e} not positive")
     return JPositive(X, sig, float(lam[-1]))
+
+
+def certify_constructed(X, sig: Signature, lam=None) -> JPositive:
+    """Certificate of X built from certified members, from eigenvalues lam of
+    JX that include lambda_min(JX); lam=None computes the spectrum here."""
+    lam = eigvals_unchecked(sig.matrix_for(X) @ X) if lam is None else lam
+    for v in lam:
+        if not 0.0 < v < np.inf:
+            raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
+    return JPositive(X, sig, float(min(lam)))
 
 
 def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
@@ -148,18 +163,19 @@ def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
 
 
 def phi_J(X, sig: Signature, tol: float = 1e-10):
-    """The bijection X -> JX from the J-Hermitian space onto the Hermitian space."""
-    if not is_j_hermitian(X, sig, tol):
-        raise NotJHermitian("sharp-symmetry residual too large")
-    return sig.matrix_for(X) @ X
+    """X -> JX from the J-Hermitian onto the Hermitian space; the one J-Hermitian test."""
+    _check_dim(X, sig)
+    jx = sig.matrix_for(X) @ X
+    residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, fnorm(X))
+    if not residual <= threshold:
+        raise NotJHermitian(f"sharp-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
+    return jx
 
 
 def phi_J_inv(P, sig: Signature, tol: float = 1e-10):
     """Inverse bijection P -> JP from Hermitian matrices into the J-Hermitian space."""
     _check_dim(P, sig)
-    if fnorm(P - adjoint(P)) > tol * max(1.0, fnorm(P)):
-        raise NotHermitian("input is not Hermitian")
-    return sig.matrix_for(P) @ P
+    return sig.matrix_for(P) @ _check_hermitian(P, tol)
 
 
 def j_inner(x, y, sig: Signature):

@@ -8,11 +8,14 @@ they do for arrays, and X[i, j] is a Quaternion.
 How H is stored is private to this module: a QMatrix holds a pair (a, b) of
 complex arrays meaning A + B*j, and all spectral work routes through the
 embedding Psi(A + B*j) = [[A, B], [-conj(B), conj(A)]] into 2n x 2n complex
-matrices.  Each spectral function checks that its argument is Hermitian once,
-embeds it once, makes its LAPACK call and reads the quaternionic result off
-the top blocks of the embedded one, which lies in the image of Psi by
-construction.  The structural test of psi_inverse is for 2n x 2n matrices
-that come from outside the library.
+matrices.  Spectral functions embed once and read quaternionic results off
+the top blocks, which lie in the image of Psi by construction; only
+psi_inverse tests that structure, for matrices from outside the library.
+
+Boundary rule: public spectral functions test input once (_check_hermitian),
+mat_*_pd add a relative 1e-10 positivity threshold.  Construction rule: a
+matrix built from certified members goes to spectral_function untested, and
+with floor=0 only a computed eigenvalue <= 0 rejects it.
 """
 
 from __future__ import annotations
@@ -228,8 +231,11 @@ def mat_inverse(X):
 
 
 def _check_hermitian(X, tol: float = 1e-10):
-    if fnorm(X - adjoint(X)) > tol * max(1.0, fnorm(X)):
-        raise NotHermitian("adjoint-symmetry residual too large")
+    """X, once it passes the one Hermitian test."""
+    residual, threshold = fnorm(X - adjoint(X)), tol * max(1.0, fnorm(X))
+    if residual > threshold:
+        raise NotHermitian(f"adjoint-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -292,46 +298,43 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    _check_hermitian(X, tol)
-    w, V = np.linalg.eigh(_embed(X))
+    w, V = np.linalg.eigh(_embed(_check_hermitian(X, tol)))
     w, V = w[::-1], V[:, ::-1]
     if isinstance(X, QMatrix):
         return _quaternionic_eig(w, V)
     return SpectralDecomposition(V, w)
 
 
-def _eigvals(M: np.ndarray, X) -> np.ndarray:
-    # Over H each eigenvalue of X appears twice in M = Psi(X): keep one of each.
-    w = np.linalg.eigvalsh(M)[::-1]
-    return w[::2] if isinstance(X, QMatrix) else w
+def _descending(w: np.ndarray, X) -> np.ndarray:
+    # Over H each eigenvalue of X appears twice in Psi(X): keep one of each.
+    return w[::-2] if isinstance(X, QMatrix) else w[::-1]
+
+
+def eigvals_unchecked(X) -> np.ndarray:
+    """Descending eigenvalues of X, which is Hermitian by construction."""
+    return _descending(np.linalg.eigvalsh(_embed(X)), X)
 
 
 def eigvals_hermitian(X, tol: float = 1e-10) -> np.ndarray:
     """Descending real eigenvalues; for H the doubled embedded list is halved."""
-    _check_hermitian(X, tol)
-    return _eigvals(_embed(X), X)
+    return eigvals_unchecked(_check_hermitian(X, tol))
 
 
-def _apply(M: np.ndarray, f) -> np.ndarray:
+def spectral_function(X, f, floor: float | None = None):
+    """f(X) and the descending eigenvalues of X from one eigh, with no structural
+    test; f sees those of _embed(X) ascending.  Given a floor, raises NotPositive
+    unless the smallest eigenvalue exceeds floor * max(1, |eigenvalues|)."""
+    M = _embed(X)
     w, U = np.linalg.eigh(M)
+    if floor is not None and not w[0] > floor * max(1.0, abs(w[0]), abs(w[-1])):
+        raise NotPositive(f"smallest eigenvalue {w[0]:.3e} not above {floor:.0e} * max(1, |w|)")
     out = (U * f(w)) @ U.conj().T
-    return out if np.iscomplexobj(M) else out.real
+    return _unembed(out if np.iscomplexobj(M) else out.real, X), _descending(w, X)
 
 
 def matrix_function(X, f):
     """Apply a real function to a Hermitian matrix through its eigenvalues."""
-    _check_hermitian(X)
-    return _unembed(_apply(_embed(X), f), X)
-
-
-def _pd_function(X, f):
-    """matrix_function restricted to positive definite X."""
-    _check_hermitian(X)
-    M = _embed(X)
-    lam = _eigvals(M, X)
-    if lam[-1] <= 1e-10 * max(1.0, abs(lam[0]), abs(lam[-1])):
-        raise NotPositive("smallest eigenvalue at or below the positivity threshold")
-    return _unembed(_apply(M, f), X)
+    return spectral_function(_check_hermitian(X), f)[0]
 
 
 def mat_exp_h(X):
@@ -339,11 +342,12 @@ def mat_exp_h(X):
 
 
 def mat_log_pd(X):
-    return _pd_function(X, np.log)
+    return spectral_function(_check_hermitian(X), np.log, floor=1e-10)[0]
 
 
 def mat_pow_pd(X, t: float):
-    return _pd_function(X, lambda w: np.power(w, float(t)))
+    return spectral_function(_check_hermitian(X), lambda w: np.power(w, float(t)),
+                             floor=1e-10)[0]
 
 
 def mat_sqrt_pd(X):

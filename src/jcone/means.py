@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (NotBulletCommuting, NotJHermitian, PremiseViolated,
-                     WeightOutOfRange)
+from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
 from .geometry import _check_pair, geodesic
 from .jcalc import bullet, bullet_commutator, pow_J
-from .jstruct import JPositive, is_j_hermitian, is_j_positive
-from .matcore import (block2x2, eigvals_hermitian, fnorm, mat_inverse)
+from .jstruct import JPositive, certify_constructed, is_j_positive, phi_J
+from .matcore import block2x2, eigvals_unchecked, fnorm, mat_inverse
 from .order import OrderVerdict, j_leq
 
 
@@ -61,20 +60,18 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
     sig = A.signature
     if isinstance(X, JPositive):
         X = X.matrix
-    if not is_j_hermitian(X, sig, tol=1e-8):
-        raise NotJHermitian("candidate must be J-Hermitian")
+    jx = phi_J(X, sig, 1e-8)
     j = sig.matrix_for(X)
-    ja, jb, jx = j @ A.matrix, j @ B.matrix, j @ X
-    block = block2x2(ja, jx, jx, jb)
-    lam = eigvals_hermitian(block, tol=1e-8)
-    margin = float(lam[-1])
+    block = block2x2(j @ A.matrix, jx, jx, j @ B.matrix)
+    margin = float(eigvals_unchecked(block)[-1])
     scale = max(1.0, fnorm(block))
     return OrderVerdict(margin >= -tol * scale, margin)
 
 
 def arithmetic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
     _check_pair(A, B)
-    return is_j_positive((1.0 - float(t)) * A.matrix + float(t) * B.matrix, A.signature)
+    return certify_constructed((1.0 - float(t)) * A.matrix + float(t) * B.matrix,
+                               A.signature)
 
 
 def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
@@ -86,7 +83,7 @@ def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
     if t == 1.0:
         return B
     combo = (1.0 - t) * pow_J(A, -1).matrix + t * pow_J(B, -1).matrix
-    return pow_J(is_j_positive(combo, A.signature), -1)
+    return pow_J(certify_constructed(combo, A.signature), -1)
 
 
 def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
@@ -122,9 +119,9 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
     sig = A.signature
     mean = weighted_mean(A, B, t).mean
     j = sig.matrix_for(mean.matrix)
-    lam_max = float(eigvals_hermitian(j @ mean.matrix)[0])
-    mu = (1.0 - margin) / lam_max
-    return (is_j_positive(mu * A.matrix, sig), is_j_positive(mu * B.matrix, sig))
+    mu = (1.0 - margin) / float(eigvals_unchecked(j @ mean.matrix)[0])
+    return tuple(certify_constructed(mu * X.matrix, sig, [mu * X.lambda_min_of_jx])
+                 for X in (A, B))
 
 
 def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
@@ -135,9 +132,7 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
         raise ValueError("need r >= 1")
     if not 0.0 < t < 1.0:
         raise ValueError("need t in (0, 1)")
-    sig = A.signature
-    jmat = sig.matrix(A.field)
-    j_elt = is_j_positive(jmat, sig)
+    j_elt = JPositive(A.signature.matrix(A.field), A.signature, 1.0)
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
     if not premise.holds:
         return InequalityVerdict(True, True, premise.margin, float("nan"))
@@ -159,5 +154,5 @@ def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
     sig = A.signature
     half = pow_J(A, r / 2.0)
     inner = bullet(bullet(half, pow_J(B, p_exp), sig), half, sig)
-    lhs = pow_J(is_j_positive(inner, sig), r / (r + p_exp))
+    lhs = pow_J(certify_constructed(inner, sig), r / (r + p_exp))
     return j_leq(lhs, pow_J(A, r), tol=tol)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotHermitian, NotJHermitian
-from .jstruct import JPositive, Signature, is_j_hermitian
-from .matcore import adjoint, eigvals_hermitian, fnorm
+from .errors import DimensionMismatch, SignatureMismatch
+from .jstruct import JPositive, Signature, phi_J
+from .matcore import _check_hermitian, eigvals_unchecked, fnorm
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,12 @@ def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
     """X <= Y iff Y - X is positive semi-definite, with slack tol * scale."""
     if X.shape != Y.shape:
         raise DimensionMismatch("operands differ in shape")
-    for Z in (X, Y):
-        if fnorm(Z - adjoint(Z)) > 1e-8 * max(1.0, fnorm(Z)):
-            raise NotHermitian("order operands must be Hermitian")
-    lam = eigvals_hermitian(Y - X, tol=1e-8)
-    margin = float(lam[-1])
+    return _leq(_check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8), tol)
+
+
+def _leq(X, Y, tol: float) -> OrderVerdict:
+    # Y - X is Hermitian by construction: it is not re-tested at its own scale.
+    margin = float(eigvals_unchecked(Y - X)[-1])
     scale = max(1.0, fnorm(X), fnorm(Y))
     return OrderVerdict(margin >= -tol * scale, margin)
 
@@ -39,10 +40,10 @@ def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
         sig = X.signature
     if sig is None:
         raise ValueError("signature required for raw matrix arguments")
-    Xm = X.matrix if isinstance(X, JPositive) else X
-    Ym = Y.matrix if isinstance(Y, JPositive) else Y
-    for Z in (Xm, Ym):
-        if not is_j_hermitian(Z, sig, tol=1e-8):
-            raise NotJHermitian("order operands must be J-Hermitian")
-    j = sig.matrix_for(Xm)
-    return loewner_leq(j @ Xm, j @ Ym, tol)
+    def jz(Z):  # only raw operands take the J-Hermitian test
+        if not isinstance(Z, JPositive):
+            return phi_J(Z, sig, 1e-8)
+        if Z.signature != sig:
+            raise SignatureMismatch("operands live over different signatures")
+        return sig.matrix_for(Z.matrix) @ Z.matrix
+    return _leq(jz(X), jz(Y), tol)

@@ -9,9 +9,9 @@ import pytest
 
 import jcone.matcore
 from jcone.geometry import geodesic_distance
-from jcone.jcalc import pow_J, random_pj
+from jcone.jcalc import exp_J, log_J, pow_J, random_pj
 from jcone.jstruct import Signature, is_j_positive
-from jcone.means import weighted_mean
+from jcone.means import harmonic_mean_J, weighted_mean
 from jcone.order import j_leq
 
 ROUTINES = ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve")
@@ -22,7 +22,10 @@ OPERATIONS = {
     "weighted_mean_t0.5": (lambda A, B: weighted_mean(A, B, 0.5), 7),
     "weighted_mean_t0.3": (lambda A, B: weighted_mean(A, B, 0.3), 5),
     "geodesic_distance": (geodesic_distance, 4),
-    "pow_J": (lambda A, B: pow_J(A, 0.7), 3),
+    "pow_J": (lambda A, B: pow_J(A, 0.7), 1),
+    "exp_J": (lambda A, B: exp_J(A.matrix - B.matrix, SIG), 1),
+    "log_J": (lambda A, B: log_J(A), 1),
+    "harmonic_mean_J_t0.3": (lambda A, B: harmonic_mean_J(A, B, 0.3), 4),
     "j_leq": (j_leq, 1),
     "is_j_positive": (lambda A, B: is_j_positive(A.matrix, SIG), 1),
 }

@@ -6,8 +6,8 @@ from jcone.errors import (NotJHermitian, NotPositive, SignatureMismatch,
 from jcone.geometry import (GeodesicPath, curve_ode_residual, geodesic,
                             geodesic_distance, geodesic_ode_residual,
                             metric_omega)
-from jcone.jcalc import (random_invertible, random_jhermitian, random_pj,
-                         random_pj_bounded)
+from jcone.jcalc import (log_J, pow_J, random_invertible, random_jhermitian,
+                         random_pj, random_pj_bounded)
 from jcone.jstruct import (JPositive, Signature, in_pj, is_j_positive, phi_J,
                            sharp)
 from jcone.means import weighted_mean
@@ -228,3 +228,7 @@ class TestIllConditioned:
             geodesic(forged, self.B, 0.5)
         with pytest.raises(NotPositive):
             geodesic_distance(forged, self.B)
+        with pytest.raises(NotPositive):
+            pow_J(forged, 0.5)
+        with pytest.raises(NotPositive):
+            log_J(forged)

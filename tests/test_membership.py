@@ -1,0 +1,107 @@
+"""Cone membership is decided once at the boundary, at the caller's tol, and
+values built from certified members are rejected only on a computed
+eigenvalue that is <= 0 or not finite."""
+
+import numpy as np
+import pytest
+
+from jcone.cli import main
+from jcone.errors import NotJHermitian, NotJPositive, SignatureMismatch
+from jcone.fileio import write_matrix
+from jcone.geometry import geodesic
+from jcone.jcalc import exp_J, log_J, pow_J, random_pj_bounded
+from jcone.jstruct import Signature, in_pj, is_j_hermitian, is_j_positive, phi_J
+from jcone.matcore import eigvals_hermitian
+from jcone.means import arithmetic_mean_J, harmonic_mean_J, weighted_mean
+from jcone.order import j_leq
+
+SIG = Signature(1, 1)
+J = SIG.matrix()
+# J-Hermitian to 5.7e-10 at ||X|| = 2.6: inside tol 1e-9, outside 1e-10.
+NEAR = J @ np.array([[2.0, 0.3], [0.3 + 4e-10, 1.5]])
+
+
+class TestBoundaryTolerance:
+    def test_is_j_positive_at_caller_tol(self):
+        assert is_j_positive(NEAR, SIG, tol=1e-9).lambda_min_of_jx > 0.0
+
+    def test_in_pj_at_caller_tol(self):
+        assert in_pj(NEAR, SIG, 1e-9)
+        assert not in_pj(NEAR, SIG, 1e-10)
+
+    def test_cli_pow_at_caller_tol(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        write_matrix(str(path), NEAR)
+        code = main(["pow", "--x", str(path), "-t", "0.5", "--signature", "1,1",
+                     "--tol", "1e-9"])
+        assert code == 0, capsys.readouterr().err
+
+    def test_residual_and_threshold_in_message(self):
+        assert is_j_hermitian(NEAR, SIG, 1e-9) and not is_j_hermitian(NEAR, SIG, 1e-10)
+        with pytest.raises(NotJHermitian,
+                           match=r"residual 5\.657e-10 exceeds 2\.5\d\de-10"):
+            phi_J(NEAR, SIG, 1e-10)
+
+
+def test_order_of_certified_members_not_retested():
+    # Both pass the J-Hermitian test relative to their norm; B - A does not
+    # relative to its own, much smaller norm, and need not.
+    A = is_j_positive(J @ np.array([[2e3, 300.0], [300.0 + 1e-7, 1.5e3]]), SIG)
+    B = is_j_positive(J @ np.array([[2e3 + 1e-3, 300.0], [300.0, 1.5e3 + 1e-3]]), SIG)
+    verdict = j_leq(A, B)
+    assert verdict.holds
+    assert verdict.margin == pytest.approx(1e-3, rel=1e-3)
+    with pytest.raises(SignatureMismatch):
+        j_leq(A, is_j_positive(np.eye(2), Signature(2, 0)))
+
+
+class TestNearBoundary:
+    """lambda_min(JX) = 1e-11, certified at tol 1e-12."""
+
+    X = is_j_positive(J @ np.diag([1.0, 1e-11]), SIG, tol=1e-12)
+
+    def test_operations_accept_it(self):
+        np.testing.assert_allclose(J @ pow_J(self.X, 0.5).matrix,
+                                   np.diag([1.0, np.sqrt(1e-11)]), rtol=1e-12)
+        np.testing.assert_allclose(J @ log_J(self.X), np.diag([0.0, np.log(1e-11)]),
+                                   atol=1e-12)
+        for mean in (weighted_mean(self.X, self.X).mean,
+                     arithmetic_mean_J(self.X, self.X),
+                     harmonic_mean_J(self.X, self.X, 0.3)):
+            np.testing.assert_allclose(mean.matrix, self.X.matrix, rtol=1e-12)
+
+    def test_exp_j_is_onto(self):
+        E = exp_J(J @ np.diag([0.0, np.log(1e-11)]), SIG)
+        np.testing.assert_allclose(E.matrix, self.X.matrix, rtol=1e-12)
+        assert E.lambda_min_of_jx == pytest.approx(1e-11, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+class TestOverflow:
+    def test_exp_j(self):
+        with pytest.raises(NotJPositive, match="eigenvalue inf"):
+            exp_J(J @ np.diag([800.0, 1.0]), SIG)
+
+    def test_pow_j(self):
+        X = is_j_positive(J @ np.diag([1e10, 2.0]), SIG)
+        with pytest.raises(NotJPositive, match="eigenvalue inf"):
+            pow_J(X, 32)
+
+
+def _lambda_min(X):
+    return eigvals_hermitian(X.signature.matrix_for(X.matrix) @ X.matrix)[-1]
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_certificates_from_eigenvalues_in_hand(field):
+    sig = Signature(2, 1)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        A = random_pj_bounded(sig, field, rng)
+        B = random_pj_bounded(sig, field, rng)
+        E = random_pj_bounded(sig, field, rng)  # exp_J of a J-Hermitian draw
+        outputs = [pow_J(A, t) for t in (-1.3, 0.5, 2.0)]
+        outputs += [E, geodesic(A, B, 0.3)]
+        for out in outputs:
+            want = _lambda_min(out)
+            assert abs(out.lambda_min_of_jx - want) <= 1e-11 * want
