@@ -40,8 +40,9 @@ def payload_to_matrix(payload: dict):
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite number in canonical JSON")
-    s = format(float(x), ".17g")
-    return s
+    if x == 0.0:
+        return "0"  # either sign: a sign flip of a zero entry must not show
+    return format(float(x), ".17g")
 
 
 def canonical_dumps(obj) -> str:

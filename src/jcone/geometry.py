@@ -2,9 +2,17 @@
 
 The metric omega_P(U, V) = trd(P^{-1} U P^{-1} V) is the pullback under
 X -> JX of the usual trace metric on the positive cone, so the geodesic
-between A and B is J times the classical geodesic of (JA, JB):
+between A and B is J times the classical geodesic of the pencil (JA, JB):
 
     gamma(t) = J (JA)^{1/2} ((JA)^{-1/2} (JB) (JA)^{-1/2})^t (JA)^{1/2}.
+
+The geodesic, the distance and the metric all come from one Cholesky
+factorization (matcore.Pencil).  With JA = L L* and L^{-1} JB L^{-*} =
+W diag(w) W*, where w are the eigenvalues of (JA)^{-1} JB,
+
+    gamma(t) = J (L W) diag(w^t) (L W)*,    d(A, B) = (sum_i log^2 w_i)^{1/2},
+
+and with JP = L L*, omega_P(U, V) = trd(L^{-1} JU L^{-*} L^{-1} JV L^{-*}).
 """
 
 from __future__ import annotations
@@ -14,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignatureMismatch, StepTooSmall
-from .jstruct import JPositive, certify_constructed, phi_J
-from .matcore import (adjoint, eigvals_unchecked, fnorm, mat_inverse,
-                      spectral_function, trd)
+from .jstruct import JPositive, Signature, certify_constructed, phi_J
+from .matcore import Pencil, eigvals_unchecked, fnorm, mat_inverse
 
 MIN_STEP = 1e-7
 
@@ -28,25 +35,24 @@ def _check_pair(A: JPositive, B: JPositive):
 
 def metric_omega(P: JPositive, U, V) -> float:
     """omega_P(U, V) = trd(P^{-1} U P^{-1} V) on J-Hermitian tangent vectors."""
-    for Z in (U, V):
-        phi_J(Z, P.signature)
-    pinv = mat_inverse(P.matrix)
-    return trd(pinv @ U @ pinv @ V)
+    sig = P.signature
+    return Pencil(sig.flip(P.matrix), phi_J(U, sig)).inner(phi_J(V, sig))
+
+
+def _pencil(A: JPositive, B: JPositive) -> Pencil:
+    _check_pair(A, B)
+    sig = A.signature
+    return Pencil(sig.flip(A.matrix), sig.flip(B.matrix))
+
+
+def _point(pencil: Pencil, sig: Signature, t: float) -> JPositive:
+    out = pencil.mean(t)
+    return certify_constructed(sig.flip(out), sig, eigvals_unchecked(out))
 
 
 def geodesic(A: JPositive, B: JPositive, t: float) -> JPositive:
     """Point gamma(t) on the geodesic from A (t=0) to B (t=1)."""
-    _check_pair(A, B)
-    j = A.signature.matrix_for(A.matrix)
-    rt = spectral_function(j @ A.matrix, lambda w: np.power(w, 0.5), floor=0.0)[0]
-    rti = mat_inverse(rt)
-    mid = rti @ (j @ B.matrix) @ rti
-    # Symmetrize before and after the fractional power: the congruence
-    # products accumulate rounding, and eigh reads one triangle only.
-    mid = (mid + adjoint(mid)) * 0.5
-    out = rt @ spectral_function(mid, lambda w: np.power(w, float(t)), floor=0.0)[0] @ rt
-    out = (out + adjoint(out)) * 0.5
-    return certify_constructed(j @ out, A.signature, eigvals_unchecked(out))
+    return _point(_pencil(A, B), A.signature, t)
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,6 @@ def geodesic_ode_residual(A: JPositive, B: JPositive, t: float, h: float = 1e-4)
 
 
 def geodesic_distance(A: JPositive, B: JPositive) -> float:
-    """Length of the geodesic segment: ||log((JA)^{-1/2} JB (JA)^{-1/2})||_F."""
-    _check_pair(A, B)
-    j = A.signature.matrix_for(A.matrix)
-    rt = spectral_function(j @ A.matrix, lambda w: np.power(w, 0.5), floor=0.0)[0]
-    rti = mat_inverse(rt)
-    return fnorm(spectral_function(rti @ (j @ B.matrix) @ rti, np.log, floor=0.0)[0])
+    """Length of the geodesic segment: ||log((JA)^{-1/2} JB (JA)^{-1/2})||_F,
+    that is (sum_i log^2 w_i)^{1/2} over the eigenvalues w of (JA)^{-1} JB."""
+    return float(np.sqrt(np.sum(np.log(_pencil(A, B).eigenvalues()) ** 2)))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Singular
-from .jstruct import (JPositive, Signature, certify_constructed, is_j_positive,
-                      phi_J, sharp)
+from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
+                      is_j_positive, phi_J, sharp)
 from .matcore import (_quat_project_out, adjoint, block2x2, eigvals_hermitian,
-                      fnorm, from_real_parts, mat_inverse, mat_sqrt_pd,
+                      fnorm, from_real_parts, mat_inverse, polar,
                       spectral_function, zeros)
 
 MAX_POWER = 32.0
@@ -27,14 +27,17 @@ def _mat(X):
 def bullet(A, B, sig: Signature):
     """A . B = A J B."""
     A, B = _mat(A), _mat(B)
-    return A @ sig.matrix_for(A) @ B
+    _check_dim(A, sig)
+    _check_dim(B, sig)
+    return A @ sig.flip(B)
 
 
 def bullet_inverse(A, sig: Signature):
-    """Inverse for the bullet product: A . (J A^{-1} J) = J."""
+    """Inverse for the bullet product: A . (J A^{-1} J) = J, with
+    J A^{-1} J = J (JA)^{-1}."""
     A = _mat(A)
-    j = sig.matrix_for(A)
-    return j @ mat_inverse(A) @ j
+    _check_dim(A, sig)
+    return sig.flip(mat_inverse(sig.flip(A)))
 
 
 def bullet_commutator(X, Y, sig: Signature):
@@ -45,13 +48,13 @@ def bullet_commutator(X, Y, sig: Signature):
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """exp_J(X) = J exp(JX); maps the J-Hermitian space onto P_J."""
     out, w = spectral_function(phi_J(X, sig, tol), np.exp)
-    return certify_constructed(sig.matrix_for(X) @ out, sig, np.exp(w))
+    return certify_constructed(sig.flip(out), sig, np.exp(w))
 
 
 def log_J(X: JPositive):
     """log_J(X) = J log(JX); inverse of exp_J on P_J."""
-    j = X.signature.matrix_for(X.matrix)
-    return j @ spectral_function(j @ X.matrix, np.log, floor=0.0)[0]
+    sig = X.signature
+    return sig.flip(spectral_function(sig.flip(X.matrix), np.log, floor=0.0)[0])
 
 
 def pow_J(X: JPositive, t: float) -> JPositive:
@@ -59,25 +62,21 @@ def pow_J(X: JPositive, t: float) -> JPositive:
     t = float(t)
     if abs(t) > MAX_POWER:
         raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
-    j = X.signature.matrix_for(X.matrix)
-    out, w = spectral_function(j @ X.matrix, lambda w: np.power(w, t), floor=0.0)
-    return certify_constructed(j @ out, X.signature, np.power(w, t))
+    sig = X.signature
+    out, w = spectral_function(sig.flip(X.matrix), lambda w: np.power(w, t), floor=0.0)
+    return certify_constructed(sig.flip(out), sig, np.power(w, t))
 
 
 def polar_decompose_bullet(g, sig: Signature):
     """Unique factorization g = k . p with k unitary and p in P_J.
 
     Classically g = k ptilde with ptilde = (g* g)^{1/2}; then p = J ptilde so
-    that k . p = k J J ptilde = k ptilde = g.
+    that k . p = k J J ptilde = k ptilde = g.  One svd gives k, ptilde and the
+    eigenvalues of J p = ptilde, the singular values of g.
     """
-    gsg = adjoint(g) @ g
-    lam_ratio = np.sqrt(max(1e-300, _min_over_max_eig(gsg)))
-    if lam_ratio <= 1e-13:
-        raise Singular("argument numerically singular")
-    ptilde = mat_sqrt_pd(gsg)
-    k = g @ mat_inverse(ptilde)
-    p = sig.matrix_for(g) @ ptilde
-    return k, is_j_positive(p, sig)
+    _check_dim(g, sig)
+    k, ptilde, s = polar(g)
+    return k, certify_constructed(sig.flip(ptilde), sig, s)
 
 
 def _min_over_max_eig(H) -> float:
@@ -110,7 +109,7 @@ def random_invertible(sig: Signature, field: str, seed) -> object:
 def random_pj(sig: Signature, field: str, seed) -> JPositive:
     """Random cone element g J g#; the congruence action is transitive on P_J."""
     g = random_invertible(sig, field, seed)
-    return is_j_positive(g @ sig.matrix_for(g) @ sharp(g, sig), sig)
+    return is_j_positive(g @ sig.flip(sharp(g, sig)), sig)
 
 
 def random_jhermitian(sig: Signature, field: str, seed):

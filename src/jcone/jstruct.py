@@ -19,14 +19,18 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive)
-from .matcore import (_check_hermitian, adjoint, block2x2, eigvals_hermitian,
-                      eigvals_unchecked, field_of, fnorm, from_real, identity,
-                      is_positive_definite, mat_inverse)
+from .matcore import (_check_hermitian, adjoint, block2x2, eigvals_unchecked,
+                      field_of, fnorm, from_real, identity, mat_inverse,
+                      scale_rows)
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Block sizes (p, q) of the form J = diag(Id_p, -Id_q)."""
+    """Block sizes (p, q) of the form J = diag(Id_p, -Id_q).
+
+    J is applied as a sign flip of rows (flip), never as a product with the
+    dense matrix; matrix() builds J itself for callers that need it.
+    """
 
     p: int
     q: int
@@ -34,16 +38,24 @@ class Signature:
     def __post_init__(self):
         if self.p < 0 or self.q < 0 or self.p + self.q < 1:
             raise ValueError("need p, q >= 0 with p + q >= 1")
+        d = np.concatenate([np.ones(self.p), -np.ones(self.q)])
+        d.flags.writeable = False
+        object.__setattr__(self, "_diag", d)
 
     @property
     def n(self) -> int:
         return self.p + self.q
 
     def diag(self) -> np.ndarray:
-        return np.concatenate([np.ones(self.p), -np.ones(self.q)])
+        """The diagonal of J, built once and read-only."""
+        return self._diag
+
+    def flip(self, X):
+        """JX: the last q rows of X negated."""
+        return scale_rows(self._diag, X)
 
     def matrix(self, field: str = "R"):
-        return from_real(np.diag(self.diag()), field)
+        return from_real(np.diag(self._diag), field)
 
     def matrix_for(self, X):
         return self.matrix(field_of(X))
@@ -57,8 +69,7 @@ def _check_dim(X, sig: Signature):
 def sharp(X, sig: Signature):
     """The indefinite adjoint X -> J X* J."""
     _check_dim(X, sig)
-    j = sig.matrix_for(X)
-    return j @ adjoint(X) @ j
+    return sig.flip(adjoint(sig.flip(X)))
 
 
 def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
@@ -104,22 +115,32 @@ def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
     return JHermitianBlocks(H[:p, :p], H[:p, p:], H[p:, p:], sig)
 
 
+def _min_over_scale(M, tol: float) -> tuple[float, float]:
+    # M is Hermitian by construction: its eigenvalues are taken untested.
+    lam = eigvals_unchecked(M)
+    return float(lam[-1]), tol * max(1.0, abs(lam[0]), abs(lam[-1]))
+
+
 def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
-    """J-positivity via the block criterion: A > 0 and (-D) - B* A^{-1} B > 0."""
+    """J-positivity via the block criterion: A > 0 and (-D) - B* A^{-1} B > 0.
+
+    The blocks come from a matrix that passed phi_J, so A, D and the Schur
+    complement are Hermitian by construction; only tol applies.
+    """
     A, B, D = blocks.a_block, blocks.b_block, blocks.d_block
     p, q = blocks.signature.p, blocks.signature.q
     if p == 0:
-        return q == 0 or is_positive_definite(-D, tol)
-    lam = eigvals_hermitian(A)
-    scale = max(1.0, abs(lam[0]), abs(lam[-1]))
-    if abs(lam[-1]) <= tol * scale:
+        lam_min, threshold = _min_over_scale(-D, tol)
+        return lam_min > threshold
+    lam_min, threshold = _min_over_scale(A, tol)
+    if abs(lam_min) <= threshold:
         raise IndeterminateSchur("leading block numerically singular")
-    if lam[-1] <= tol * scale:
+    if lam_min <= threshold:
         return False
     if q == 0:
         return True
-    comp = (-D) - adjoint(B) @ mat_inverse(A) @ B
-    return is_positive_definite(comp, tol)
+    lam_min, threshold = _min_over_scale((-D) - adjoint(B) @ mat_inverse(A) @ B, tol)
+    return lam_min > threshold
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,7 @@ def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
 def certify_constructed(X, sig: Signature, lam=None) -> JPositive:
     """Certificate of X built from certified members, from eigenvalues lam of
     JX that include lambda_min(JX); lam=None computes the spectrum here."""
-    lam = eigvals_unchecked(sig.matrix_for(X) @ X) if lam is None else lam
+    lam = eigvals_unchecked(sig.flip(X)) if lam is None else lam
     for v in lam:
         if not 0.0 < v < np.inf:
             raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
@@ -165,7 +186,7 @@ def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
 def phi_J(X, sig: Signature, tol: float = 1e-10):
     """X -> JX from the J-Hermitian onto the Hermitian space; the one J-Hermitian test."""
     _check_dim(X, sig)
-    jx = sig.matrix_for(X) @ X
+    jx = sig.flip(X)
     residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, fnorm(X))
     if not residual <= threshold:
         raise NotJHermitian(f"sharp-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
@@ -175,7 +196,7 @@ def phi_J(X, sig: Signature, tol: float = 1e-10):
 def phi_J_inv(P, sig: Signature, tol: float = 1e-10):
     """Inverse bijection P -> JP from Hermitian matrices into the J-Hermitian space."""
     _check_dim(P, sig)
-    return sig.matrix_for(P) @ _check_hermitian(P, tol)
+    return sig.flip(_check_hermitian(P, tol))
 
 
 def j_inner(x, y, sig: Signature):
@@ -184,4 +205,4 @@ def j_inner(x, y, sig: Signature):
     if x.shape not in ((n,), (n, 1)) or y.shape not in ((n,), (n, 1)):
         raise DimensionMismatch(f"expected vectors of length {n}")
     x, y = x.reshape(n, 1), y.reshape(n, 1)
-    return (adjoint(x) @ sig.matrix_for(y) @ y)[0, 0]
+    return (adjoint(x) @ sig.flip(y))[0, 0]

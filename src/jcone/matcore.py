@@ -14,8 +14,9 @@ psi_inverse tests that structure, for matrices from outside the library.
 
 Boundary rule: public spectral functions test input once (_check_hermitian),
 mat_*_pd add a relative 1e-10 positivity threshold.  Construction rule: a
-matrix built from certified members goes to spectral_function untested, and
-with floor=0 only a computed eigenvalue <= 0 rejects it.
+matrix built from certified members goes to spectral_function or Pencil
+untested, and only a computed eigenvalue <= 0 (or a failed Cholesky step)
+rejects it.
 """
 
 from __future__ import annotations
@@ -222,6 +223,14 @@ def _unembed(M: np.ndarray, X):
     return _top_blocks(M) if isinstance(X, QMatrix) else M
 
 
+def scale_rows(d, X):
+    """diag(d) X for a real vector d, without forming diag(d) or a product."""
+    d = np.asarray(d)[:, None]
+    if isinstance(X, QMatrix):
+        return QMatrix(d * X.a, d * X.b)
+    return d * X
+
+
 def mat_inverse(X):
     M = _embed(X)
     sv = np.linalg.svd(M, compute_uv=False)
@@ -358,6 +367,93 @@ def is_positive_definite(X, tol: float = 1e-10) -> bool:
     lam = eigvals_hermitian(X)
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))
     return lam[-1] > tol * max(1.0, spectral_norm)
+
+
+class Pencil:
+    """The Hermitian pencil (P, Q), P positive definite, factored once.
+
+    P = L L* by Cholesky, and mid = L^{-1} Q L^{-*} has the eigenvalues w of
+    P^{-1} Q.  With mid = U diag(w) U*, the weighted mean is
+
+        P #_t Q = P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} = (L U) diag(w^t) (L U)*,
+
+    the same for every L with L L* = P.  L lives on the embedded matrices:
+    over H it is not in the image of Psi, but P #_t Q is.  A Cholesky failure
+    raises NotPositive, and so does a computed w <= 0.
+    """
+
+    def __init__(self, P, Q):
+        self._like = Q
+        self._q = _embed(Q)
+        try:
+            self._l = np.linalg.cholesky(_embed(P))
+        except np.linalg.LinAlgError as exc:
+            raise NotPositive(f"Cholesky factorization of P failed: {exc}") from None
+        self._linv = np.linalg.inv(self._l)
+        self._mid = self._congruence(self._q)
+
+    def _congruence(self, M):
+        # Symmetrized: the products accumulate rounding, and eigh reads one
+        # triangle only.
+        C = self._linv @ M @ self._linv.conj().T
+        return (C + C.conj().T) * 0.5
+
+    @staticmethod
+    def _positive(w):
+        if not w[0] > 0.0:
+            raise NotPositive(f"smallest eigenvalue {w[0]:.3e} of P^-1 Q not positive")
+        return w
+
+    def eigenvalues(self) -> np.ndarray:
+        """Descending eigenvalues of P^{-1} Q, each once over H."""
+        return _descending(self._positive(np.linalg.eigvalsh(self._mid)), self._like)
+
+    def mean(self, t: float):
+        """P #_t Q, Hermitian."""
+        w, U = np.linalg.eigh(self._mid)
+        V = self._l @ U
+        out = _unembed((V * np.power(self._positive(w), float(t))) @ V.conj().T,
+                       self._like)
+        return (out + adjoint(out)) * 0.5
+
+    def riccati_residual(self, Y) -> float:
+        """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand."""
+        Z = self._linv @ _embed(Y)
+        return fnorm(_unembed(Z.conj().T @ Z - self._q, Y))
+
+    def inner(self, V) -> float:
+        """trd(P^{-1} Q P^{-1} V) = trd(mid L^{-1} V L^{-*}) for Hermitian V."""
+        tr = float(np.sum(self._mid * self._congruence(_embed(V)).T).real)
+        # Over H the trace of the embedding counts each diagonal entry twice.
+        return tr / 2.0 if isinstance(V, QMatrix) else tr
+
+
+def _project_to_image(M: np.ndarray, X):
+    """The orthogonal projection of M onto the image of Psi, read back to the
+    field of X: the mean of the two copies of each block over H."""
+    if not isinstance(X, QMatrix):
+        return M
+    n = M.shape[0] // 2
+    return QMatrix((M[:n, :n] + M[n:, n:].conj()) * 0.5,
+                   (M[:n, n:] - M[n:, :n].conj()) * 0.5)
+
+
+def polar(X):
+    """Polar factors X = K R, K unitary and R = (X* X)^{1/2}, with the descending
+    singular values of X, from one svd X = W diag(s) V*: K = W V* and
+    R = V diag(s) V*.  Raises Singular unless the smallest singular value
+    exceeds 1e-13 times the largest.
+
+    Over H the svd of Psi(X) leaves K off the image of Psi by eps / s_min,
+    so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
+    """
+    W, s, Vh = np.linalg.svd(_embed(X))
+    if not s[-1] > 1e-13 * s[0]:
+        raise Singular(f"singular-value ratio {s[-1] / max(s[0], 1e-300):.3e} not above 1e-13")
+    R = (Vh.conj().T * s) @ Vh
+    # Over H each singular value of X appears twice in Psi(X): keep one of each.
+    return (_project_to_image(W @ Vh, X), _project_to_image((R + R.conj().T) * 0.5, X),
+            s[::2] if isinstance(X, QMatrix) else s)
 
 
 def block2x2(P, Q, R, S):

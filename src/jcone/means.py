@@ -1,8 +1,13 @@
 """Weighted geometric means on the cone P_J and the associated inequalities.
 
 The weighted mean is the geodesic point, equivalently the pullback of the
-classical weighted geometric mean under X -> JX.  At weight 1/2 it is the
-unique P_J solution of the Riccati equation X A^{-1} X = B, and it is the
+classical weighted geometric mean under X -> JX.  With the Cholesky factor
+JA = L L* and L^{-1} JB L^{-*} = U diag(w) U* (matcore.Pencil),
+
+    A #_t B = J (L U) diag(w^t) (L U)*.
+
+At weight 1/2 it is the unique P_J solution of the Riccati equation
+X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J, and it is the
 maximum of {X J-Hermitian : [[JA, JX], [JX, JB]] >= 0}.  The module also
 provides the arithmetic and harmonic companions with the AGM sandwich, the
 closed form for bullet-commuting pairs, and the Ando-Hiai and Furuta
@@ -14,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
-from .geometry import _check_pair, geodesic
+from .geometry import _check_pair, _pencil, _point
 from .jcalc import bullet, bullet_commutator, pow_J
 from .jstruct import JPositive, certify_constructed, is_j_positive, phi_J
-from .matcore import block2x2, eigvals_unchecked, fnorm, mat_inverse
+from .matcore import block2x2, eigvals_unchecked, fnorm
 from .order import OrderVerdict, j_leq
 
 
@@ -29,9 +34,11 @@ class MeanResult:
 
 
 def riccati_residual(X: JPositive, A: JPositive, B: JPositive) -> float:
-    """||X A^{-1} X - B||_F, the defect in the midpoint characterization."""
-    r = X.matrix @ mat_inverse(A.matrix) @ X.matrix - B.matrix
-    return fnorm(r)
+    """||X A^{-1} X - B||_F, the defect in the midpoint characterization.
+
+    Equal to ||JX (JA)^{-1} JX - JB||_F, since X A^{-1} X = J JX (JA)^{-1} JX.
+    """
+    return _pencil(A, B).riccati_residual(A.signature.flip(X.matrix))
 
 
 def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
@@ -40,8 +47,10 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-    mean = geodesic(A, B, t)
-    residual = riccati_residual(mean, A, B) if t == 0.5 else float("nan")
+    pencil = _pencil(A, B)
+    mean = _point(pencil, A.signature, t)
+    residual = (pencil.riccati_residual(A.signature.flip(mean.matrix)) if t == 0.5
+                else float("nan"))
     return MeanResult(mean, residual, t)
 
 
@@ -61,8 +70,7 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
     if isinstance(X, JPositive):
         X = X.matrix
     jx = phi_J(X, sig, 1e-8)
-    j = sig.matrix_for(X)
-    block = block2x2(j @ A.matrix, jx, jx, j @ B.matrix)
+    block = block2x2(sig.flip(A.matrix), jx, jx, sig.flip(B.matrix))
     margin = float(eigvals_unchecked(block)[-1])
     scale = max(1.0, fnorm(block))
     return OrderVerdict(margin >= -tol * scale, margin)
@@ -118,8 +126,7 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
     _check_pair(A, B)
     sig = A.signature
     mean = weighted_mean(A, B, t).mean
-    j = sig.matrix_for(mean.matrix)
-    mu = (1.0 - margin) / float(eigvals_unchecked(j @ mean.matrix)[0])
+    mu = (1.0 - margin) / float(eigvals_unchecked(sig.flip(mean.matrix))[0])
     return tuple(certify_constructed(mu * X.matrix, sig, [mu * X.lambda_min_of_jx])
                  for X in (A, B))
 

@@ -56,6 +56,11 @@ class TestCanonicalJson:
             second = canonical_dumps(matrix_to_payload(reparsed))
             assert first == second
 
+    def test_zero_of_either_sign(self):
+        assert canonical_dumps([0.0, -0.0, [-0.0, 0.0]]) == "[0,0,[0,0]]"
+        payload = matrix_to_payload(np.array([[1.0, -0.0], [-0.0, -1.0]]))
+        assert canonical_dumps(payload["data"]) == "[[1,0],[0,-1]]"
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             canonical_dumps(float("nan"))

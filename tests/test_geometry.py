@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jcone.cli import main
 from jcone.errors import (NotJHermitian, NotPositive, SignatureMismatch,
                           StepTooSmall)
 from jcone.geometry import (GeodesicPath, curve_ode_residual, geodesic,
@@ -12,6 +13,7 @@ from jcone.jstruct import (JPositive, Signature, in_pj, is_j_positive, phi_J,
                            sharp)
 from jcone.means import weighted_mean
 from jcone.matcore import allclose, fnorm, mat_inverse, mat_pow_pd, mat_sqrt_pd
+from jcone.propcheck import REGISTRY, Context, run_property
 
 SIG = Signature(1, 1)
 FIELDS = ("R", "C", "H")
@@ -41,6 +43,18 @@ class TestMetric:
                                  g @ U @ gs, g @ V @ gs)
             base = metric_omega(P, U, V)
             assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+    def test_invariance_property_at_ill_conditioned_congruences(self):
+        # Seeds whose random congruence g moved the metric by more than the
+        # property's 1e-9 through a dense inverse of the indefinite P.
+        spec, = (s for s in REGISTRY if s.property_id == "geometry.metric_invariance")
+        report = run_property(spec, Context(Signature(2, 1), "C", 1e-8), 3, 1280738100)
+        assert report.failures == 0, report.worst_margin
+
+    def test_invariance_suite_at_signature_8_8(self, capsys):
+        code = main(["check", "--suite", "geometry", "--signature", "8,8",
+                     "--field", "R", "--trials", "20"])
+        assert code == 0, capsys.readouterr().out
 
     def test_positivity(self):
         rng = np.random.default_rng(1)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from jcone.errors import NotJHermitian
+from jcone.errors import DimensionMismatch, NotJHermitian, Singular
 from jcone.jcalc import (bullet, bullet_commutator, bullet_inverse, exp_J,
                          log_J, polar_decompose_bullet, pow_J,
                          random_invertible, random_jhermitian, random_kj,
                          random_pj, random_pj_bounded)
 from jcone.jstruct import (Signature, in_pj, is_in_K_J, is_j_hermitian,
                            is_j_positive, sharp)
-from jcone.matcore import adjoint, allclose, fnorm, identity, mat_inverse
+from jcone.matcore import (adjoint, allclose, fnorm, from_real, identity,
+                           mat_inverse)
 
 SIG = Signature(1, 1)
 FIELDS = ("R", "C", "H")
@@ -48,6 +49,15 @@ class TestBullet:
                             sig.matrix(field), tol=1e-10)
             assert allclose(bullet(bullet_inverse(A, sig), A, sig),
                             sig.matrix(field), tol=1e-10)
+
+    def test_dimension_mismatch(self):
+        # J is applied as a row sign flip, which would broadcast a 1 x n operand.
+        sig = Signature(2, 1)
+        for A, B in ((np.eye(3), np.ones((1, 3))), (np.ones((3, 1)), np.eye(3))):
+            with pytest.raises(DimensionMismatch):
+                bullet(A, B, sig)
+        with pytest.raises(DimensionMismatch):
+            bullet_inverse(np.eye(2), sig)
 
     def test_commutator(self):
         rng = np.random.default_rng(3)
@@ -212,6 +222,37 @@ class TestPolar:
             eye = identity(sig.n, field)
             assert fnorm(adjoint(k) @ k - eye) <= 1e-9
             assert allclose(bullet(k, p, sig), g, tol=1e-9)
+
+    def test_tiny_singular_value(self):
+        # Singular values 1, 1e-7, 1: above the 1e-13 ratio of the Singular test.
+        sig = Signature(2, 1)
+        g = np.diag([1.0, 1e-7, 1.0])
+        k, p = polar_decompose_bullet(g, sig)
+        np.testing.assert_allclose(bullet(k, p, sig), g, rtol=0.0, atol=1e-15)
+        assert p.lambda_min_of_jx == pytest.approx(1e-7, rel=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("ratio", [1e-7, 1e-11])
+    def test_tiny_singular_value_non_diagonal(self, field, ratio):
+        # The eigenvalue ratio^2 of g* g is lost to rounding at ||g||^2 * eps;
+        # the factors must come from g itself.
+        sig = Signature(2, 1)
+        rng = np.random.default_rng(17)
+        q1, q2 = (polar_decompose_bullet(random_invertible(sig, field, rng), sig)[0]
+                  for _ in range(2))
+        g = q1 @ from_real(np.diag([1.0, ratio, 1.0]), field) @ q2
+        k, p = polar_decompose_bullet(g, sig)
+        assert fnorm(adjoint(k) @ k - identity(sig.n, field)) <= 1e-9
+        assert allclose(bullet(k, p, sig), g, tol=1e-12)
+        assert p.lambda_min_of_jx == pytest.approx(ratio, rel=1e-3)
+
+    def test_singular_named(self):
+        with pytest.raises(Singular):
+            polar_decompose_bullet(np.diag([1.0, 1e-14, 1.0]), Signature(2, 1))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            polar_decompose_bullet(np.eye(1), Signature(2, 1))
 
 
 class TestRandomGenerators:

@@ -168,6 +168,15 @@ class TestSchur:
         with pytest.raises(IndeterminateSchur):
             schur_j_positive(block_decompose(H, SIG))
 
+    def test_blocks_not_retested(self):
+        # J-Hermitian to 5.7e-10 at ||H|| = 2.6: inside tol 1e-9, and the
+        # blocks of H must not be tested again at a fixed 1e-10.
+        sig = Signature(2, 1)
+        H = np.diag([2.0, 1.5, -1.0])
+        H[0, 1], H[1, 0] = 0.3, 0.3 + 4e-10
+        assert in_pj(H, sig, 1e-9)
+        assert schur_j_positive(block_decompose(H, sig, 1e-9), 1e-9)
+
     def test_agrees_with_spectral_test(self):
         rng = np.random.default_rng(7)
         checked = 0

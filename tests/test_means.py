@@ -40,6 +40,16 @@ class TestWeightedMean:
                                    atol=1e-12)
         assert result.riccati_residual <= 1e-12
 
+    def test_residual_is_the_public_residual(self):
+        # One formula for ||X A^{-1} X - B||: the result's field and the
+        # public function give the same float.
+        rng = np.random.default_rng(5)
+        for field in FIELDS:
+            sig = Signature(2, 1)
+            A, B = random_pj_bounded(sig, field, rng), random_pj_bounded(sig, field, rng)
+            result = weighted_mean(A, B, 0.5)
+            assert result.riccati_residual == riccati_residual(result.mean, A, B)
+
     def test_noncommuting_difference_matrix(self):
         A = is_j_positive(PAPER_A, SIG)
         B = is_j_positive(PAPER_B, SIG)
