@@ -3,7 +3,8 @@
 A matrix file is {"field": "R"|"C"|"H", "rows": n, "cols": n, "data": [...]}
 with entries encoded per field (number, [re, im], or [a, b, c, d]).  The
 serializer is canonical: sorted keys, no whitespace, floats rendered with
-%.17g, so parse followed by serialize is byte-stable.
+%.17g, so parse followed by serialize is byte-stable.  The parser rejects a
+NaN or infinite entry with a ValueError naming its (0-based) row and column.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ def payload_to_matrix(payload: dict):
         raise ValueError("data shape disagrees with rows/cols")
     entries = [[scalar_from_json(v, field) for v in row] for row in data]
     if field == "H":
-        return QMatrix.from_quaternions(entries)
-    dtype = complex if field == "C" else float
-    return np.array(entries, dtype=dtype)
+        X = QMatrix.from_quaternions(entries)
+        finite = np.isfinite(X.a) & np.isfinite(X.b)
+    else:
+        X = np.array(entries, dtype=complex if field == "C" else float)
+        finite = np.isfinite(X)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite entry at row {i}, column {j}")
+    return X
 
 
 def _fmt_float(x: float) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SignatureMismatch, StepTooSmall
 from .jstruct import JPositive, Signature, certify_constructed, phi_J
-from .matcore import Pencil, eigvals_unchecked, fnorm, mat_inverse
+from .matcore import Pencil, fnorm, mat_inverse
 
 MIN_STEP = 1e-7
 
@@ -45,14 +45,16 @@ def _pencil(A: JPositive, B: JPositive) -> Pencil:
     return Pencil(sig.flip(A.matrix), sig.flip(B.matrix))
 
 
-def _point(pencil: Pencil, sig: Signature, t: float) -> JPositive:
-    out = pencil.mean(t)
-    return certify_constructed(sig.flip(out), sig, eigvals_unchecked(out))
+def _point(pencil: Pencil, sig: Signature, t: float):
+    """gamma(t) certified from the eigenvalues Pencil.mean takes, and J gamma(t)
+    as it left the pencil: embedded, for a Riccati residual to reuse."""
+    out, lam, embedded = pencil.mean(t)
+    return certify_constructed(sig.flip(out), sig, lam), embedded
 
 
 def geodesic(A: JPositive, B: JPositive, t: float) -> JPositive:
     """Point gamma(t) on the geodesic from A (t=0) to B (t=1)."""
-    return _point(_pencil(A, B), A.signature, t)
+    return _point(_pencil(A, B), A.signature, t)[0]
 
 
 @dataclass(frozen=True)

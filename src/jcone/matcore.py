@@ -8,9 +8,15 @@ they do for arrays, and X[i, j] is a Quaternion.
 How H is stored is private to this module: a QMatrix holds a pair (a, b) of
 complex arrays meaning A + B*j, and all spectral work routes through the
 embedding Psi(A + B*j) = [[A, B], [-conj(B), conj(A)]] into 2n x 2n complex
-matrices.  Spectral functions embed once and read quaternionic results off
-the top blocks, which lie in the image of Psi by construction; only
-psi_inverse tests that structure, for matrices from outside the library.
+matrices.  Embedding rule: an operation embeds each operand once, through
+psi_matrix (every embedding goes by that name), and reads each result back
+once, off the top blocks.  Results lie in the image of Psi by construction,
+or are projected onto it (Pencil.mean, polar); only psi_inverse tests that
+structure, for matrices from outside the library.  Pencil.mean keeps its
+result embedded, and the certificate's eigenvalues, like the Riccati residual
+at weight 1/2, are taken on that array, not on a second embedding of the
+read-back mean.  Psi and block2x2 write their blocks into one preallocated
+array.
 
 Boundary rule: public spectral functions test input once (_check_hermitian),
 mat_*_pd add a relative 1e-10 positivity threshold.  Construction rule: a
@@ -42,6 +48,14 @@ class QMatrix:
         self.a = a
         self.b = b
 
+    @classmethod
+    def _of(cls, a: np.ndarray, b: np.ndarray) -> "QMatrix":
+        """A QMatrix over complex arrays a and b of one shape, taken as they are."""
+        X = object.__new__(cls)
+        X.a = a
+        X.b = b
+        return X
+
     @property
     def shape(self):
         return self.a.shape
@@ -50,28 +64,28 @@ class QMatrix:
         # Integer indices give a Quaternion, slices a QMatrix.
         a, b = self.a[key], self.b[key]
         if isinstance(a, np.ndarray):
-            return QMatrix(a, b)
+            return QMatrix._of(a, b)
         return Quaternion.from_complex_pair(complex(a), complex(b))
 
     def __setitem__(self, key, value: "QMatrix"):
         self.a[key], self.b[key] = value.a, value.b
 
     def reshape(self, *shape) -> "QMatrix":
-        return QMatrix(self.a.reshape(*shape), self.b.reshape(*shape))
+        return QMatrix._of(self.a.reshape(*shape), self.b.reshape(*shape))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a + other.a, self.b + other.b)
+        return QMatrix._of(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a - other.a, self.b - other.b)
+        return QMatrix._of(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.a, -self.b)
+        return QMatrix._of(-self.a, -self.b)
 
     def __mul__(self, s) -> "QMatrix":
         # Real scalars only: they are central in H, so the side does not matter.
         s = float(s)
-        return QMatrix(s * self.a, s * self.b)
+        return QMatrix._of(s * self.a, s * self.b)
 
     __rmul__ = __mul__
 
@@ -82,12 +96,12 @@ class QMatrix:
         # (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j
         a = self.a @ other.a - self.b @ np.conj(other.b)
         b = self.a @ other.b + self.b @ np.conj(other.a)
-        return QMatrix(a, b)
+        return QMatrix._of(a, b)
 
     @property
     def H(self) -> "QMatrix":
         # Entrywise quaternion conjugate of the transpose.
-        return QMatrix(self.a.conj().T, -self.b.T)
+        return QMatrix._of(self.a.conj().T, -self.b.T)
 
     def trace(self) -> Quaternion:
         z1 = complex(np.trace(self.a))
@@ -178,27 +192,42 @@ def allclose(X, Y, tol: float = 1e-9) -> bool:
     return fnorm(X - Y) <= tol * scale
 
 
+def _assemble(P, Q, R, S) -> np.ndarray:
+    """[[P, Q], [R, S]] written block by block into one preallocated array."""
+    (r, c), (r2, c2) = P.shape, S.shape
+    if Q.shape != (r, c2) or R.shape != (r2, c):
+        raise ValueError("blocks do not conform")
+    out = np.empty((r + r2, c + c2), dtype=np.result_type(P, Q, R, S))
+    out[:r, :c] = P
+    out[:r, c:] = Q
+    out[r:, :c] = R
+    out[r:, c:] = S
+    return out
+
+
 def psi_matrix(X: QMatrix) -> np.ndarray:
     """Embed A + B*j as the 2n x 2n complex matrix [[A, B], [-conj(B), conj(A)]]."""
     if not isinstance(X, QMatrix):
         raise TypeError("psi_matrix expects a quaternionic matrix")
-    return np.block([[X.a, X.b], [-np.conj(X.b), np.conj(X.a)]])
+    return _assemble(X.a, X.b, -np.conj(X.b), np.conj(X.a))
 
 
 def psi_structural_residual(M: np.ndarray) -> float:
-    """Distance of M from the image of the embedding: ||M J2n - J2n conj(M)||_F."""
+    """Distance of M from the image of the embedding: ||M J2n - J2n conj(M)||_F
+    with J2n = [[0, I], [-I, 0]], taken block by block."""
     M = np.asarray(M, dtype=complex)
     n2 = M.shape[0]
     if M.shape != (n2, n2) or n2 % 2:
         raise ValueError("expected an even-dimensional square matrix")
     n = n2 // 2
-    j2n = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    return float(np.linalg.norm(M @ j2n - j2n @ np.conj(M)))
+    A, B, C, D = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+    return float(np.linalg.norm(_assemble(-B - C.conj(), A - D.conj(),
+                                          A.conj() - D, C + B.conj())))
 
 
 def _top_blocks(M: np.ndarray) -> QMatrix:
     n = M.shape[0] // 2
-    return QMatrix(M[:n, :n], M[:n, n:])
+    return QMatrix._of(M[:n, :n], M[:n, n:])
 
 
 def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
@@ -227,16 +256,22 @@ def scale_rows(d, X):
     """diag(d) X for a real vector d, without forming diag(d) or a product."""
     d = np.asarray(d)[:, None]
     if isinstance(X, QMatrix):
-        return QMatrix(d * X.a, d * X.b)
+        return QMatrix._of(d * X.a, d * X.b)
     return d * X
 
 
 def mat_inverse(X):
+    """X^{-1} from one inv.  Raises Singular if inv fails or the 1-norm
+    condition number ||X||_1 ||X^{-1}||_1 is not below 1e13."""
     M = _embed(X)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 1e-13 * max(1.0, sv[0]):
-        raise Singular("smallest singular value below threshold")
-    return _unembed(np.linalg.inv(M), X)
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"inverse failed: {exc}") from None
+    cond = np.linalg.norm(M, 1) * np.linalg.norm(inv, 1)
+    if not cond < 1e13:
+        raise Singular(f"1-norm condition number {cond:.3e} not below 1e13")
+    return _unembed(inv, X)
 
 
 def _check_hermitian(X, tol: float = 1e-10):
@@ -268,7 +303,7 @@ def _quat_vdot(x: QMatrix, y: QMatrix) -> Quaternion:
 
 def _quat_scale_right(x: QMatrix, s: Quaternion) -> QMatrix:
     s1, s2 = s.as_complex_pair()
-    return QMatrix(x.a * s1 - x.b * np.conj(s2), x.a * s2 + x.b * np.conj(s1))
+    return QMatrix._of(x.a * s1 - x.b * np.conj(s2), x.a * s2 + x.b * np.conj(s1))
 
 
 def _quat_project_out(x: QMatrix, U: QMatrix) -> QMatrix:
@@ -295,7 +330,7 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
         if m == n:
             break
         v = V[:, k:k + 1]
-        x = _quat_project_out(QMatrix(v[:n], -np.conj(v[n:])), U[:, :m])
+        x = _quat_project_out(QMatrix._of(v[:n], -np.conj(v[n:])), U[:, :m])
         nrm = fnorm(x)
         if nrm > 1e-3:
             U[:, m:m + 1] = x / nrm
@@ -364,7 +399,7 @@ def mat_sqrt_pd(X):
 
 
 def is_positive_definite(X, tol: float = 1e-10) -> bool:
-    lam = eigvals_hermitian(X)
+    lam = eigvals_hermitian(X, tol)
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))
     return lam[-1] > tol * max(1.0, spectral_norm)
 
@@ -409,17 +444,24 @@ class Pencil:
         return _descending(self._positive(np.linalg.eigvalsh(self._mid)), self._like)
 
     def mean(self, t: float):
-        """P #_t Q, Hermitian."""
+        """P #_t Q, Hermitian, with its descending eigenvalues and its embedding.
+
+        The mean is symmetrized while embedded and, over H, projected onto
+        the image of Psi in place, so the embedding returned is bitwise
+        _embed of the returned matrix and the eigenvalues come from it.
+        """
         w, U = np.linalg.eigh(self._mid)
         V = self._l @ U
-        out = _unembed((V * np.power(self._positive(w), float(t))) @ V.conj().T,
-                       self._like)
-        return (out + adjoint(out)) * 0.5
+        M = (V * np.power(self._positive(w), float(t))) @ V.conj().T
+        M = (M + M.conj().T) * 0.5
+        out = _project_to_image(M, self._like)
+        return out, _descending(np.linalg.eigvalsh(M), self._like), M
 
     def riccati_residual(self, Y) -> float:
-        """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand."""
+        """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand; Y may
+        be given embedded, as mean() returns it."""
         Z = self._linv @ _embed(Y)
-        return fnorm(_unembed(Z.conj().T @ Z - self._q, Y))
+        return fnorm(_unembed(Z.conj().T @ Z - self._q, self._like))
 
     def inner(self, V) -> float:
         """trd(P^{-1} Q P^{-1} V) = trd(mid L^{-1} V L^{-*}) for Hermitian V."""
@@ -429,13 +471,16 @@ class Pencil:
 
 
 def _project_to_image(M: np.ndarray, X):
-    """The orthogonal projection of M onto the image of Psi, read back to the
-    field of X: the mean of the two copies of each block over H."""
+    """The orthogonal projection of M onto the image of Psi, written into M
+    and read back to the field of X: the mean of the two copies of each block
+    over H, after which M is bitwise psi_matrix of the result."""
     if not isinstance(X, QMatrix):
         return M
     n = M.shape[0] // 2
-    return QMatrix((M[:n, :n] + M[n:, n:].conj()) * 0.5,
-                   (M[:n, n:] - M[n:, :n].conj()) * 0.5)
+    a = (M[:n, :n] + M[n:, n:].conj()) * 0.5
+    b = (M[:n, n:] - M[n:, :n].conj()) * 0.5
+    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = a, b, -np.conj(b), np.conj(a)
+    return QMatrix._of(a, b)
 
 
 def polar(X):
@@ -459,6 +504,5 @@ def polar(X):
 def block2x2(P, Q, R, S):
     """Assemble [[P, Q], [R, S]] respecting the field of the blocks."""
     if isinstance(P, QMatrix):
-        return QMatrix(np.block([[P.a, Q.a], [R.a, S.a]]),
-                       np.block([[P.b, Q.b], [R.b, S.b]]))
-    return np.block([[P, Q], [R, S]])
+        return QMatrix._of(_assemble(P.a, Q.a, R.a, S.a), _assemble(P.b, Q.b, R.b, S.b))
+    return _assemble(P, Q, R, S)

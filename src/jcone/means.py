@@ -7,8 +7,9 @@ JA = L L* and L^{-1} JB L^{-*} = U diag(w) U* (matcore.Pencil),
     A #_t B = J (L U) diag(w^t) (L U)*.
 
 At weight 1/2 it is the unique P_J solution of the Riccati equation
-X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J, and it is the
-maximum of {X J-Hermitian : [[JA, JX], [JX, JB]] >= 0}.  The module also
+X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J and the mean
+as the pencil returned it, and it is the maximum of
+{X J-Hermitian : [[JA, JX], [JX, JB]] >= 0}.  The module also
 provides the arithmetic and harmonic companions with the AGM sandwich, the
 closed form for bullet-commuting pairs, and the Ando-Hiai and Furuta
 inequalities transported to P_J.
@@ -48,9 +49,9 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
     pencil = _pencil(A, B)
-    mean = _point(pencil, A.signature, t)
-    residual = (pencil.riccati_residual(A.signature.flip(mean.matrix)) if t == 0.5
-                else float("nan"))
+    mean, embedded = _point(pencil, A.signature, t)
+    # J mean embedded is what riccati_residual would embed from mean.matrix.
+    residual = pencil.riccati_residual(embedded) if t == 0.5 else float("nan")
     return MeanResult(mean, residual, t)
 
 

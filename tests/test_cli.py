@@ -79,6 +79,16 @@ class TestMean:
                            "--b", fixtures["bd"], "--signature", "1,1")
         assert code == 2
 
+    def test_non_finite_entry_exits_2(self, fixtures, capsys, tmp_path):
+        # Named by the reader, before any membership test sees it.
+        path = tmp_path / "nan.json"
+        path.write_text('{"cols":2,"data":[[2,NaN],[0,-3]],"field":"R","rows":2}\n')
+        code, _, err = run(capsys, "mean", "--a", str(path),
+                           "--b", fixtures["bd"], "--signature", "1,1")
+        assert code == 2
+        assert "cannot read matrix a" in err and "non-finite" in err
+        assert "NotJHermitian" not in err
+
 
 class TestGeodesic:
     def test_two_samples_are_endpoints(self, fixtures, capsys):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import jcone.matcore
-from jcone.geometry import geodesic, geodesic_distance, metric_omega
-from jcone.jcalc import exp_J, log_J, polar_decompose_bullet, pow_J, random_pj
-from jcone.jstruct import Signature, is_j_positive
-from jcone.means import harmonic_mean_J, riccati_residual, weighted_mean
+from jcone.geometry import _pencil, geodesic, geodesic_distance, metric_omega
+from jcone.jcalc import (bullet_inverse, exp_J, log_J, polar_decompose_bullet,
+                         pow_J, random_pj)
+from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
+from jcone.matcore import psi_matrix
+from jcone.means import (harmonic_mean_J, maximality_check, riccati_residual,
+                         weighted_mean)
 from jcone.order import j_leq
 
 ROUTINES = ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve")
@@ -32,6 +35,8 @@ OPERATIONS = {
     "harmonic_mean_J_t0.3": (lambda A, B: harmonic_mean_J(A, B, 0.3), 4),
     "j_leq": (j_leq, 1),
     "is_j_positive": (lambda A, B: is_j_positive(A.matrix, SIG), 1),
+    "bullet_inverse": (lambda A, B: bullet_inverse(A.matrix, SIG), 1),
+    "schur_j_positive": (lambda A, B: schur_j_positive(block_decompose(A.matrix, SIG)), 3),
 }
 
 
@@ -93,3 +98,59 @@ def test_cone_operations_build_no_j(monkeypatch, op, field):
 
     monkeypatch.setattr(Signature, "matrix", forbidden)
     CONE_MIX[op](A, B)
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("op", sorted(CONE_MIX) + ["maximality_check"])
+def test_cone_operations_call_no_np_block(monkeypatch, op, field):
+    # Block matrices and Psi are written into one preallocated array.
+    A, B = random_pj(SIG, field, 1), random_pj(SIG, field, 2)
+    mean = weighted_mean(A, B, 0.5).mean
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.block called inside a cone operation")
+
+    monkeypatch.setattr(np, "block", forbidden)
+    if op == "maximality_check":
+        assert maximality_check(mean, A, B).holds
+    else:
+        CONE_MIX[op](A, B)
+
+
+# Operation -> psi_matrix calls over H: one per operand, none per result.
+PSI_EMBEDDINGS = {
+    "weighted_mean_t0.5": 2,
+    "weighted_mean_t0.3": 2,
+    "geodesic_t0.3": 2,
+    "geodesic_distance": 2,
+    "pow_J": 1,
+    "j_leq": 1,
+    "is_j_positive": 1,
+}
+
+
+@pytest.mark.parametrize("op", sorted(PSI_EMBEDDINGS))
+def test_one_embedding_per_operand(monkeypatch, op):
+    A, B = random_pj(SIG, "H", 1), random_pj(SIG, "H", 2)
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return psi_matrix(X)
+
+    monkeypatch.setattr(jcone.matcore, "psi_matrix", counted)
+    OPERATIONS[op][0](A, B)
+    assert len(calls) == PSI_EMBEDDINGS[op], calls
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_pencil_mean_certificate_is_taken_on_its_embedding(field, t):
+    # The eigenvalues Pencil.mean returns are those of the embedding of the
+    # matrix it returns, bit for bit, so the mean needs no second embedding.
+    A, B = random_pj(SIG, field, 1), random_pj(SIG, field, 2)
+    out, lam, embedded = _pencil(A, B).mean(t)
+    M = psi_matrix(out) if field == "H" else out
+    assert np.array_equal(embedded, M)
+    w = np.linalg.eigvalsh(M)
+    assert np.array_equal(lam, w[::-2] if field == "H" else w[::-1])

@@ -65,6 +65,15 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_dumps(float("nan"))
 
+    @pytest.mark.parametrize("field, bad", [("R", float("nan")),
+                                            ("C", [0.0, float("inf")]),
+                                            ("H", [0.0, 0.0, float("-inf"), 0.0])])
+    def test_non_finite_entry_named(self, field, bad):
+        payload = matrix_to_payload(random_mat(3, field, np.random.default_rng(5)))
+        payload["data"][2][1] = bad
+        with pytest.raises(ValueError, match="non-finite entry at row 2, column 1"):
+            payload_to_matrix(payload)
+
 
 class TestFiles:
     def test_write_read(self, tmp_path):

@@ -68,6 +68,16 @@ class TestBasics:
         with pytest.raises(Singular):
             mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_inverse_ill_conditioned_names_condition(self):
+        with pytest.raises(Singular, match=r"condition number 1\.000e\+14 not below 1e13"):
+            mat_inverse(np.diag([1.0, 1e-14]))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_inverse_is_scale_free(self, field):
+        # The Singular test is relative: a tiny well-conditioned matrix inverts.
+        X = identity(3, field) * 1e-14
+        assert allclose(mat_inverse(X) * 1e-14, identity(3, field), tol=1e-15)
+
     def test_trd_identity(self):
         for field in FIELDS:
             assert trd(identity(4, field)) == pytest.approx(4.0)
@@ -274,3 +284,10 @@ class TestPositivity:
         rng = np.random.default_rng(15)
         X = mat_exp_h(random_hermitian(3, "H", rng, radius=1.0))
         assert is_positive_definite(X)
+
+    def test_tol_reaches_the_hermitian_test(self):
+        # Asymmetry 4e-10 passes at tol 1e-9, though not at the default 1e-10.
+        X = np.array([[2.0, 0.3], [0.3 + 4e-10, 1.5]])
+        assert is_positive_definite(X, 1e-9)
+        with pytest.raises(NotHermitian):
+            is_positive_definite(X)
