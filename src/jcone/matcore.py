@@ -233,8 +233,11 @@ def _top_blocks(M: np.ndarray) -> QMatrix:
 def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
     """Inverse of the embedding, for 2n x 2n matrices from outside the library."""
     M = np.asarray(M, dtype=complex)
-    if psi_structural_residual(M) > tol * max(1.0, np.linalg.norm(M)):
-        raise NotInImage("matrix does not satisfy M J2n = J2n conj(M)")
+    residual, threshold = psi_structural_residual(M), tol * max(1.0, np.linalg.norm(M))
+    # An overflowed residual certifies nothing, even against an overflowed threshold.
+    if not (residual <= threshold and np.isfinite(residual)):
+        raise NotInImage(f"structural residual {residual:.3e} of M J2n = J2n conj(M) "
+                         f"is not finite or exceeds {threshold:.3e}")
     return _top_blocks(M)
 
 

@@ -3,9 +3,10 @@
 Each property is registered under a stable id and grouped into suites
 (powers, order, geometry, means, inequalities, quaternion).  A trial draws
 its own generator from (seed, trial index, property id), so reports are
-deterministic and trials are order-independent.  When a trial fails, the
-perturbation that produced the instance is halved until the failure
-disappears and the last failing instance is reported as the counterexample.
+deterministic and trials are order-independent.  The counterexample is the
+last failing trial's own inputs, reproducible from (seed, trial, id).  A
+property that draws nothing from its generator runs once, and that outcome
+counts for every trial.
 """
 
 from __future__ import annotations
@@ -87,16 +88,16 @@ def _rel_err(X, Y) -> float:
     return fnorm(X - Y) / max(1.0, fnorm(X), fnorm(Y))
 
 
-def _psd_bump(sig: Signature, fld: str, rng, eps: float):
+def _psd_bump(sig: Signature, fld: str, rng, scale: float):
     g = random_invertible(sig, fld, rng)
     bump = g @ adjoint(g)
-    return bump * (eps / max(1.0, fnorm(bump)))
+    return bump * (scale / max(1.0, fnorm(bump)))
 
 
-def _comparable_pair(ctx: Context, rng, eps: float):
+def _comparable_pair(ctx: Context, rng):
     """X in P_J and Y = X + J (PSD bump), so that X <=_J Y."""
     X = random_pj_bounded(ctx.sig, ctx.field, rng)
-    bump = _psd_bump(ctx.sig, ctx.field, rng, eps)
+    bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
     Y = is_j_positive(X.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
     return X, Y
 
@@ -104,7 +105,7 @@ def _comparable_pair(ctx: Context, rng, eps: float):
 # ---------------------------------------------------------------------------
 # powers suite (J-exponential calculus)
 
-def _prop_exp_noninjectivity(ctx, rng, eps):
+def _prop_exp_noninjectivity(ctx, rng):
     from scipy.linalg import expm
     two_pi = 2.0 * np.pi
     X = np.array([[0.0, two_pi * 1j], [two_pi * 1j, 0.0]])
@@ -114,7 +115,7 @@ def _prop_exp_noninjectivity(ctx, rng, eps):
     return TrialOutcome(ok, 1e-10 - err)
 
 
-def _prop_inverse_exponential_law(ctx, rng, eps):
+def _prop_inverse_exponential_law(ctx, rng):
     X = random_jhermitian(ctx.sig, ctx.field, rng)
     X = X * (2.0 / max(1.0, fnorm(X)))
     E = exp_J(X, ctx.sig)
@@ -124,7 +125,7 @@ def _prop_inverse_exponential_law(ctx, rng, eps):
     return TrialOutcome(err <= 1e-10, 1e-10 - err, dict(X=X))
 
 
-def _prop_inverse_generic_gap(ctx, rng, eps):
+def _prop_inverse_generic_gap(ctx, rng):
     # exp_J(X)^{-1} differs from exp_J(-X) on at least 9 of 10 generic draws.
     sig = Signature(1, 1)
     hits = 0
@@ -137,7 +138,7 @@ def _prop_inverse_generic_gap(ctx, rng, eps):
     return TrialOutcome(hits >= 9, float(hits - 9))
 
 
-def _prop_kj_congruence_powers(ctx, rng, eps):
+def _prop_kj_congruence_powers(ctx, rng):
     X = random_pj_bounded(ctx.sig, ctx.field, rng)
     g = random_kj(ctx.sig, ctx.field, rng)
     worst = np.inf
@@ -148,7 +149,7 @@ def _prop_kj_congruence_powers(ctx, rng, eps):
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
-def _prop_commuting_power_factorization(ctx, rng, eps):
+def _prop_commuting_power_factorization(ctx, rng):
     S = random_pj_bounded(ctx.sig, ctx.field, rng)
     a, b = rng.uniform(-1.5, 1.5, size=2)
     X, Y = pow_J(S, a), pow_J(S, b)
@@ -164,8 +165,8 @@ def _prop_commuting_power_factorization(ctx, rng, eps):
 # ---------------------------------------------------------------------------
 # order suite
 
-def _prop_power_monotone_unit(ctx, rng, eps):
-    X, Y = _comparable_pair(ctx, rng, eps)
+def _prop_power_monotone_unit(ctx, rng):
+    X, Y = _comparable_pair(ctx, rng)
     scale = max(1.0, fnorm(X.matrix), fnorm(Y.matrix))
     worst = np.inf
     for t in (0.25, 0.5, 0.75, 1.0):
@@ -174,7 +175,7 @@ def _prop_power_monotone_unit(ctx, rng, eps):
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
-def _prop_power_monotone_breaks_t2(ctx, rng, eps):
+def _prop_power_monotone_breaks_t2(ctx, rng):
     # t = 2 is outside the operator-monotone range.  Perturbing the classic
     # 2x2 counterexample keeps X <=_J Y while the squares stay incomparable,
     # so every trial exhibits a genuine violation.
@@ -191,8 +192,8 @@ def _prop_power_monotone_breaks_t2(ctx, rng, eps):
     return TrialOutcome(ok, -v.margin, dict(X=X, Y=Y))
 
 
-def _prop_order_congruence(ctx, rng, eps):
-    X, Y = _comparable_pair(ctx, rng, eps)
+def _prop_order_congruence(ctx, rng):
+    X, Y = _comparable_pair(ctx, rng)
     C = random_invertible(ctx.sig, ctx.field, rng)
     lhs = sharp(C, ctx.sig) @ X.matrix @ C
     rhs = sharp(C, ctx.sig) @ Y.matrix @ C
@@ -201,8 +202,8 @@ def _prop_order_congruence(ctx, rng, eps):
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y, C=C))
 
 
-def _prop_inverse_antimonotone(ctx, rng, eps):
-    X, Y = _comparable_pair(ctx, rng, eps)
+def _prop_inverse_antimonotone(ctx, rng):
+    X, Y = _comparable_pair(ctx, rng)
     xi = is_j_positive(mat_inverse(X.matrix), ctx.sig)
     yi = is_j_positive(mat_inverse(Y.matrix), ctx.sig)
     v = j_leq(yi, xi, tol=ctx.tol)
@@ -219,7 +220,7 @@ def _classical_geodesic(P, Q, t):
     return rt @ mat_pow_pd(rti @ Q @ rti, t) @ rt
 
 
-def _prop_pullback_geodesic(ctx, rng, eps):
+def _prop_pullback_geodesic(ctx, rng):
     A = random_pj_bounded(ctx.sig, ctx.field, rng)
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
     j = ctx.sig.matrix(ctx.field)
@@ -231,7 +232,7 @@ def _prop_pullback_geodesic(ctx, rng, eps):
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
-def _prop_metric_invariance(ctx, rng, eps):
+def _prop_metric_invariance(ctx, rng):
     P = random_pj_bounded(ctx.sig, ctx.field, rng)
     U = random_jhermitian(ctx.sig, ctx.field, rng)
     V = random_jhermitian(ctx.sig, ctx.field, rng)
@@ -246,7 +247,7 @@ def _prop_metric_invariance(ctx, rng, eps):
     return TrialOutcome(ok, min(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
 
 
-def _prop_segment_additivity(ctx, rng, eps):
+def _prop_segment_additivity(ctx, rng):
     A = random_pj_bounded(ctx.sig, ctx.field, rng)
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
     t = rng.uniform(0.1, 0.9)
@@ -269,13 +270,13 @@ def _mean(A, B, t):
     return weighted_mean(A, B, t).mean
 
 
-def _prop_mean_symmetry(ctx, rng, eps):
+def _prop_mean_symmetry(ctx, rng):
     A, B = _random_pair(ctx, rng)
     err = _rel_err(_mean(A, B, 0.5).matrix, _mean(B, A, 0.5).matrix)
     return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
-def _prop_mean_inversion(ctx, rng, eps):
+def _prop_mean_inversion(ctx, rng):
     A, B = _random_pair(ctx, rng)
     lhs = mat_inverse(_mean(A, B, 0.5).matrix)
     rhs = _mean(is_j_positive(mat_inverse(A.matrix), ctx.sig),
@@ -284,18 +285,18 @@ def _prop_mean_inversion(ctx, rng, eps):
     return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
-def _prop_mean_idempotence(ctx, rng, eps):
+def _prop_mean_idempotence(ctx, rng):
     A = random_pj_bounded(ctx.sig, ctx.field, rng)
     t = rng.uniform(0.2, 0.8)
     same_err = _rel_err(_mean(A, A, t).matrix, A.matrix)
-    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, max(eps, 1e-4)), ctx.sig)
+    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, 1.0), ctx.sig)
     B = is_j_positive(A.matrix + bump, ctx.sig)
     moved = fnorm(_mean(A, B, t).matrix - A.matrix)
     ok = same_err <= ctx.tol and moved > 1e-8
     return TrialOutcome(ok, min(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
 
 
-def _prop_mean_scaling(ctx, rng, eps):
+def _prop_mean_scaling(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
     base = _mean(A, B, t).matrix
@@ -309,16 +310,16 @@ def _prop_mean_scaling(ctx, rng, eps):
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
-def _prop_mean_time_reversal(ctx, rng, eps):
+def _prop_mean_time_reversal(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.0, 1.0)
     err = _rel_err(_mean(A, B, t).matrix, _mean(B, A, 1.0 - t).matrix)
     return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
-def _prop_mean_monotonicity(ctx, rng, eps):
-    A, C = _comparable_pair(ctx, rng, eps)
-    B, D = _comparable_pair(ctx, rng, eps)
+def _prop_mean_monotonicity(ctx, rng):
+    A, C = _comparable_pair(ctx, rng)
+    B, D = _comparable_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
     lhs = _mean(A, B, t)
     rhs = _mean(C, D, t)
@@ -328,7 +329,7 @@ def _prop_mean_monotonicity(ctx, rng, eps):
                         dict(A=A, B=B, C=C, D=D))
 
 
-def _prop_mean_kj_congruence(ctx, rng, eps):
+def _prop_mean_kj_congruence(ctx, rng):
     A, B = _random_pair(ctx, rng)
     g = random_kj(ctx.sig, ctx.field, rng)
     gs = sharp(g, ctx.sig)
@@ -340,7 +341,7 @@ def _prop_mean_kj_congruence(ctx, rng, eps):
     return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B, g=g))
 
 
-def _prop_mean_joint_concavity(ctx, rng, eps):
+def _prop_mean_joint_concavity(ctx, rng):
     A, C = _random_pair(ctx, rng)
     B, D = _random_pair(ctx, rng)
     s = rng.uniform(0.1, 0.9)
@@ -355,7 +356,7 @@ def _prop_mean_joint_concavity(ctx, rng, eps):
                         dict(A=A, B=B, C=C, D=D))
 
 
-def _prop_mean_composition(ctx, rng, eps):
+def _prop_mean_composition(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t, s, u = rng.uniform(0.1, 0.9, size=3)
     lhs = _mean(_mean(A, B, t), _mean(A, B, s), u).matrix
@@ -364,7 +365,7 @@ def _prop_mean_composition(ctx, rng, eps):
     return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
 
 
-def _prop_mean_agm_sandwich(ctx, rng, eps):
+def _prop_mean_agm_sandwich(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
     geo = _mean(A, B, t)
@@ -377,7 +378,7 @@ def _prop_mean_agm_sandwich(ctx, rng, eps):
     return TrialOutcome(lower.holds and upper.holds, worst, dict(A=A, B=B))
 
 
-def _prop_mean_pullback_oracle(ctx, rng, eps):
+def _prop_mean_pullback_oracle(ctx, rng):
     A, B = _random_pair(ctx, rng)
     j = ctx.sig.matrix(ctx.field)
     worst = np.inf
@@ -391,7 +392,7 @@ def _prop_mean_pullback_oracle(ctx, rng, eps):
 NONCOMMUTING_DIFF = np.array([[0.263207, 0.768429], [-0.857469, -2.50336]])
 
 
-def _prop_noncommuting_witness(ctx, rng, eps):
+def _prop_noncommuting_witness(ctx, rng):
     sig = Signature(1, 1)
     A = is_j_positive(np.array([[2.0, 1.0], [-1.0, -2.0]]), sig)
     B = is_j_positive(np.array([[3.0, 1.0], [-1.0, -1.0]]), sig)
@@ -403,7 +404,7 @@ def _prop_noncommuting_witness(ctx, rng, eps):
 # ---------------------------------------------------------------------------
 # inequalities suite
 
-def _prop_ando_hiai(ctx, rng, eps):
+def _prop_ando_hiai(ctx, rng):
     # Tight spread keeps the cubed arguments well away from the cone boundary.
     A = random_pj_bounded(ctx.sig, ctx.field, rng, radius=1.0)
     B = random_pj_bounded(ctx.sig, ctx.field, rng, radius=1.0)
@@ -418,9 +419,9 @@ def _prop_ando_hiai(ctx, rng, eps):
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
-def _prop_furuta(ctx, rng, eps):
+def _prop_furuta(ctx, rng):
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
-    bump = _psd_bump(ctx.sig, ctx.field, rng, eps)
+    bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
     A = is_j_positive(B.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
     worst = np.inf
     ok = True
@@ -433,14 +434,13 @@ def _prop_furuta(ctx, rng, eps):
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
-def _prop_maximality(ctx, rng, eps):
+def _prop_maximality(ctx, rng):
     # The mid-mean is the maximum of {X J-Hermitian : [[JA,JX],[JX,JB]] >= 0}:
     # it is feasible with zero margin, every feasible X lies <=_J below it,
     # and nothing strictly above it is feasible.
     A, B = _random_pair(ctx, rng)
     M = _mean(A, B, 0.5)
-    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, max(eps * 0.1, 1e-3)),
-                     ctx.sig)
+    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, 0.1), ctx.sig)
     at_max = maximality_check(M.matrix, A, B, tol=ctx.tol)
     above = maximality_check(M.matrix + bump, A, B, tol=1e-12)
     above_order = j_leq(M.matrix + bump, M.matrix, ctx.sig, tol=1e-12)
@@ -450,7 +450,7 @@ def _prop_maximality(ctx, rng, eps):
         dominated = j_leq(c * M.matrix, M.matrix, ctx.sig, tol=ctx.tol)
         ok = ok and scaled.holds and dominated.holds
     # Soundness near the maximum: feasibility implies domination.
-    X = M.matrix + eps * 0.05 * random_jhermitian(ctx.sig, ctx.field, rng)
+    X = M.matrix + 0.05 * random_jhermitian(ctx.sig, ctx.field, rng)
     feas = maximality_check(X, A, B, tol=1e-12)
     dom = j_leq(X, M.matrix, ctx.sig, tol=1e-12)
     scale = max(1.0, fnorm(M.matrix))
@@ -463,7 +463,7 @@ def _prop_maximality(ctx, rng, eps):
 # ---------------------------------------------------------------------------
 # quaternion suite
 
-def _prop_psi_homomorphism(ctx, rng, eps):
+def _prop_psi_homomorphism(ctx, rng):
     n = ctx.sig.n
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     e1 = np.linalg.norm(psi_matrix(X @ Y) - psi_matrix(X) @ psi_matrix(Y))
@@ -474,14 +474,14 @@ def _prop_psi_homomorphism(ctx, rng, eps):
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))
 
 
-def _prop_trd_cyclicity(ctx, rng, eps):
+def _prop_trd_cyclicity(ctx, rng):
     n = ctx.sig.n
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     err = abs(trd(X @ Y) - trd(Y @ X)) / max(1.0, fnorm(X) * fnorm(Y))
     return TrialOutcome(err <= 1e-12, 1e-12 - err, dict(X=X, Y=Y))
 
 
-def _prop_quat_spectral(ctx, rng, eps):
+def _prop_quat_spectral(ctx, rng):
     n = ctx.sig.n
     Y = _random_matrix(n, "H", rng)
     X = (Y + Y.H) * 0.5
@@ -493,7 +493,7 @@ def _prop_quat_spectral(ctx, rng, eps):
     return TrialOutcome(ok, 1e-9 - max(recon, unit), dict(X=X))
 
 
-def _prop_quat_exp_log(ctx, rng, eps):
+def _prop_quat_exp_log(ctx, rng):
     n = ctx.sig.n
     Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
@@ -502,7 +502,7 @@ def _prop_quat_exp_log(ctx, rng, eps):
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(H=H))
 
 
-def _prop_quat_functional_calculus(ctx, rng, eps):
+def _prop_quat_functional_calculus(ctx, rng):
     n = ctx.sig.n
     Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
@@ -516,7 +516,7 @@ def _prop_quat_functional_calculus(ctx, rng, eps):
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
-def _prop_quat_image_structure(ctx, rng, eps):
+def _prop_quat_image_structure(ctx, rng):
     n = ctx.sig.n
     Y = _random_matrix(n, "H", rng)
     H = (Y + Y.H) * 0.5
@@ -578,32 +578,28 @@ def _trial_rng(seed: int, property_id: str, trial: int) -> np.random.Generator:
 
 def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> PropertyReport:
     failures = 0
-    worst = np.inf
-    counterexample = None
+    worst = np.inf if trials else 0.0
+    failing = None
     for trial in range(trials):
-        outcome = spec.func(ctx, _trial_rng(seed, spec.property_id, trial), 1.0)
-        if not outcome.ok:
-            failures += 1
-            counterexample = _shrink(spec, ctx, seed, trial, outcome)
+        rng = _trial_rng(seed, spec.property_id, trial)
+        start = rng.bit_generator.state if trial == 0 else None
+        outcome = spec.func(ctx, rng)
         worst = min(worst, outcome.margin)
-    if trials == 0:
-        worst = 0.0
+        # A first trial that draws nothing depends on ctx alone, so it stands
+        # for every trial.
+        last = trials - 1 if trial == 0 and rng.bit_generator.state == start else trial
+        if not outcome.ok:
+            failures += last - trial + 1
+            failing = (last, outcome)
+        if last == trials - 1:
+            break
+    counterexample = None
+    if failing is not None:
+        trial, outcome = failing
+        inputs = {name: _payload(m) for name, m in (outcome.witness or {}).items()}
+        counterexample = {"trial": trial, "margin": outcome.margin, "inputs": inputs}
     return PropertyReport(spec.property_id, trials, failures, float(worst),
                           int(seed), counterexample)
-
-
-def _shrink(spec: PropertySpec, ctx: Context, seed: int, trial: int,
-            first: TrialOutcome) -> dict:
-    last_failing = first
-    eps = 1.0
-    for _ in range(16):
-        eps *= 0.5
-        outcome = spec.func(ctx, _trial_rng(seed, spec.property_id, trial), eps)
-        if outcome.ok:
-            break
-        last_failing = outcome
-    witness = {name: _payload(m) for name, m in (last_failing.witness or {}).items()}
-    return {"trial": trial, "margin": last_failing.margin, "inputs": witness}
 
 
 def run_suite(suite_id: str, sig: Signature, field: str, trials: int = 200,

@@ -165,6 +165,16 @@ class TestPsi:
         with pytest.raises(NotInImage):
             psi_inverse(bad)
 
+    @pytest.mark.parametrize("bad", [
+        np.diag([1e308, -1e308]).astype(complex),
+        np.full((2, 2), np.nan, dtype=complex),
+        np.diag([np.inf, 1.0]).astype(complex)])
+    def test_not_in_image_when_residual_not_finite(self, bad):
+        # An overflowed or NaN residual certifies nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotInImage, match="residual (inf|nan)"):
+                psi_inverse(bad)
+
 
 class TestEig:
     def test_diagonal(self):

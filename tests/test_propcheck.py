@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from jcone.errors import UnknownSuite
 from jcone.jstruct import Signature
 from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SUITES, Context,
                              PropertyReport, PropertySpec, TrialOutcome,
-                             run_property, run_suite)
+                             _payload, _trial_rng, run_property, run_suite)
 
 SIG = Signature(1, 1)
 
@@ -20,6 +21,11 @@ class TestRegistry:
     def test_every_suite_nonempty(self):
         for suite in SUITES:
             assert any(suite in spec.suites for spec in REGISTRY)
+
+    def test_every_property_takes_ctx_and_rng(self):
+        for spec in REGISTRY:
+            params = list(inspect.signature(spec.func).parameters)
+            assert params == ["ctx", "rng"], spec.property_id
 
 
 class TestRunner:
@@ -41,6 +47,52 @@ class TestRunner:
         with pytest.raises(UnknownSuite):
             run_suite("nonsense", SIG, "R", trials=1, seed=0)
 
+    def test_failing_property_runs_once_per_trial(self):
+        calls = []
+
+        def failing(ctx, rng):
+            calls.append(float(rng.uniform()))
+            return TrialOutcome(False, -1.0)
+
+        spec = PropertySpec("test.failing", ("powers",), failing)
+        report = run_property(spec, Context(SIG, "R", 1e-8), trials=7, seed=2)
+        assert len(calls) == 7
+        assert report.failures == 7 and report.counterexample["trial"] == 6
+
+    @pytest.mark.parametrize("property_id, tol", [
+        ("order.power_monotone_unit", -1.0), ("means.idempotence", -1.0),
+        ("ineq.furuta", 1e-15)])
+    def test_counterexample_reruns_from_its_trial(self, property_id, tol):
+        # These properties scale a perturbation of their draw; the reported
+        # inputs and margin are those of the reported trial itself.
+        spec = REGISTRY_BY_ID[property_id]
+        ctx = Context(Signature(2, 1), "C", tol)
+        report = run_property(spec, ctx, trials=5, seed=1)
+        ce = report.counterexample
+        assert report.failures > 0 and ce is not None
+        own = spec.func(ctx, _trial_rng(1, property_id, ce["trial"]))
+        assert not own.ok
+        assert ce["margin"] == own.margin
+        assert ce["inputs"] == {name: _payload(m) for name, m in own.witness.items()}
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_property_drawing_nothing_runs_once(self, ok):
+        calls = []
+
+        def constant(ctx, rng):
+            calls.append(ctx)
+            return TrialOutcome(ok, 0.5 if ok else -0.5)
+
+        spec = PropertySpec("test.constant", ("powers",), constant)
+        report = run_property(spec, Context(SIG, "R", 1e-8), trials=5, seed=0)
+        assert len(calls) == 1
+        assert report.trials == 5
+        assert report.worst_margin == (0.5 if ok else -0.5)
+        if ok:
+            assert report.failures == 0 and report.counterexample is None
+        else:
+            assert report.failures == 5 and report.counterexample["trial"] == 4
+
     def test_json_lines_parse(self):
         reports = run_suite("geometry", SIG, "R", trials=3, seed=7)
         for r in reports:
@@ -52,20 +104,22 @@ class TestRunner:
 
 class TestMutationSanity:
     def test_broken_property_reports_counterexample(self):
-        # A deliberately wrong predicate must fail and carry a shrunk witness.
-        def broken(ctx, rng, eps):
+        # A deliberately wrong predicate must fail and carry a witness.
+        def broken(ctx, rng):
             x = float(rng.standard_normal())
-            margin = -abs(x) * eps
-            return TrialOutcome(margin >= 0.0, margin,
-                                {"x": {"value": x, "eps": eps}})
+            margin = -abs(x)
+            return TrialOutcome(margin >= 0.0, margin, {"x": {"value": x}})
 
         spec = PropertySpec("test.broken", ("powers",), broken)
-        report = run_property(spec, Context(SIG, "R", 1e-8), trials=5, seed=3)
+        ctx = Context(SIG, "R", 1e-8)
+        report = run_property(spec, ctx, trials=5, seed=3)
         assert report.failures == 5
         assert report.counterexample is not None
         assert report.worst_margin < 0.0
-        # Shrinking halves eps down to the floor while the failure persists.
-        assert report.counterexample["inputs"]["x"]["eps"] < 1.0
+        # The witness is the last failing trial's own outcome.
+        own = broken(ctx, _trial_rng(3, "test.broken", 4))
+        assert report.counterexample == {"trial": 4, "margin": own.margin,
+                                         "inputs": own.witness}
 
     def test_counterexample_inputs_are_matrix_payloads(self):
         # No tolerance is met at -1: the witness matrices are serialized
