@@ -13,9 +13,9 @@ import numpy as np
 from .errors import Singular
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (_quat_project_out, adjoint, block2x2, eigvals_hermitian,
-                      fnorm, from_real_parts, mat_inverse, polar,
-                      spectral_function, zeros)
+from .matcore import (adjoint, block2x2, eigvals_hermitian, fnorm,
+                      from_real_parts, mat_inverse, polar, spectral_function,
+                      unitary_from_columns, zeros)
 
 MAX_POWER = 32.0
 
@@ -134,11 +134,7 @@ def _random_unitary_block(n: int, field: str, rng: np.random.Generator):
     g = _random_matrix(n, field, rng)
     if field == "H":
         # numpy has no quaternionic QR: Gram-Schmidt on the columns of g.
-        u = zeros(n, field)
-        for k in range(n):
-            x = _quat_project_out(g[:, k:k + 1], u[:, :k])
-            u[:, k:k + 1] = x / fnorm(x)
-        return u
+        return unitary_from_columns(g)
     q, r = np.linalg.qr(g)
     # Fix the phase so the distribution does not depend on the QR convention.
     d = np.diagonal(r)

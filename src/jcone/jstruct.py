@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive)
 from .matcore import (_check_hermitian, adjoint, block2x2, eigvals_unchecked,
                       field_of, fnorm, from_real, identity, mat_inverse,
-                      scale_rows)
+                      row_scaling, scale_rows)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class Signature:
     """Block sizes (p, q) of the form J = diag(Id_p, -Id_q).
 
     J is applied as a sign flip of rows (flip), never as a product with the
-    dense matrix; matrix() builds J itself for callers that need it.
+    dense matrix: its sign columns are built once, here.  matrix() builds J
+    itself for callers that need it.
     """
 
     p: int
@@ -41,6 +42,7 @@ class Signature:
         d = np.concatenate([np.ones(self.p), -np.ones(self.q)])
         d.flags.writeable = False
         object.__setattr__(self, "_diag", d)
+        object.__setattr__(self, "_rows", row_scaling(d))
 
     @property
     def n(self) -> int:
@@ -52,7 +54,7 @@ class Signature:
 
     def flip(self, X):
         """JX: the last q rows of X negated."""
-        return scale_rows(self._diag, X)
+        return scale_rows(self._rows, X)
 
     def matrix(self, field: str = "R"):
         return from_real(np.diag(self._diag), field)
@@ -188,7 +190,8 @@ def phi_J(X, sig: Signature, tol: float = 1e-10):
     _check_dim(X, sig)
     jx = sig.flip(X)
     residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, fnorm(X))
-    if not residual <= threshold:
+    # As in matcore._check_hermitian, an overflowed residual certifies nothing.
+    if not (residual <= threshold and residual < np.inf):
         raise NotJHermitian(f"sharp-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
     return jx
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
-from .geometry import _check_pair, _pencil, _point
+from .geometry import _check_pair, _pencil
 from .jcalc import bullet, bullet_commutator, pow_J
 from .jstruct import JPositive, certify_constructed, is_j_positive, phi_J
 from .matcore import block2x2, eigvals_unchecked, fnorm
@@ -48,11 +48,11 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
+    sig = A.signature
     pencil = _pencil(A, B)
-    mean, embedded = _point(pencil, A.signature, t)
-    # J mean embedded is what riccati_residual would embed from mean.matrix.
-    residual = pencil.riccati_residual(embedded) if t == 0.5 else float("nan")
-    return MeanResult(mean, residual, t)
+    out, lam = pencil.mean(t)   # J times the mean
+    residual = pencil.riccati_residual(out) if t == 0.5 else float("nan")
+    return MeanResult(certify_constructed(sig.flip(out), sig, lam), residual, t)
 
 
 def riccati_solve(A: JPositive, B: JPositive) -> JPositive:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jcone.cli import main
-from jcone.fileio import write_matrix
+from jcone.fileio import canonical_dumps, write_matrix
+from jcone.jcalc import random_pj
+from jcone.jstruct import Signature
 
 
 @pytest.fixture
@@ -183,3 +185,41 @@ class TestRandCheck:
     def test_bad_signature_flag(self, fixtures, capsys):
         code, _, _ = run(capsys, "rand", "--signature", "banana")
         assert code == 2
+
+
+class TestQuaternionicFiles:
+    """order, mean and riccati on H files: exit 0 and canonical JSON, with
+    the verdict a JSON boolean."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        A = random_pj(Signature(2, 1), "H", 3).matrix
+        B = random_pj(Signature(2, 1), "H", 13).matrix
+        paths = {}
+        for name, X in (("a", A), ("a2", A * 2.0), ("b", B)):
+            paths[name] = str(tmp_path / f"{name}.json")
+            write_matrix(paths[name], X)
+        return paths
+
+    @staticmethod
+    def _canonical(out):
+        lines = out.strip().splitlines()
+        for line in lines:
+            assert canonical_dumps(json.loads(line)) == line
+        return [json.loads(line) for line in lines]
+
+    def test_order(self, files, capsys):
+        code, out, err = run(capsys, "order", "--x", files["a"], "--y", files["a2"],
+                             "--signature", "2,1")
+        assert code == 0, err
+        verdict, = self._canonical(out)
+        assert verdict["holds"] is True and '"holds":true' in out
+
+    @pytest.mark.parametrize("command", ["mean", "riccati"])
+    def test_mean_and_riccati(self, files, capsys, command):
+        code, out, err = run(capsys, command, "--a", files["a"], "--b", files["b"],
+                             "--signature", "2,1")
+        assert code == 0, err
+        mean, residual = self._canonical(out)
+        assert mean["field"] == "H" and mean["rows"] == 3
+        assert 0.0 <= next(iter(residual.values())) <= 1e-9

@@ -10,12 +10,13 @@ import pytest
 import jcone.matcore
 from jcone.geometry import _pencil, geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (bullet_inverse, exp_J, log_J, polar_decompose_bullet,
-                         pow_J, random_pj)
+                         pow_J, random_kj, random_pj)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
-from jcone.matcore import psi_matrix
+from jcone.matcore import hermitian_eig, psi_matrix
 from jcone.means import (harmonic_mean_J, maximality_check, riccati_residual,
                          weighted_mean)
 from jcone.order import j_leq
+from jcone.scalars import Quaternion
 
 ROUTINES = ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve")
 SIG = Signature(2, 1)
@@ -117,19 +118,13 @@ def test_cone_operations_call_no_np_block(monkeypatch, op, field):
         CONE_MIX[op](A, B)
 
 
-# Operation -> psi_matrix calls over H: one per operand, none per result.
-PSI_EMBEDDINGS = {
-    "weighted_mean_t0.5": 2,
-    "weighted_mean_t0.3": 2,
-    "geodesic_t0.3": 2,
-    "geodesic_distance": 2,
-    "pow_J": 1,
-    "j_leq": 1,
-    "is_j_positive": 1,
-}
+# The operations whose psi_matrix calls over H are pinned: a quaternionic
+# matrix is stored as its embedding, so none of them embeds anything.
+PSI_EMBEDDINGS = ("weighted_mean_t0.5", "weighted_mean_t0.3", "geodesic_t0.3",
+                  "geodesic_distance", "pow_J", "j_leq", "is_j_positive")
 
 
-@pytest.mark.parametrize("op", sorted(PSI_EMBEDDINGS))
+@pytest.mark.parametrize("op", PSI_EMBEDDINGS)
 def test_one_embedding_per_operand(monkeypatch, op):
     A, B = random_pj(SIG, "H", 1), random_pj(SIG, "H", 2)
     calls = []
@@ -140,7 +135,27 @@ def test_one_embedding_per_operand(monkeypatch, op):
 
     monkeypatch.setattr(jcone.matcore, "psi_matrix", counted)
     OPERATIONS[op][0](A, B)
-    assert len(calls) == PSI_EMBEDDINGS[op], calls
+    assert len(calls) == 0, calls
+
+
+@pytest.mark.parametrize("op", ["hermitian_eig", "random_kj"])
+def test_quaternionic_gram_schmidt_builds_no_quaternion(monkeypatch, op):
+    # The Gram-Schmidt pass works on embedded columns, not entry by entry.
+    X = random_pj(SIG, "H", 1).matrix
+    H = (X + X.H) * 0.5
+    calls = []
+    init = Quaternion.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counted)
+    if op == "hermitian_eig":
+        hermitian_eig(H)
+    else:
+        random_kj(SIG, "H", 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -149,8 +164,7 @@ def test_pencil_mean_certificate_is_taken_on_its_embedding(field, t):
     # The eigenvalues Pencil.mean returns are those of the embedding of the
     # matrix it returns, bit for bit, so the mean needs no second embedding.
     A, B = random_pj(SIG, field, 1), random_pj(SIG, field, 2)
-    out, lam, embedded = _pencil(A, B).mean(t)
+    out, lam = _pencil(A, B).mean(t)
     M = psi_matrix(out) if field == "H" else out
-    assert np.array_equal(embedded, M)
     w = np.linalg.eigvalsh(M)
     assert np.array_equal(lam, w[::-2] if field == "H" else w[::-1])

@@ -176,6 +176,16 @@ class TestPsi:
                 psi_inverse(bad)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_not_in_image_at_large_scale():
+    # Entries near 1e160 overflow the plain norm of M, though not that of
+    # the residual; the threshold is relative to ||M|| all the same.
+    M = psi_matrix(QMatrix(np.full((2, 2), 1e160 + 0j))).copy()
+    M[0, 0] += 1e153
+    with pytest.raises(NotInImage):
+        psi_inverse(M)
+
+
 class TestEig:
     def test_diagonal(self):
         dec = hermitian_eig(np.diag([3.0, 1.0]))
@@ -278,6 +288,40 @@ class TestMatrixFunctions:
     def test_boundary_rejected_not_clamped(self):
         with pytest.raises(NotPositive):
             mat_sqrt_pd(np.diag([1.0, 0.0]))
+
+
+def _non_finite(n, field, value):
+    """An n x n matrix over the field with every entry value."""
+    M = np.full((n, n), value)
+    if field == "R":
+        return M
+    return M * (1 + 1j) if field == "C" else QMatrix(M * (1 + 1j), M * (1 - 1j))
+
+
+class TestNonFiniteRejected:
+    # A NaN or infinite residual raises: it never passes as Hermitian.
+    CALLS = {
+        "hermitian_eig": hermitian_eig,
+        "matrix_function": lambda X: matrix_function(X, np.exp),
+        "mat_log_pd": mat_log_pd,
+        "eigvals_hermitian": eigvals_hermitian,
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises_not_hermitian(self, call, field, value):
+        with pytest.raises(NotHermitian, match=r"residual nan exceeds \S+"):
+            self.CALLS[call](_non_finite(2, field, value))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_infinite_off_diagonal(self):
+        # X - X* is finite but for one infinite pair: residual inf, and the
+        # threshold from ||X|| = inf is inf too.
+        X = np.array([[1.0, np.inf], [0.0, 1.0]])
+        with pytest.raises(NotHermitian, match="residual inf exceeds inf"):
+            hermitian_eig(X)
 
 
 class TestPositivity:

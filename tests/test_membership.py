@@ -11,7 +11,7 @@ from jcone.fileio import write_matrix
 from jcone.geometry import geodesic
 from jcone.jcalc import exp_J, log_J, pow_J, random_pj_bounded
 from jcone.jstruct import Signature, in_pj, is_j_hermitian, is_j_positive, phi_J
-from jcone.matcore import eigvals_hermitian
+from jcone.matcore import eigvals_hermitian, fnorm, identity
 from jcone.means import arithmetic_mean_J, harmonic_mean_J, weighted_mean
 from jcone.order import j_leq
 
@@ -86,6 +86,37 @@ class TestOverflow:
         X = is_j_positive(J @ np.diag([1e10, 2.0]), SIG)
         with pytest.raises(NotJPositive, match="eigenvalue inf"):
             pow_J(X, 32)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+class TestScaleSafeNorm:
+    # Entries near 1e200 overflow the plain sum of squares, which fnorm then
+    # takes again scaled by the largest entry.
+    SKEW = np.array([[1e200, 1e200], [0.0, 1e200]])
+
+    def test_non_hermitian_not_certified(self):
+        sig = Signature(2, 0)
+        with pytest.raises(NotJHermitian, match="exceeds"):
+            is_j_positive(self.SKEW, sig)
+        assert not is_j_hermitian(self.SKEW, sig)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_infinite_entry_not_j_hermitian(self):
+        # The residual is inf, and so is the threshold from ||X|| = inf.
+        X = np.array([[1.0, np.inf], [0.0, 1.0]])
+        assert not is_j_hermitian(X, Signature(2, 0))
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_large_j_certified(self, field):
+        sig = Signature(2, 1)
+        X = is_j_positive(1e200 * sig.matrix(field), sig)
+        assert X.lambda_min_of_jx == pytest.approx(1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_fnorm_finite_where_the_norm_is(self, field):
+        X = 1e200 * identity(4, field)
+        assert fnorm(X) == pytest.approx(2e200, rel=1e-15)
+        assert type(fnorm(X)) is float
 
 
 def _lambda_min(X):
