@@ -8,20 +8,23 @@ phi_J: X -> JX between the J-Hermitian space and the Hermitian matrices.
 Boundary rule: is_j_positive certifies outside input at the caller's tol, by
 phi_J (the one J-Hermitian test) and a relative threshold on lambda_min(JX).
 Construction rule: certify_constructed certifies a value built from certified
-members from eigenvalues of JX in hand, rejecting one <= 0 or not finite.
+members.  With eigenvalues of JX in hand it rejects one <= 0 or not finite;
+without them it takes one Cholesky factorization of JX, which is all the
+certificate needs, and lambda_min(JX) is computed only if it is read (a
+read value not finite and positive raises NotJPositive).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive)
-from .matcore import (_check_hermitian, adjoint, block2x2, eigvals_unchecked,
-                      field_of, fnorm, from_real, identity, mat_inverse,
-                      row_scaling, scale_rows)
+                     NotJPositive, NotPositive)
+from .matcore import (_check_hermitian, adjoint, block2x2, cholesky_factor,
+                      eigvals_unchecked, field_of, fnorm, from_real, identity,
+                      mat_inverse, row_scaling, scale_rows)
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,32 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class JPositive:
-    """A certified member of the cone P_J: J-Hermitian with JX positive definite."""
+    """A certified member of the cone P_J: J-Hermitian with JX positive definite.
+
+    JPositive(X, sig, lam) records lambda_min(JX) = lam.  A member certified
+    by a Cholesky factorization is made with lam = None, and lambda_min_of_jx
+    is computed on first read, by eigvalsh of JX, and kept; a read value that
+    is not finite and positive raises NotJPositive, as certify_constructed
+    does with eigenvalues in hand.  It takes no part in == or repr, so
+    reading it changes neither.
+    """
 
     matrix: object
     signature: Signature
-    lambda_min_of_jx: float
+    _lambda_min: float | None = dataclass_field(compare=False, repr=False)
+
+    @property
+    def lambda_min_of_jx(self) -> float:
+        if self._lambda_min is None:
+            try:
+                lam = float(eigvals_unchecked(self.signature.flip(self.matrix))[-1])
+            except np.linalg.LinAlgError:   # eigvalsh may fail on a NaN entry
+                lam = np.nan
+            if not 0.0 < lam < np.inf:
+                raise NotJPositive(f"lambda_min(JX) = {lam:.3e} of a Cholesky-certified "
+                                   "member not finite and positive")
+            object.__setattr__(self, "_lambda_min", lam)
+        return self._lambda_min
 
     @property
     def field(self) -> str:
@@ -167,9 +191,20 @@ def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
 
 
 def certify_constructed(X, sig: Signature, lam=None) -> JPositive:
-    """Certificate of X built from certified members, from eigenvalues lam of
-    JX that include lambda_min(JX); lam=None computes the spectrum here."""
-    lam = eigvals_unchecked(sig.flip(X)) if lam is None else lam
+    """Certificate of X built from certified members.
+
+    Given eigenvalues lam of JX that include lambda_min(JX), it rejects one
+    <= 0 or not finite.  With lam=None it takes one Cholesky factorization
+    of JX, the n^3/3 kernel that shows JX positive definite without its
+    spectrum, and rejects an entry that is not finite or a failed
+    factorization; lambda_min(JX) is then computed on first read.
+    """
+    if lam is None:
+        try:
+            cholesky_factor(sig.flip(X))
+        except NotPositive as exc:
+            raise NotJPositive(f"Cholesky factorization of JX failed: {exc}") from None
+        return JPositive(X, sig, None)
     for v in lam:
         if not 0.0 < v < np.inf:
             raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")

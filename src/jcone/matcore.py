@@ -21,8 +21,11 @@ preallocated array.
 Boundary rule: public spectral functions test input once (_check_hermitian),
 mat_*_pd add a relative 1e-10 positivity threshold.  Construction rule: a
 matrix built from certified members goes to spectral_function or Pencil
-untested, and only a computed eigenvalue <= 0 (or a failed Cholesky step)
-rejects it.
+untested, and only a computed eigenvalue <= 0 or a failed Cholesky
+factorization rejects it (cholesky_factor, the certificate's, also rejects
+an entry that is not finite).  Pencil.mean returns the mean alone:
+certifying it is its caller's business, by one more Cholesky factorization,
+not a spectrum.
 """
 
 from __future__ import annotations
@@ -467,6 +470,21 @@ def mat_sqrt_pd(X):
     return mat_pow_pd(X, 0.5)
 
 
+def cholesky_factor(X) -> np.ndarray:
+    """Lower Cholesky factor of the embedding of X, which is Hermitian by
+    construction, from one factorization.  Raises NotPositive, naming the
+    reason, if an entry of X is not finite or the factorization fails: it
+    reads one triangle and does not stop at a NaN or infinite pivot, so it
+    need not fail on such an entry."""
+    M = _embed(X)
+    if not np.isfinite(M).all():
+        raise NotPositive("an entry is not finite")
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositive(str(exc)) from None
+
+
 def is_positive_definite(X, tol: float = 1e-10) -> bool:
     lam = eigvals_hermitian(X, tol)
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))
@@ -513,21 +531,20 @@ class Pencil:
         return _descending(self._positive(np.linalg.eigvalsh(self._mid)), self._like)
 
     def mean(self, t: float):
-        """P #_t Q, Hermitian, with its descending eigenvalues.
+        """P #_t Q, Hermitian and positive definite by construction, from one
+        eigh; it is not certified here.
 
         The mean is symmetrized while embedded and, over H, projected onto
         the image of Psi in place; that array is the returned matrix's
-        embedding, and the eigenvalues are taken on it.  The projection
-        averages the two copies of each block, whose rounding differs (each
-        eigenvalue of the embedded pencil is a pair that eigh splits
-        freely); building the mean from its top rows alone left Riccati
-        residuals 2-4 times larger.
+        embedding.  The projection averages the two copies of each block,
+        whose rounding differs (each eigenvalue of the embedded pencil is a
+        pair that eigh splits freely); building the mean from its top rows
+        alone left Riccati residuals 2-4 times larger.
         """
         w, U = np.linalg.eigh(self._mid)
         V = self._l @ U
         M = (V * np.power(self._positive(w), float(t))) @ V.conj().T
-        M = (M + M.conj().T) * 0.5
-        return _project_to_image(M, self._like), _descending(np.linalg.eigvalsh(M), self._like)
+        return _project_to_image((M + M.conj().T) * 0.5, self._like)
 
     def riccati_residual(self, Y) -> float:
         """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand: over H

@@ -50,9 +50,9 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
     sig = A.signature
     pencil = _pencil(A, B)
-    out, lam = pencil.mean(t)   # J times the mean
+    out = pencil.mean(t)   # J times the mean
     residual = pencil.riccati_residual(out) if t == 0.5 else float("nan")
-    return MeanResult(certify_constructed(sig.flip(out), sig, lam), residual, t)
+    return MeanResult(certify_constructed(sig.flip(out), sig), residual, t)
 
 
 def riccati_solve(A: JPositive, B: JPositive) -> JPositive:

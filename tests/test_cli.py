@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +227,14 @@ class TestQuaternionicFiles:
         mean, residual = self._canonical(out)
         assert mean["field"] == "H" and mean["rows"] == 3
         assert 0.0 <= next(iter(residual.values())) <= 1e-9
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.linalg costs each CLI process about twice numpy's import.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, jcone.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Cone membership is decided once at the boundary, at the caller's tol, and
 values built from certified members are rejected only on a computed
-eigenvalue that is <= 0 or not finite."""
+eigenvalue that is <= 0 or not finite, or on a failed Cholesky
+factorization of JX."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from jcone.errors import NotJHermitian, NotJPositive, SignatureMismatch
 from jcone.fileio import write_matrix
 from jcone.geometry import geodesic
 from jcone.jcalc import exp_J, log_J, pow_J, random_pj_bounded
-from jcone.jstruct import Signature, in_pj, is_j_hermitian, is_j_positive, phi_J
-from jcone.matcore import eigvals_hermitian, fnorm, identity
+from jcone.jstruct import (JPositive, Signature, certify_constructed, in_pj,
+                           is_j_hermitian, is_j_positive, phi_J)
+from jcone.matcore import eigvals_hermitian, fnorm, from_real, identity
 from jcone.means import arithmetic_mean_J, harmonic_mean_J, weighted_mean
 from jcone.order import j_leq
 
@@ -136,3 +138,85 @@ def test_certificates_from_eigenvalues_in_hand(field):
         for out in outputs:
             want = _lambda_min(out)
             assert abs(out.lambda_min_of_jx - want) <= 1e-11 * want
+
+
+FIELDS = ("R", "C", "H")
+
+
+class TestCholeskyCertificate:
+    """certify_constructed without eigenvalues in hand: one Cholesky
+    factorization of JX, and lambda_min(JX) only when it is read."""
+
+    SIG = Signature(2, 1)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_indefinite_rejected(self, field):
+        X = from_real(np.diag([1.0, -1.0, 1.0]), field)   # JX = diag(1, -1, -1)
+        with pytest.raises(NotJPositive, match="Cholesky factorization of JX"):
+            certify_constructed(X, self.SIG)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2)])
+    # Over C and H the sign flip multiplies inf by a complex sign, 0 * inf in
+    # the imaginary part: numpy warns, and the entry is still not finite.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_non_finite_rejected(self, field, bad, entry):
+        # numpy's Cholesky passes both: it reads one triangle, and it does
+        # not stop at a NaN or infinite pivot.
+        M = self.SIG.matrix()
+        M[entry] = bad
+        with pytest.raises(NotJPositive, match="not finite"):
+            certify_constructed(from_real(M, field), self.SIG)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_reading_lambda_min_changes_neither_eq_nor_repr(self, field):
+        A = random_pj_bounded(self.SIG, field, np.random.default_rng(1))
+        B = random_pj_bounded(self.SIG, field, np.random.default_rng(2))
+        X = weighted_mean(A, B, 0.3).mean
+        Y = JPositive(X.matrix, X.signature, None)
+        before = repr(X)
+        assert X == Y and "lambda" not in before
+        assert X.lambda_min_of_jx > 0.0
+        assert repr(X) == before and X == Y
+        assert X == JPositive(X.matrix, X.signature, X.lambda_min_of_jx + 1.0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_lambda_min_computed_once_on_read(self, field, monkeypatch):
+        A = random_pj_bounded(self.SIG, field, np.random.default_rng(1))
+        X = arithmetic_mean_J(A, pow_J(A, 2.0), 0.3)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(M):
+            calls.append(M.shape)
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        first = X.lambda_min_of_jx
+        assert X.lambda_min_of_jx == first and len(calls) == 1
+        assert first == pytest.approx(_lambda_min(X), rel=1e-12)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, np.nan]])
+    def test_lambda_min_read_not_positive_rejected(self, field, diag):
+        # JX = diag(1, 1, -1), diag(1, -1, -1) and one NaN: lambda_min(JX) is
+        # negative or NaN, and the read names it instead of returning it.
+        X = JPositive(from_real(np.diag(diag), field), self.SIG, None)
+        for _ in range(2):
+            with pytest.raises(NotJPositive, match="not finite and positive"):
+                X.lambda_min_of_jx
+
+    def test_lambda_min_is_a_required_argument(self):
+        with pytest.raises(TypeError):
+            JPositive(self.SIG.matrix(), self.SIG)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_is_j_positive_fills_lambda_min(self, field, monkeypatch):
+        X = is_j_positive(from_real(np.diag([2.0, 3.0, -0.5]), field), self.SIG)
+
+        def forbidden(M):
+            raise AssertionError("lambda_min of a boundary certificate recomputed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert X.lambda_min_of_jx == pytest.approx(0.5, rel=1e-14)
