@@ -24,16 +24,16 @@ from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive, NotPositive)
 from .matcore import (_check_hermitian, adjoint, block2x2, cholesky_factor,
                       eigvals_unchecked, field_of, fnorm, from_real, identity,
-                      mat_inverse, row_scaling, scale_rows)
+                      mat_inverse, negate_rows)
 
 
 @dataclass(frozen=True)
 class Signature:
     """Block sizes (p, q) of the form J = diag(Id_p, -Id_q).
 
-    J is applied as a sign flip of rows (flip), never as a product with the
-    dense matrix: its sign columns are built once, here.  matrix() builds J
-    itself for callers that need it.
+    J is applied as an exact negation of the last q rows (flip), never as a
+    product with the dense matrix.  matrix() builds J itself for callers that
+    need it.
     """
 
     p: int
@@ -45,7 +45,6 @@ class Signature:
         d = np.concatenate([np.ones(self.p), -np.ones(self.q)])
         d.flags.writeable = False
         object.__setattr__(self, "_diag", d)
-        object.__setattr__(self, "_rows", row_scaling(d))
 
     @property
     def n(self) -> int:
@@ -57,7 +56,7 @@ class Signature:
 
     def flip(self, X):
         """JX: the last q rows of X negated."""
-        return scale_rows(self._rows, X)
+        return negate_rows(X, self.p)
 
     def matrix(self, field: str = "R"):
         return from_real(np.diag(self._diag), field)

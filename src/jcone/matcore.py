@@ -26,6 +26,10 @@ factorization rejects it (cholesky_factor, the certificate's, also rejects
 an entry that is not finite).  Pencil.mean returns the mean alone:
 certifying it is its caller's business, by one more Cholesky factorization,
 not a spectrum.
+
+Pencil rule: a pencil is one Cholesky factorization and the blocked
+triangular inverse of its factor (tril_inverse): one stacked inv of the
+factor's diagonal blocks, the rest matrix products.
 """
 
 from __future__ import annotations
@@ -312,19 +316,21 @@ def _unembed(T: np.ndarray, X):
     return QMatrix._from_top(T) if isinstance(X, QMatrix) else T
 
 
-def row_scaling(d) -> tuple:
-    """The read-only sign columns that scale_rows multiplies by: d for the n
-    rows of X over R and C, and (d, d) for the 2n rows of Psi(X) over H, held
-    complex as Psi(X) is, so that no product casts it."""
-    col = np.array(d, dtype=float).reshape(-1, 1)
-    return _read_only(col), _read_only(np.concatenate([col, col]).astype(complex))
-
-
-def scale_rows(cols, X):
-    """diag(d) X for cols = row_scaling(d), without forming diag(d) or a product."""
+def negate_rows(X, p: int):
+    """X with its rows from p on negated, over H those of both halves of
+    Psi(X).  Negation is exact, so an infinite entry stays infinite where a
+    product with a complex sign would add 0 * inf, a NaN, to its other part."""
     if isinstance(X, QMatrix):
-        return QMatrix._of(cols[1] * X.m)
-    return cols[0] * X
+        M = X.m.copy()
+        n = len(M) // 2
+        top, bottom = M[p:n], M[n + p:]
+        np.negative(top, out=top)
+        np.negative(bottom, out=bottom)
+        return QMatrix._of(M)
+    M = np.array(X)
+    rows = M[p:]
+    np.negative(rows, out=rows)
+    return M
 
 
 def mat_inverse(X):
@@ -485,6 +491,42 @@ def cholesky_factor(X) -> np.ndarray:
         raise NotPositive(str(exc)) from None
 
 
+# Widest lower-triangular factor that tril_inverse hands to inv whole: up to
+# about 38 rows inv beats the blocked path over R and C (2-vCPU x86 VM, one
+# OpenBLAS thread), since both are mostly call overhead there.
+_TRIL_BLOCK = 40
+
+
+def tril_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular L from one inv, at every size.
+
+    Up to _TRIL_BLOCK rows it is inv(L) itself.  Wider, L is cut into
+    k = ceil(n / _TRIL_BLOCK) diagonal blocks of b = ceil(n / k) rows, the
+    last one ending at row n (it overlaps the one before: a trailing block of
+    L^{-1} is the inverse of L's, so rows met twice get the same values).  One
+    stacked inv inverts the adjoints of all k blocks, which are upper
+    triangular: their LU exchanges no rows, so the inverses are exactly
+    triangular.  Each block row below the diagonal is then
+    X[i, :i] = -D_i^{-1} (L[i, :i] X[:i, :i]): blocked triangular inversion
+    by products alone (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992),
+    about a third of the flops of a general inverse.
+    """
+    n = L.shape[0]
+    if n <= _TRIL_BLOCK:
+        return np.linalg.inv(L)
+    k = -(-n // _TRIL_BLOCK)
+    b = -(-n // k)
+    starts = [i * b for i in range(k - 1)] + [n - b]
+    adjoints = np.stack([L[s:s + b, s:s + b] for s in starts]).conj().swapaxes(1, 2)
+    X = np.zeros_like(L)
+    for s, d in zip(starts, np.linalg.inv(adjoints).swapaxes(1, 2).conj()):
+        rows = slice(s, s + b)
+        X[rows, rows] = d
+        if s:
+            X[rows, :s] = -(d @ (L[rows, :s] @ X[:s, :s]))
+    return X
+
+
 def is_positive_definite(X, tol: float = 1e-10) -> bool:
     lam = eigvals_hermitian(X, tol)
     spectral_norm = max(abs(lam[0]), abs(lam[-1]))
@@ -494,8 +536,10 @@ def is_positive_definite(X, tol: float = 1e-10) -> bool:
 class Pencil:
     """The Hermitian pencil (P, Q), P positive definite, factored once.
 
-    P = L L* by Cholesky, and mid = L^{-1} Q L^{-*} has the eigenvalues w of
-    P^{-1} Q.  With mid = U diag(w) U*, the weighted mean is
+    P = L L* by Cholesky, L^{-1} is the blocked triangular inverse of L (one
+    stacked inv of its diagonal blocks, see tril_inverse), and
+    mid = L^{-1} Q L^{-*} has the eigenvalues w of P^{-1} Q.  With
+    mid = U diag(w) U*, the weighted mean is
 
         P #_t Q = P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} = (L U) diag(w^t) (L U)*,
 
@@ -511,7 +555,7 @@ class Pencil:
             self._l = np.linalg.cholesky(_embed(P))
         except np.linalg.LinAlgError as exc:
             raise NotPositive(f"Cholesky factorization of P failed: {exc}") from None
-        self._linv = np.linalg.inv(self._l)
+        self._linv = tril_inverse(self._l)
         self._mid = self._congruence(self._q)
 
     def _congruence(self, M):

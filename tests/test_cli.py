@@ -229,10 +229,12 @@ class TestQuaternionicFiles:
         assert 0.0 <= next(iter(residual.values())) <= 1e-9
 
 
-def test_cli_import_loads_no_scipy():
-    # Importing scipy.linalg costs each CLI process about twice numpy's import.
+@pytest.mark.parametrize("module", ["jcone", "jcone.cli"])
+def test_cli_import_loads_no_scipy(module):
+    # Importing scipy.linalg costs each CLI process about twice numpy's import,
+    # so no kernel may reach for it (solve_triangular, lapack's trtri).
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, jcone.cli; "
+    code = (f"import sys, {module}; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)

@@ -77,6 +77,25 @@ def test_factorization_count(linalg_calls, op, field):
     assert Counter(linalg_calls) == Counter(expected), linalg_calls
 
 
+# Wider than matcore's block (40) the pencil inverts its factor by blocks,
+# all of them in the one inv call.  (20, 20) is at the block over R and C and
+# above it over H, whose embedding is 80 wide.
+PENCIL_OPERATIONS = ("weighted_mean_t0.5", "weighted_mean_t0.3", "geodesic_distance",
+                     "riccati_residual")
+
+
+@pytest.mark.parametrize("sig, field", [(Signature(20, 20), "R"), (Signature(20, 20), "C"),
+                                        (Signature(20, 20), "H"), (Signature(40, 40), "R"),
+                                        (Signature(40, 40), "C")])
+@pytest.mark.parametrize("op", PENCIL_OPERATIONS)
+def test_factorization_count_of_wide_pencils(linalg_calls, op, sig, field):
+    A, B = random_pj(sig, field, 1), random_pj(sig, field, 2)
+    call, expected = OPERATIONS[op]
+    linalg_calls.clear()
+    call(A, B)
+    assert Counter(linalg_calls) == Counter(expected), linalg_calls
+
+
 @pytest.mark.parametrize("op", sorted(OPERATIONS))
 def test_no_structural_test_inside_the_library(monkeypatch, op):
     # Quaternionic results come back through Psi without psi_inverse's test.

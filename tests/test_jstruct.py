@@ -7,8 +7,8 @@ from jcone.jcalc import random_invertible, random_jhermitian, random_pj
 from jcone.jstruct import (Signature, block_decompose, in_pj, is_in_K_J,
                            is_in_U_J, is_j_hermitian, is_j_positive, j_inner,
                            phi_J, phi_J_inv, schur_j_positive, sharp)
-from jcone.matcore import (QMatrix, adjoint, allclose, fnorm, identity,
-                           mat_exp_h, mat_inverse)
+from jcone.matcore import (QMatrix, adjoint, allclose, fnorm, from_real,
+                           identity, mat_exp_h, mat_inverse, psi_matrix)
 
 SIG = Signature(1, 1)
 FIELDS = ("R", "C", "H")
@@ -27,6 +27,21 @@ class TestSignature:
             Signature(0, 0)
         with pytest.raises(ValueError):
             Signature(-1, 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_flip_negates_exactly(self, field):
+        # An infinite entry comes back infinite, with no NaN from 0 * inf.
+        sig = Signature(2, 1)
+        M = np.arange(9.0).reshape(3, 3)
+        M[0, 0], M[2, 1] = np.inf, -np.inf
+        X = from_real(M, field)
+        want = from_real(M * sig.diag()[:, None], field)
+        got = sig.flip(X)
+        assert type(got) is type(want)
+        if field == "H":
+            got, want = psi_matrix(got), psi_matrix(want)
+        assert not np.isnan(got).any() and np.array_equal(got, want)
 
 
 class TestSharp:

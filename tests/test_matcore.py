@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from jcone.errors import NotHermitian, NotInImage, NotPositive, Singular
-from jcone.matcore import (QMatrix, adjoint, allclose, eigvals_hermitian,
-                           field_of, fnorm, hermitian_eig, identity,
-                           is_positive_definite, mat_exp_h, mat_inverse,
-                           mat_log_pd, mat_pow_pd, mat_sqrt_pd,
-                           matrix_function, psi_inverse, psi_matrix,
-                           psi_structural_residual, trd)
+from jcone.matcore import (_TRIL_BLOCK, QMatrix, adjoint, allclose,
+                           cholesky_factor, eigvals_hermitian, field_of, fnorm,
+                           hermitian_eig, identity, is_positive_definite,
+                           mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
+                           mat_sqrt_pd, matrix_function, psi_inverse,
+                           psi_matrix, psi_structural_residual, trd,
+                           tril_inverse)
 from jcone.scalars import QUAT_I, QUAT_J, QUAT_K, Quaternion
 
 
@@ -345,3 +346,41 @@ class TestPositivity:
         assert is_positive_definite(X, 1e-9)
         with pytest.raises(NotHermitian):
             is_positive_definite(X)
+
+
+class TestTrilInverse:
+    """tril_inverse against a triangular solve, on Cholesky factors of
+    exp(H), ||H||_F = 2, as the pencil sees them: over H the factor of the
+    embedding, 2n wide."""
+
+    @staticmethod
+    def factor(n, field):
+        rng = np.random.default_rng(n)
+        return cholesky_factor(mat_exp_h(random_hermitian(n, field, rng, radius=2.0)))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 3, 31, 32, 33, 40, 41, 64, 65, 130, 256])
+    def test_matches_a_triangular_solve(self, n, field):
+        L = self.factor(n, field)
+        X = tril_inverse(L)
+        ref = solve_triangular(L, np.eye(len(L)), lower=True)
+        assert np.linalg.norm(X - ref) <= 1e-14 * np.linalg.norm(ref)
+        if len(L) <= _TRIL_BLOCK:
+            # inv(L) itself, bit for bit; its LU's row exchanges may leave
+            # rounding above the diagonal.
+            assert X.tobytes() == np.linalg.inv(L).tobytes()
+        else:
+            assert not np.triu(X, 1).any()
+
+    @pytest.mark.parametrize("n", [41, 64, 100])
+    def test_strictly_upper_part_is_zero_where_lu_exchanges_rows(self, n):
+        # A factor whose first column grows downwards: LU of L with partial
+        # pivoting swaps rows, and inv(L) has rounding above its diagonal.
+        # The blocks are inverted through their upper-triangular adjoints,
+        # whose LU swaps none.
+        L = np.tril(np.random.default_rng(n).uniform(0.5, 1.0, (n, n))) + np.eye(n)
+        L[:, 0] *= np.arange(1, n + 1)
+        X = tril_inverse(L)
+        ref = solve_triangular(L, np.eye(n), lower=True)
+        assert np.linalg.norm(X - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert not np.triu(X, 1).any()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jcone.errors import (NotBulletCommuting, PremiseViolated,
                           WeightOutOfRange)
 from jcone.jcalc import bullet, pow_J, random_invertible, random_kj, random_pj_bounded
 from jcone.jstruct import Signature, is_j_positive, phi_J, phi_J_inv, sharp
-from jcone.matcore import adjoint, allclose, fnorm, mat_inverse, mat_pow_pd, mat_sqrt_pd
+from jcone.matcore import (adjoint, allclose, fnorm, mat_inverse, mat_pow_pd,
+                           mat_sqrt_pd, psi_matrix)
 from jcone.means import (ando_hiai_check, ando_hiai_normalize,
                          arithmetic_mean_J, commuting_bullet_mean,
                          furuta_check, harmonic_mean_J, maximality_check,
@@ -339,3 +341,27 @@ class TestMeanProperties:
             m2 = is_j_positive((1 - s) * C.matrix + s * D.matrix, SIG)
             rhs = weighted_mean(m1, m2, t).mean.matrix
             assert j_leq(lhs, rhs, SIG, tol=1e-8).holds
+
+
+@pytest.mark.parametrize("sig, field", [(Signature(64, 64), "R"), (Signature(64, 64), "C"),
+                                        (Signature(32, 32), "H")])
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_wide_mean_matches_the_generalized_eigenproblem(sig, field, t):
+    # X = J exp(H) with ||H||_F = 2, the pencil's factor inverted by blocks.
+    # The reference JA #_t JB = V diag(w^t) V* with V = JA W from
+    # JB W = JA W diag(w), W* JA W = Id, on the embeddings over H.
+    A = random_pj_bounded(sig, field, 1)
+    B = random_pj_bounded(sig, field, 2)
+    result = weighted_mean(A, B, t)
+
+    def embedded(X):
+        return psi_matrix(X) if field == "H" else X
+
+    ja, jb = embedded(sig.flip(A.matrix)), embedded(sig.flip(B.matrix))
+    w, W = scipy.linalg.eigh(jb, ja)
+    V = ja @ W
+    ref = (V * w ** t) @ V.conj().T
+    got = embedded(sig.flip(result.mean.matrix))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    if t == 0.5:
+        assert result.riccati_residual <= 1e-12 * fnorm(B.matrix)

@@ -158,9 +158,6 @@ class TestCholeskyCertificate:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (0, 2)])
-    # Over C and H the sign flip multiplies inf by a complex sign, 0 * inf in
-    # the imaginary part: numpy warns, and the entry is still not finite.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_non_finite_rejected(self, field, bad, entry):
         # numpy's Cholesky passes both: it reads one triangle, and it does
         # not stop at a NaN or infinite pivot.
