@@ -18,7 +18,6 @@ from .jcalc import pow_J, random_pj
 from .jstruct import Signature, is_j_positive
 from .means import weighted_mean
 from .order import j_leq
-from .propcheck import run_suite
 
 
 class InputError(Exception):
@@ -131,6 +130,8 @@ def cmd_check(args) -> int:
         raise InputError(f"--dim {args.dim} disagrees with signature n={sig.n}")
     if args.field not in ("R", "C", "H"):
         raise InputError(f"unknown field {args.field!r}")
+    # Imported here: the suites are most of the package, and only check runs them.
+    from .propcheck import run_suite
     try:
         reports = run_suite(args.suite, sig, args.field, trials=args.trials,
                             seed=args.seed, tol=args.tol)
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_rand)
 
-    p = sub.add_parser("check", help="run a randomized property suite")
+    p = sub.add_parser("check", help="run a randomized property suite (the quat.* "
+                       "properties, also in --suite all, run over H whatever --field)")
     p.add_argument("--suite", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--field", default="R")

@@ -14,60 +14,80 @@ import json
 import numpy as np
 
 from .matcore import QMatrix, field_of
-from .scalars import scalar_from_json, scalar_to_json
+
+_ENTRY_SHAPE = {"R": (), "C": (2,), "H": (4,)}  # the axis of an entry's real parts
 
 
 def matrix_to_payload(X) -> dict:
+    """The file payload of X.  Its data are the real parts of the entries:
+    x over R, [re, im] over C and [a, b, c, d] over H for a + b i + c j + d k,
+    that is [Re A, Im A, Re B, Im B] for X = A + B j."""
     field = field_of(X)
     rows, cols = X.shape
-    data = [[scalar_to_json(X[i, j], field) for j in range(cols)]
-            for i in range(rows)]
-    return {"field": field, "rows": rows, "cols": cols, "data": data}
+    if field == "H":
+        parts = np.stack([X.a, X.b], axis=-1).view(float)
+    elif field == "C":
+        parts = np.ascontiguousarray(X, dtype=complex)[..., None].view(float)
+    else:
+        parts = np.asarray(X, dtype=float)
+    return {"field": field, "rows": rows, "cols": cols, "data": parts.tolist()}
 
 
 def payload_to_matrix(payload: dict):
     field = payload["field"]
     rows, cols = int(payload["rows"]), int(payload["cols"])
-    data = payload["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ValueError("data shape disagrees with rows/cols")
-    entries = [[scalar_from_json(v, field) for v in row] for row in data]
-    if field == "H":
-        X = QMatrix.from_quaternions(entries)
-        finite = np.isfinite(X.a) & np.isfinite(X.b)
-    else:
-        X = np.array(entries, dtype=complex if field == "C" else float)
-        finite = np.isfinite(X)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    if field not in _ENTRY_SHAPE:
+        raise ValueError(f"unknown field {field!r}")
+    try:
+        parts = np.array(payload["data"])
+    except ValueError:  # ragged rows or entries
+        parts = np.array(None)
+    shape = (rows, cols) + _ENTRY_SHAPE[field]
+    if parts.dtype.kind not in "fiu" or parts.shape != shape:  # numbers only
+        raise ValueError(f"data is not {rows} rows of {cols} {field} entries")
+    parts = parts.astype(float, copy=False)
+    bad = ~np.isfinite(parts)
+    if bad.any():
+        i, j = np.argwhere(bad)[0][:2]
         raise ValueError(f"non-finite entry at row {i}, column {j}")
-    return X
-
-
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite number in canonical JSON")
-    if x == 0.0:
-        return "0"  # either sign: a sign flip of a zero entry must not show
-    return format(float(x), ".17g")
+    if field == "R":
+        return parts
+    z = parts.view(complex)
+    return z[..., 0] if field == "C" else QMatrix(z[..., 0], z[..., 1])
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, compact separators, %.17g floats."""
+    """Deterministic JSON: sorted keys, compact separators, %.17g floats, a
+    zero of either sign written 0.  All floats are formatted in one pass."""
+    floats = []
+    template = _template(obj, floats)
+    # + 0.0 turns -0.0 into 0.0: a sign flip of a zero entry must not show.
+    values = np.array(floats, dtype=float) + 0.0
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number in canonical JSON")
+    return template % tuple(values.tolist())
+
+
+def _template(obj, floats: list) -> str:
+    """obj as canonical JSON with a %.17g field for each float, whose value is
+    appended to floats, and every literal % doubled."""
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        body = ",".join(f"{json.dumps(k)}:{canonical_dumps(v)}" for k, v in items)
-        return "{" + body + "}"
+        return "{" + ",".join(_template(k, floats) + ":" + _template(v, floats)
+                              for k, v in sorted(obj.items())) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_dumps(v) for v in obj) + "]"
+        if set(map(type, obj)) == {float}:  # a row of numbers: no call per entry
+            floats.extend(obj)
+            return "[" + ",".join(["%.17g"] * len(obj)) + "]"
+        return "[" + ",".join([_template(v, floats) for v in obj]) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        floats.append(float(obj))
+        return "%.17g"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return json.dumps(obj).replace("%", "%%")
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -80,4 +100,4 @@ def write_matrix(path: str, X):
 
 def read_matrix(path: str):
     with open(path) as fh:
-        return payload_to_matrix(json.load(fh))
+        return payload_to_matrix(json.load(fh, parse_int=float))

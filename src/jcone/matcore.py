@@ -34,6 +34,7 @@ factor's diagonal blocks, the rest matrix products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 class QMatrix:
     """Quaternionic matrix A + B*j held as its embedding Psi(A + B*j)."""
 
-    __slots__ = ("m", "_ab")
+    __slots__ = ("m",)
 
     def __init__(self, a, b=None):
         a = np.asarray(a, dtype=complex)
@@ -60,7 +61,6 @@ class QMatrix:
         if a.ndim != 2:
             raise ValueError("a quaternionic matrix has two axes")
         self.m = _psi(a, b)
-        self._ab = None
 
     @classmethod
     def _of(cls, m: np.ndarray) -> "QMatrix":
@@ -68,7 +68,6 @@ class QMatrix:
         the image of Psi."""
         X = object.__new__(cls)
         X.m = m
-        X._ab = None
         return X
 
     @classmethod
@@ -82,27 +81,21 @@ class QMatrix:
         r, c = self.m.shape
         return r // 2, c // 2
 
-    def _blocks(self) -> tuple:
-        # Made on first use: the file writer reads entries one by one.
-        if self._ab is None:
-            r, c = self.shape
-            self._ab = _read_only(self.m[:r, :c]), _read_only(self.m[:r, c:])
-        return self._ab
-
     @property
     def a(self) -> np.ndarray:
         """A, as a read-only view of the embedding."""
-        return self._blocks()[0]
+        r, c = self.shape
+        return _read_only(self.m[:r, :c])
 
     @property
     def b(self) -> np.ndarray:
         """B, as a read-only view of the embedding."""
-        return self._blocks()[1]
+        r, c = self.shape
+        return _read_only(self.m[:r, c:])
 
     def __getitem__(self, key):
         # Integer indices give a Quaternion, slices a QMatrix.
-        a, b = self._ab or self._blocks()
-        a, b = a[key], b[key]
+        a, b = self.a[key], self.b[key]
         if isinstance(a, np.ndarray):
             return QMatrix(a, b)
         return Quaternion.from_complex_pair(complex(a), complex(b))
@@ -216,15 +209,22 @@ def adjoint(X):
 
 
 def _norm(M: np.ndarray) -> float:
-    """Frobenius norm of an array.  Only when the plain sum of squares
-    overflows (numpy warns of it) is it taken again as s ||M / s|| with s the
-    largest |entry|, so finite entries give a finite norm wherever the norm
-    itself is finite."""
-    nrm = float(np.linalg.norm(M))
-    if nrm == np.inf:
-        s = float(np.max(np.abs(M)))
-        if s < np.inf:
-            nrm = s * float(np.linalg.norm(M / s))
+    """Frobenius norm of an array, bit for bit np.linalg.norm's: the same dot
+    products of the raveled real and imaginary parts, taken by np.vdot, which
+    does not warn when the sum of squares overflows.  Only then is it taken
+    again as s ||M / s|| with s the largest |entry|, so finite entries give a
+    finite norm wherever the norm itself is finite."""
+    x = np.asarray(M).ravel(order="K")
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    if x.dtype.kind == "c":
+        nrm = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
+    else:
+        nrm = math.sqrt(np.vdot(x, x))
+    if nrm == math.inf:
+        s = float(np.max(np.abs(x)))
+        if s < math.inf:
+            nrm = s * _norm(x / s)
     return nrm
 
 

@@ -133,25 +133,3 @@ def psi_scalar_inverse(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
     if np.linalg.norm(psi_scalar(candidate) - m) > tol * max(1.0, np.linalg.norm(m)):
         raise ValueError("matrix is not in the image of the quaternion embedding")
     return candidate
-
-
-def scalar_to_json(x, field: str):
-    """Encode a scalar for the matrix file format: R -> number, C -> [re, im],
-    H -> [a, b, c, d]."""
-    if field == "R":
-        return float(np.real(x))
-    if field == "C":
-        z = complex(x)
-        return [z.real, z.imag]
-    q = _as_quat(x)
-    return [q.a, q.b, q.c, q.d]
-
-
-def scalar_from_json(value, field: str):
-    if field == "R":
-        return float(value)
-    if field == "C":
-        re, im = value
-        return complex(re, im)
-    a, b, c, d = value
-    return Quaternion(a, b, c, d)

@@ -229,14 +229,26 @@ class TestQuaternionicFiles:
         assert 0.0 <= next(iter(residual.values())) <= 1e-9
 
 
+def _modules_loaded_by(module: str, wanted: str) -> str:
+    """The modules named `wanted` or under it that `import module` loads in a
+    fresh interpreter, as printed there."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys, {module}; "
+            f"print([m for m in sys.modules if (m + '.').startswith('{wanted}.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("module", ["jcone", "jcone.cli"])
 def test_cli_import_loads_no_scipy(module):
     # Importing scipy.linalg costs each CLI process about twice numpy's import,
     # so no kernel may reach for it (solve_triangular, lapack's trtri).
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = (f"import sys, {module}; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _modules_loaded_by(module, "scipy") == "[]"
+
+
+def test_cli_import_loads_no_propcheck():
+    # The property suites are the largest module; only `jcone check` runs
+    # them, so every other command's process goes without them.
+    assert _modules_loaded_by("jcone.cli", "jcone.propcheck") == "[]"

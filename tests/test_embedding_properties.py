@@ -126,7 +126,6 @@ def test_operations_stay_in_the_image(operands):
 
 @PROPERTY
 @given(_operands())
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot")  # fnorm rescales
 def test_operations_match_the_pair_formulas(operands):
     X, _, Z = operands[:3]
     for name, (out, a, b) in _results(*operands).items():

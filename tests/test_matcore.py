@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm, solve_triangular
 
 from jcone.errors import NotHermitian, NotInImage, NotPositive, Singular
-from jcone.matcore import (_TRIL_BLOCK, QMatrix, adjoint, allclose,
+from jcone.matcore import (_TRIL_BLOCK, QMatrix, _norm, adjoint, allclose,
                            cholesky_factor, eigvals_hermitian, field_of, fnorm,
                            hermitian_eig, identity, is_positive_definite,
                            mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
@@ -177,7 +177,6 @@ class TestPsi:
                 psi_inverse(bad)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_not_in_image_at_large_scale():
     # Entries near 1e160 overflow the plain norm of M, though not that of
     # the residual; the threshold is relative to ||M|| all the same.
@@ -185,6 +184,26 @@ def test_not_in_image_at_large_scale():
     M[0, 0] += 1e153
     with pytest.raises(NotInImage):
         psi_inverse(M)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_norm_is_linalg_norm_bit_for_bit(field):
+    # The residuals and margins the CLI prints are built from these norms, so
+    # _norm keeps numpy's sums, in numpy's order.
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 8, 33):
+        X = random_mat(n, field, rng) * 10.0 ** rng.integers(-8, 8)
+        M = psi_matrix(X)[:n] if field == "H" else X
+        for view in (M, M[:, ::2], M.T):
+            assert _norm(view) == float(np.linalg.norm(view))
+    assert _norm(np.array([[3, 4]])) == 5.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", FIELDS)
+def test_norm_overflow_is_silent(field):
+    # The sum of squares overflows and is taken again, scaled, with no warning.
+    assert fnorm(identity(4, field) * 1e200) == pytest.approx(2e200, rel=1e-15)
 
 
 class TestEig:
@@ -316,7 +335,6 @@ class TestNonFiniteRejected:
         with pytest.raises(NotHermitian, match=r"residual nan exceeds \S+"):
             self.CALLS[call](_non_finite(2, field, value))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_infinite_off_diagonal(self):
         # X - X* is finite but for one infinite pair: residual inf, and the
         # threshold from ||X|| = inf is inf too.

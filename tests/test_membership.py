@@ -90,7 +90,6 @@ class TestOverflow:
             pow_J(X, 32)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 class TestScaleSafeNorm:
     # Entries near 1e200 overflow the plain sum of squares, which fnorm then
     # takes again scaled by the largest entry.
@@ -102,7 +101,6 @@ class TestScaleSafeNorm:
             is_j_positive(self.SKEW, sig)
         assert not is_j_hermitian(self.SKEW, sig)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_infinite_entry_not_j_hermitian(self):
         # The residual is inf, and so is the threshold from ||X|| = inf.
         X = np.array([[1.0, np.inf], [0.0, 1.0]])

@@ -3,8 +3,7 @@ import pytest
 
 from jcone.scalars import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, Quaternion,
                            axis_decompose, psi_scalar, psi_scalar_inverse,
-                           quat_conj, quat_mul, quat_norm, scalar_from_json,
-                           scalar_to_json, trd_scalar)
+                           quat_conj, quat_mul, quat_norm, trd_scalar)
 
 
 def random_quat(rng):
@@ -128,17 +127,3 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             psi_scalar_inverse(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
-
-class TestJsonEncoding:
-    def test_real(self):
-        assert scalar_to_json(1.5, "R") == 1.5
-        assert scalar_from_json(1.5, "R") == 1.5
-
-    def test_complex(self):
-        assert scalar_to_json(1 + 2j, "C") == [1.0, 2.0]
-        assert scalar_from_json([1.0, 2.0], "C") == 1 + 2j
-
-    def test_quaternion(self):
-        q = Quaternion(1, 2, 3, 4)
-        assert scalar_to_json(q, "H") == [1.0, 2.0, 3.0, 4.0]
-        assert scalar_from_json([1.0, 2.0, 3.0, 4.0], "H").isclose(q)
