@@ -20,8 +20,8 @@ from .jcalc import (bullet, bullet_commutator, bullet_inverse, exp_J, log_J,
                     polar_decompose_bullet, pow_J, random_invertible,
                     random_jhermitian, random_kj, random_pj, random_pj_bounded)
 from .order import OrderVerdict, j_leq, loewner_leq
-from .geometry import (GeodesicPath, curve_ode_residual, geodesic,
-                       geodesic_distance, geodesic_ode_residual, metric_omega)
+from .geometry import (curve_ode_residual, geodesic, geodesic_distance,
+                       geodesic_ode_residual, metric_omega)
 from .means import (InequalityVerdict, MeanResult, ando_hiai_check,
                     ando_hiai_normalize, arithmetic_mean_J,
                     commuting_bullet_mean, furuta_check, harmonic_mean_J,

@@ -7,8 +7,9 @@ between A and B is J times the classical geodesic of the pencil (JA, JB):
     gamma(t) = J (JA)^{1/2} ((JA)^{-1/2} (JB) (JA)^{-1/2})^t (JA)^{1/2}.
 
 The geodesic, the distance and the metric all come from one Cholesky
-factorization (matcore.Pencil).  With JA = L L* and L^{-1} JB L^{-*} =
-W diag(w) W*, where w are the eigenvalues of (JA)^{-1} JB,
+factorization (matcore.Pencil) of the images JA, JB the operands carry, and
+a geodesic point holds its image J gamma(t).  With JA = L L* and
+L^{-1} JB L^{-*} = W diag(w) W*, where w are the eigenvalues of (JA)^{-1} JB,
 
     gamma(t) = J (L W) diag(w^t) (L W)*,    d(A, B) = (sum_i log^2 w_i)^{1/2},
 
@@ -16,8 +17,6 @@ and with JP = L L*, omega_P(U, V) = trd(L^{-1} JU L^{-*} L^{-1} JV L^{-*}).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,30 +35,18 @@ def _check_pair(A: JPositive, B: JPositive):
 def metric_omega(P: JPositive, U, V) -> float:
     """omega_P(U, V) = trd(P^{-1} U P^{-1} V) on J-Hermitian tangent vectors."""
     sig = P.signature
-    return Pencil(sig.flip(P.matrix), phi_J(U, sig)).inner(phi_J(V, sig))
+    return Pencil(P.jx, phi_J(U, sig)).inner(phi_J(V, sig))
 
 
 def _pencil(A: JPositive, B: JPositive) -> Pencil:
     _check_pair(A, B)
-    sig = A.signature
-    return Pencil(sig.flip(A.matrix), sig.flip(B.matrix))
+    return Pencil(A.jx, B.jx)
 
 
 def geodesic(A: JPositive, B: JPositive, t: float) -> JPositive:
     """Point gamma(t) on the geodesic from A (t=0) to B (t=1), certified by one
-    Cholesky factorization of J gamma(t) (certify_constructed)."""
-    sig = A.signature
-    out = _pencil(A, B).mean(t)   # J gamma(t)
-    return certify_constructed(sig.flip(out), sig)
-
-
-@dataclass(frozen=True)
-class GeodesicPath:
-    endpoint_a: JPositive
-    endpoint_b: JPositive
-
-    def sample(self, t: float) -> JPositive:
-        return geodesic(self.endpoint_a, self.endpoint_b, t)
+    Cholesky factorization of J gamma(t) (certify_constructed), which it holds."""
+    return certify_constructed(_pencil(A, B).mean(t), A.signature)
 
 
 def curve_ode_residual(curve, t: float, h: float = 1e-4) -> float:

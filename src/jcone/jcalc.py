@@ -48,13 +48,12 @@ def bullet_commutator(X, Y, sig: Signature):
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """exp_J(X) = J exp(JX); maps the J-Hermitian space onto P_J."""
     out, w = spectral_function(phi_J(X, sig, tol), np.exp)
-    return certify_constructed(sig.flip(out), sig, np.exp(w))
+    return certify_constructed(out, sig, np.exp(w))
 
 
 def log_J(X: JPositive):
     """log_J(X) = J log(JX); inverse of exp_J on P_J."""
-    sig = X.signature
-    return sig.flip(spectral_function(sig.flip(X.matrix), np.log, floor=0.0)[0])
+    return X.signature.flip(spectral_function(X.jx, np.log, floor=0.0)[0])
 
 
 def pow_J(X: JPositive, t: float) -> JPositive:
@@ -62,9 +61,8 @@ def pow_J(X: JPositive, t: float) -> JPositive:
     t = float(t)
     if abs(t) > MAX_POWER:
         raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
-    sig = X.signature
-    out, w = spectral_function(sig.flip(X.matrix), lambda w: np.power(w, t), floor=0.0)
-    return certify_constructed(sig.flip(out), sig, np.power(w, t))
+    out, w = spectral_function(X.jx, lambda w: np.power(w, t), floor=0.0)
+    return certify_constructed(out, X.signature, np.power(w, t))
 
 
 def polar_decompose_bullet(g, sig: Signature):
@@ -76,7 +74,7 @@ def polar_decompose_bullet(g, sig: Signature):
     """
     _check_dim(g, sig)
     k, ptilde, s = polar(g)
-    return k, certify_constructed(sig.flip(ptilde), sig, s)
+    return k, certify_constructed(ptilde, sig, s)
 
 
 def _min_over_max_eig(H) -> float:

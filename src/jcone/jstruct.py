@@ -5,26 +5,29 @@ matrices, J-positive matrices and the (J-)unitary groups, the block shape of
 J-Hermitian matrices with the Schur positivity test, and the bijection
 phi_J: X -> JX between the J-Hermitian space and the Hermitian matrices.
 
-Boundary rule: is_j_positive certifies outside input at the caller's tol, by
-phi_J (the one J-Hermitian test) and a relative threshold on lambda_min(JX).
-Construction rule: certify_constructed certifies a value built from certified
-members.  With eigenvalues of JX in hand it rejects one <= 0 or not finite;
-without them it takes one Cholesky factorization of JX, which is all the
-certificate needs, and lambda_min(JX) is computed only if it is read (a
-read value not finite and positive raises NotJPositive).
+A member of P_J holds X or JX, and J is applied only where the other form
+is read.  Boundary rule: is_j_positive certifies outside input X at the
+caller's tol, by phi_J (the one J-Hermitian test) and a relative threshold
+on lambda_min(JX); the member holds X.  Construction rule: certify_constructed
+certifies an image P = JX built from certified members, the form every cone
+operation works on, and the member holds P.  With eigenvalues of P in hand
+it rejects one <= 0 or not finite; without them it takes one Cholesky
+factorization of P, which is all the certificate needs, and lambda_min(P) is
+computed only if it is read (a read value not finite and positive raises
+NotJPositive).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive, NotPositive)
-from .matcore import (_check_hermitian, adjoint, block2x2, cholesky_factor,
-                      eigvals_unchecked, field_of, fnorm, from_real, identity,
-                      mat_inverse, negate_rows)
+from .matcore import (_check_hermitian, _embed, adjoint, block2x2,
+                      cholesky_factor, eigvals_unchecked, field_of, fnorm,
+                      from_real, identity, mat_inverse, negate_rows)
 
 
 @dataclass(frozen=True)
@@ -147,38 +150,63 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
     return lam_min > threshold
 
 
-@dataclass(frozen=True)
 class JPositive:
     """A certified member of the cone P_J: J-Hermitian with JX positive definite.
 
-    JPositive(X, sig, lam) records lambda_min(JX) = lam.  A member certified
-    by a Cholesky factorization is made with lam = None, and lambda_min_of_jx
-    is computed on first read, by eigvalsh of JX, and kept; a read value that
-    is not finite and positive raises NotJPositive, as certify_constructed
-    does with eigenvalues in hand.  It takes no part in == or repr, so
-    reading it changes neither.
+    JPositive(X, sig, lam) holds X and records lambda_min(JX) = lam;
+    certify_constructed makes members that hold JX.  matrix and jx return the
+    array held or its flip, made on each read and not kept.  Members are equal
+    when their signatures, fields and values agree, whichever form each holds,
+    and are not hashable.
+
+    A member certified by a Cholesky factorization has lam = None, and
+    lambda_min_of_jx is computed on first read, by eigvalsh of JX, and kept;
+    a read value that is not finite and positive raises NotJPositive.  It
+    takes no part in == or repr, so reading it changes neither.
     """
 
-    matrix: object
-    signature: Signature
-    _lambda_min: float | None = dataclass_field(compare=False, repr=False)
+    __slots__ = ("_array", "_holds_jx", "_signature", "_lambda_min")
+
+    def __init__(self, matrix, signature: Signature, lambda_min: float | None):
+        self._array, self._holds_jx = matrix, False
+        self._signature, self._lambda_min = signature, lambda_min
+
+    @property
+    def signature(self) -> Signature:
+        return self._signature
+
+    @property
+    def matrix(self):
+        return self._signature.flip(self._array) if self._holds_jx else self._array
+
+    @property
+    def jx(self):
+        return self._array if self._holds_jx else self._signature.flip(self._array)
 
     @property
     def lambda_min_of_jx(self) -> float:
         if self._lambda_min is None:
             try:
-                lam = float(eigvals_unchecked(self.signature.flip(self.matrix))[-1])
+                lam = float(eigvals_unchecked(self.jx)[-1])
             except np.linalg.LinAlgError:   # eigvalsh may fail on a NaN entry
                 lam = np.nan
             if not 0.0 < lam < np.inf:
                 raise NotJPositive(f"lambda_min(JX) = {lam:.3e} of a Cholesky-certified "
                                    "member not finite and positive")
-            object.__setattr__(self, "_lambda_min", lam)
+            self._lambda_min = lam
         return self._lambda_min
 
     @property
     def field(self) -> str:
-        return field_of(self.matrix)
+        return field_of(self._array)
+
+    def __eq__(self, other):
+        return (isinstance(other, JPositive) and self._signature == other._signature
+                and self.field == other.field
+                and np.array_equal(_embed(self.jx), _embed(other.jx)))
+
+    def __repr__(self) -> str:
+        return f"JPositive(matrix={self.matrix!r}, signature={self._signature!r})"
 
 
 def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
@@ -189,25 +217,28 @@ def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     return JPositive(X, sig, float(lam[-1]))
 
 
-def certify_constructed(X, sig: Signature, lam=None) -> JPositive:
-    """Certificate of X built from certified members.
+def certify_constructed(P, sig: Signature, lam=None) -> JPositive:
+    """Certificate of the member that holds JX = P, built from certified members.
 
-    Given eigenvalues lam of JX that include lambda_min(JX), it rejects one
+    Given eigenvalues lam of P that include lambda_min(P), it rejects one
     <= 0 or not finite.  With lam=None it takes one Cholesky factorization
-    of JX, the n^3/3 kernel that shows JX positive definite without its
+    of P, the n^3/3 kernel that shows P positive definite without its
     spectrum, and rejects an entry that is not finite or a failed
-    factorization; lambda_min(JX) is then computed on first read.
+    factorization; lambda_min(P) is then computed on first read.
     """
     if lam is None:
         try:
-            cholesky_factor(sig.flip(X))
+            cholesky_factor(P)
         except NotPositive as exc:
             raise NotJPositive(f"Cholesky factorization of JX failed: {exc}") from None
-        return JPositive(X, sig, None)
-    for v in lam:
-        if not 0.0 < v < np.inf:
-            raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
-    return JPositive(X, sig, float(min(lam)))
+    else:
+        for v in lam:
+            if not 0.0 < v < np.inf:
+                raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
+        lam = float(min(lam))
+    member = JPositive(P, sig, lam)
+    member._holds_jx = True
+    return member
 
 
 def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:

@@ -1,14 +1,15 @@
 """Weighted geometric means on the cone P_J and the associated inequalities.
 
 The weighted mean is the geodesic point, equivalently the pullback of the
-classical weighted geometric mean under X -> JX.  With the Cholesky factor
-JA = L L* and L^{-1} JB L^{-*} = U diag(w) U* (matcore.Pencil),
+classical weighted geometric mean under X -> JX.  Each operation reads the
+images JA, JB its operands carry and returns members that hold their image.
+With JA = L L* and L^{-1} JB L^{-*} = U diag(w) U* (matcore.Pencil),
 
-    A #_t B = J (L U) diag(w^t) (L U)*.
+    J (A #_t B) = (L U) diag(w^t) (L U)*.
 
 At weight 1/2 it is the unique P_J solution of the Riccati equation
-X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J and the mean
-as the pencil returned it, and it is the maximum of
+X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J and the mean's
+image as the pencil returned it, and it is the maximum of
 {X J-Hermitian : [[JA, JX], [JX, JB]] >= 0}.  The module also
 provides the arithmetic and harmonic companions with the AGM sandwich, the
 closed form for bullet-commuting pairs, and the Ando-Hiai and Furuta
@@ -23,7 +24,7 @@ from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
 from .geometry import _check_pair, _pencil
 from .jcalc import bullet, bullet_commutator, pow_J
 from .jstruct import JPositive, certify_constructed, is_j_positive, phi_J
-from .matcore import block2x2, eigvals_unchecked, fnorm
+from .matcore import block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, j_leq
 
 
@@ -39,7 +40,7 @@ def riccati_residual(X: JPositive, A: JPositive, B: JPositive) -> float:
 
     Equal to ||JX (JA)^{-1} JX - JB||_F, since X A^{-1} X = J JX (JA)^{-1} JX.
     """
-    return _pencil(A, B).riccati_residual(A.signature.flip(X.matrix))
+    return _pencil(A, B).riccati_residual(X.jx)
 
 
 def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
@@ -48,11 +49,10 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-    sig = A.signature
     pencil = _pencil(A, B)
-    out = pencil.mean(t)   # J times the mean
-    residual = pencil.riccati_residual(out) if t == 0.5 else float("nan")
-    return MeanResult(certify_constructed(sig.flip(out), sig), residual, t)
+    jmean = pencil.mean(t)
+    residual = pencil.riccati_residual(jmean) if t == 0.5 else float("nan")
+    return MeanResult(certify_constructed(jmean, A.signature), residual, t)
 
 
 def riccati_solve(A: JPositive, B: JPositive) -> JPositive:
@@ -67,11 +67,10 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
     maximum: feasible with zero margin.
     """
     _check_pair(A, B)
-    sig = A.signature
     if isinstance(X, JPositive):
-        X = X.matrix
-    jx = phi_J(X, sig, 1e-8)
-    block = block2x2(sig.flip(A.matrix), jx, jx, sig.flip(B.matrix))
+        _check_pair(A, X)
+    jx = X.jx if isinstance(X, JPositive) else phi_J(X, A.signature, 1e-8)
+    block = block2x2(A.jx, jx, jx, B.jx)
     margin = float(eigvals_unchecked(block)[-1])
     scale = max(1.0, fnorm(block))
     return OrderVerdict(margin >= -tol * scale, margin)
@@ -79,8 +78,7 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
 
 def arithmetic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
     _check_pair(A, B)
-    return certify_constructed((1.0 - float(t)) * A.matrix + float(t) * B.matrix,
-                               A.signature)
+    return certify_constructed((1.0 - float(t)) * A.jx + float(t) * B.jx, A.signature)
 
 
 def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
@@ -91,7 +89,7 @@ def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
         return A
     if t == 1.0:
         return B
-    combo = (1.0 - t) * pow_J(A, -1).matrix + t * pow_J(B, -1).matrix
+    combo = (1.0 - t) * pow_J(A, -1).jx + t * pow_J(B, -1).jx
     return pow_J(certify_constructed(combo, A.signature), -1)
 
 
@@ -125,10 +123,9 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
     Valid because scaling both by mu scales the mean by mu.
     """
     _check_pair(A, B)
-    sig = A.signature
     mean = weighted_mean(A, B, t).mean
-    mu = (1.0 - margin) / float(eigvals_unchecked(sig.flip(mean.matrix))[0])
-    return tuple(certify_constructed(mu * X.matrix, sig, [mu * X.lambda_min_of_jx])
+    mu = (1.0 - margin) / float(eigvals_unchecked(mean.jx)[0])
+    return tuple(certify_constructed(mu * X.jx, A.signature, [mu * X.lambda_min_of_jx])
                  for X in (A, B))
 
 
@@ -140,7 +137,7 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
         raise ValueError("need r >= 1")
     if not 0.0 < t < 1.0:
         raise ValueError("need t in (0, 1)")
-    j_elt = JPositive(A.signature.matrix(A.field), A.signature, 1.0)
+    j_elt = certify_constructed(identity(A.signature.n, A.field), A.signature, [1.0])
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
     if not premise.holds:
         return InequalityVerdict(True, True, premise.margin, float("nan"))
@@ -159,8 +156,7 @@ def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
     premise = j_leq(B, A, tol=tol)
     if not premise.holds:
         raise PremiseViolated("need B <=_J A")
-    sig = A.signature
     half = pow_J(A, r / 2.0)
-    inner = bullet(bullet(half, pow_J(B, p_exp), sig), half, sig)
-    lhs = pow_J(certify_constructed(inner, sig), r / (r + p_exp))
+    inner = half.jx @ pow_J(B, p_exp).jx @ half.jx
+    lhs = pow_J(certify_constructed(inner, A.signature), r / (r + p_exp))
     return j_leq(lhs, pow_J(A, r), tol=tol)

@@ -45,5 +45,5 @@ def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
             return phi_J(Z, sig, 1e-8)
         if Z.signature != sig:
             raise SignatureMismatch("operands live over different signatures")
-        return sig.flip(Z.matrix)
+        return Z.jx
     return _leq(jz(X), jz(Y), tol)

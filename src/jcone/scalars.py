@@ -106,19 +106,6 @@ def trd_scalar(q: Quaternion) -> float:
     return _as_quat(q).real
 
 
-def axis_decompose(q: Quaternion) -> tuple[float, float, Quaternion]:
-    """Write q = a + b*u with u purely imaginary, u^2 = -1 and b >= 0.
-
-    The axis u is unique when b > 0; for real q the axis defaults to i.
-    """
-    q = _as_quat(q)
-    b = q.imag_norm()
-    if b == 0.0:
-        return q.a, 0.0, QUAT_I
-    u = Quaternion(0.0, q.b / b, q.c / b, q.d / b)
-    return q.a, b, u
-
-
 def psi_scalar(q: Quaternion) -> np.ndarray:
     """Embed a quaternion z1 + z2*j as [[z1, z2], [-conj(z2), conj(z1)]]."""
     z1, z2 = _as_quat(q).as_complex_pair()

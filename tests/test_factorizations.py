@@ -1,4 +1,5 @@
-"""Cubic-cost factorizations per cone operation, and the Psi boundary.
+"""Cubic-cost factorizations and sign flips per cone operation, and the Psi
+boundary.
 
 The counts do not depend on the machine, the seed or the size, so they pin
 the work each operation does: a change that adds a factorization, or swaps
@@ -13,9 +14,9 @@ import pytest
 import jcone.matcore
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (bullet_inverse, exp_J, log_J, polar_decompose_bullet,
-                         pow_J, random_kj, random_pj)
+                         pow_J, random_kj, random_pj, random_pj_bounded)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
-from jcone.matcore import hermitian_eig, psi_matrix
+from jcone.matcore import hermitian_eig, negate_rows, psi_matrix
 from jcone.means import (arithmetic_mean_J, harmonic_mean_J, maximality_check,
                          riccati_residual, weighted_mean)
 from jcone.order import j_leq
@@ -25,8 +26,8 @@ ROUTINES = ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve")
 SIG = Signature(2, 1)
 
 # The pencil (JA, JB) is one cholesky of JA and the inv of its factor.  A
-# mean or geodesic point adds one eigh of the pencil and one cholesky of J
-# times the result, its certificate.
+# mean or geodesic point adds one eigh of the pencil and one cholesky of the
+# result's JX, its certificate.
 PENCIL = {"cholesky": 1, "inv": 1}
 MEAN = {"cholesky": 2, "inv": 1, "eigh": 1}
 
@@ -75,6 +76,36 @@ def test_factorization_count(linalg_calls, op, field):
     linalg_calls.clear()
     call(A, B)
     assert Counter(linalg_calls) == Counter(expected), linalg_calls
+
+
+# Sign flips (Signature.flip) per operation on operands that hold X, as
+# random_pj makes them: a cone operation reads each operand's JX, so an
+# operand that holds X costs one flip and one that holds JX, as
+# random_pj_bounded makes them, none.  Results hold JX and cost none.
+FLIPS_ON_X = {"weighted_mean_t0.5": 2, "weighted_mean_t0.3": 2, "geodesic_t0.3": 2,
+              "geodesic_distance": 2, "j_leq": 2, "pow_J": 1, "riccati_residual": 3}
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("make", [random_pj, random_pj_bounded])
+@pytest.mark.parametrize("op", sorted(FLIPS_ON_X) + ["is_j_positive"])
+def test_flip_count(monkeypatch, op, make, field):
+    A, B = make(SIG, field, 1), make(SIG, field, 2)
+    raw = A.matrix
+    calls = []
+
+    def counted(X, p):
+        calls.append(p)
+        return negate_rows(X, p)
+
+    monkeypatch.setattr(jcone.jstruct, "negate_rows", counted)
+    if op == "is_j_positive":   # a raw matrix: its one J-Hermitian test
+        is_j_positive(raw, SIG)
+        expected = 1
+    else:
+        OPERATIONS[op][0](A, B)
+        expected = FLIPS_ON_X[op] if make is random_pj else 0
+    assert len(calls) == expected, calls
 
 
 # Wider than matcore's block (40) the pencil inverts its factor by blocks,
@@ -192,7 +223,7 @@ def test_quaternionic_gram_schmidt_builds_no_quaternion(monkeypatch, op):
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 @pytest.mark.parametrize("t", [0.5, 0.3])
 def test_pencil_mean_certificate_is_taken_on_its_embedding(field, t):
-    # A mean or geodesic point is certified by a cholesky of J times it; its
+    # A mean or geodesic point is certified by a cholesky of its JX; its
     # lambda_min(JX), once read, is the smallest eigenvalue of the embedding
     # of J times the returned matrix, bit for bit.
     A, B = random_pj(SIG, field, 1), random_pj(SIG, field, 2)

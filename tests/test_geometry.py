@@ -4,9 +4,8 @@ import pytest
 from jcone.cli import main
 from jcone.errors import (NotJHermitian, NotPositive, SignatureMismatch,
                           StepTooSmall)
-from jcone.geometry import (GeodesicPath, curve_ode_residual, geodesic,
-                            geodesic_distance, geodesic_ode_residual,
-                            metric_omega)
+from jcone.geometry import (curve_ode_residual, geodesic, geodesic_distance,
+                            geodesic_ode_residual, metric_omega)
 from jcone.jcalc import (log_J, pow_J, random_invertible, random_jhermitian,
                          random_pj, random_pj_bounded)
 from jcone.jstruct import (JPositive, Signature, in_pj, is_j_positive, phi_J,
@@ -103,9 +102,8 @@ class TestGeodesic:
         rng = np.random.default_rng(5)
         A = random_pj_bounded(SIG, "C", rng)
         B = random_pj_bounded(SIG, "C", rng)
-        path = GeodesicPath(A, B)
         for t in np.linspace(0.0, 1.0, 11):
-            assert in_pj(path.sample(t).matrix, SIG)
+            assert in_pj(geodesic(A, B, t).matrix, SIG)
 
     def test_pullback_consistency(self):
         rng = np.random.default_rng(6)
@@ -129,9 +127,14 @@ class TestGeodesic:
 
 class TestOdeResidual:
     def test_constant_curve_zero(self):
+        # A constant curve leaves central differences no truncation error, so
+        # only the rounding of u / h^2 is left: h = 0.1 keeps it near 1e-13,
+        # where h = 1e-4 exceeded 1e-10 on a third or more of the draws.
         rng = np.random.default_rng(8)
-        A = random_pj_bounded(SIG, "R", rng)
-        assert geodesic_ode_residual(A, A, 0.5) <= 1e-10
+        for field in FIELDS:
+            for _ in range(50):
+                A = random_pj_bounded(SIG, field, rng)
+                assert geodesic_ode_residual(A, A, 0.5, 0.1) <= 1e-10
 
     def test_geodesic_satisfies_equation(self):
         rng = np.random.default_rng(9)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from jcone.errors import (NotBulletCommuting, PremiseViolated,
-                          WeightOutOfRange)
+                          SignatureMismatch, WeightOutOfRange)
 from jcone.jcalc import bullet, pow_J, random_invertible, random_kj, random_pj_bounded
 from jcone.jstruct import Signature, is_j_positive, phi_J, phi_J_inv, sharp
 from jcone.matcore import (adjoint, allclose, fnorm, mat_inverse, mat_pow_pd,
@@ -123,6 +123,15 @@ class TestMaximality:
         M = riccati_solve(A, B)
         v = maximality_check(M.matrix, A, B)
         assert v.holds and abs(v.margin) <= 1e-8
+        assert maximality_check(M, A, B) == v   # a member is read by its JX
+
+    def test_member_of_another_signature_rejected(self):
+        rng = np.random.default_rng(4)
+        A = random_pj_bounded(SIG, "R", rng)
+        B = random_pj_bounded(SIG, "R", rng)
+        X = is_j_positive(np.eye(2), Signature(2, 0))
+        with pytest.raises(SignatureMismatch):
+            maximality_check(X, A, B)
 
     def test_above_mean_fails(self):
         rng = np.random.default_rng(5)

@@ -142,16 +142,16 @@ FIELDS = ("R", "C", "H")
 
 
 class TestCholeskyCertificate:
-    """certify_constructed without eigenvalues in hand: one Cholesky
+    """certify_constructed(JX) without eigenvalues in hand: one Cholesky
     factorization of JX, and lambda_min(JX) only when it is read."""
 
     SIG = Signature(2, 1)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_indefinite_rejected(self, field):
-        X = from_real(np.diag([1.0, -1.0, 1.0]), field)   # JX = diag(1, -1, -1)
+        jx = from_real(np.diag([1.0, -1.0, -1.0]), field)   # X = diag(1, -1, 1)
         with pytest.raises(NotJPositive, match="Cholesky factorization of JX"):
-            certify_constructed(X, self.SIG)
+            certify_constructed(jx, self.SIG)
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -159,10 +159,10 @@ class TestCholeskyCertificate:
     def test_non_finite_rejected(self, field, bad, entry):
         # numpy's Cholesky passes both: it reads one triangle, and it does
         # not stop at a NaN or infinite pivot.
-        M = self.SIG.matrix()
-        M[entry] = bad
+        jx = np.eye(3)
+        jx[entry] = bad
         with pytest.raises(NotJPositive, match="not finite"):
-            certify_constructed(from_real(M, field), self.SIG)
+            certify_constructed(from_real(jx, field), self.SIG)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_reading_lambda_min_changes_neither_eq_nor_repr(self, field):
@@ -201,6 +201,21 @@ class TestCholeskyCertificate:
         for _ in range(2):
             with pytest.raises(NotJPositive, match="not finite and positive"):
                 X.lambda_min_of_jx
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_equal_values_compare_equal_whichever_form_is_held(self, field):
+        # random_pj_bounded holds JX and is_j_positive holds X; neither
+        # shares its array with the other member.
+        A = random_pj_bounded(self.SIG, field, np.random.default_rng(3))
+        X = is_j_positive(A.matrix * 1.0, self.SIG)
+        assert A == X and X == A and not A != X
+        assert X == is_j_positive(X.matrix * 1.0, self.SIG)
+        assert A != is_j_positive(A.matrix * 2.0, self.SIG)
+        assert A != JPositive(A.matrix, Signature(1, 2), None)
+        if field == "R":
+            assert A != is_j_positive(A.matrix + 0j, self.SIG)   # same values over C
+        with pytest.raises(TypeError):
+            hash(A)
 
     def test_lambda_min_is_a_required_argument(self):
         with pytest.raises(TypeError):

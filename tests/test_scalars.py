@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jcone.scalars import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, Quaternion,
-                           axis_decompose, psi_scalar, psi_scalar_inverse,
-                           quat_conj, quat_mul, quat_norm, trd_scalar)
+                           psi_scalar, psi_scalar_inverse, quat_conj, quat_mul,
+                           quat_norm, trd_scalar)
 
 
 def random_quat(rng):
@@ -73,16 +73,6 @@ class TestConjugationAndTrace:
             lhs = trd_scalar(quat_mul(p, q))
             rhs = trd_scalar(quat_mul(q, p))
             assert lhs == pytest.approx(rhs, abs=1e-14 * max(1.0, abs(lhs)))
-
-    def test_axis_decomposition(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            q = random_quat(rng)
-            a, b, u = axis_decompose(q)
-            assert b >= 0.0
-            assert quat_mul(u, u).isclose(Quaternion(-1.0), tol=1e-14)
-            recon = Quaternion(a) + Quaternion(b) * u
-            assert recon.isclose(q, tol=1e-14)
 
 
 class TestEmbedding:
