@@ -42,6 +42,9 @@ def payload_to_matrix(payload: dict):
         parts = np.array(payload["data"])
     except ValueError:  # ragged rows or entries
         parts = np.array(None)
+    if parts.dtype.kind == "O" and all(type(v) in (int, float) for v in parts.flat):
+        # Integers beyond 64 bits: floats, as read_matrix's parse_int=float reads them.
+        parts = np.array([float(str(v)) for v in parts.flat]).reshape(parts.shape)
     shape = (rows, cols) + _ENTRY_SHAPE[field]
     if parts.dtype.kind not in "fiu" or parts.shape != shape:  # numbers only
         raise ValueError(f"data is not {rows} rows of {cols} {field} entries")

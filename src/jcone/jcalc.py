@@ -105,9 +105,9 @@ def random_invertible(sig: Signature, field: str, seed) -> object:
 
 
 def random_pj(sig: Signature, field: str, seed) -> JPositive:
-    """Random cone element g J g#; the congruence action is transitive on P_J."""
+    """Random cone element g J g# = g (Jg)*; the congruence action is transitive on P_J."""
     g = random_invertible(sig, field, seed)
-    return is_j_positive(g @ sig.flip(sharp(g, sig)), sig)
+    return is_j_positive(g @ adjoint(sig.flip(g)), sig)
 
 
 def random_jhermitian(sig: Signature, field: str, seed):

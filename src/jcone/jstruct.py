@@ -5,13 +5,13 @@ matrices, J-positive matrices and the (J-)unitary groups, the block shape of
 J-Hermitian matrices with the Schur positivity test, and the bijection
 phi_J: X -> JX between the J-Hermitian space and the Hermitian matrices.
 
-A member of P_J holds X or JX, and J is applied only where the other form
-is read.  Boundary rule: is_j_positive certifies outside input X at the
-caller's tol, by phi_J (the one J-Hermitian test) and a relative threshold
-on lambda_min(JX); the member holds X.  Construction rule: certify_constructed
-certifies an image P = JX built from certified members, the form every cone
-operation works on, and the member holds P.  With eigenvalues of P in hand
-it rejects one <= 0 or not finite; without them it takes one Cholesky
+Every member of P_J holds its image JX, the form every cone operation works
+on, and X is made from it only where it is read.  Boundary rule:
+is_j_positive certifies outside input X at the caller's tol, by phi_J (the
+one J-Hermitian test, whose flip the member keeps) and a relative threshold
+on lambda_min(JX).  Construction rule: certify_constructed certifies an
+image P = JX built from certified members.  With eigenvalues of P in hand it
+rejects one <= 0 or not finite; without them it takes one Cholesky
 factorization of P, which is all the certificate needs, and lambda_min(P) is
 computed only if it is read (a read value not finite and positive raises
 NotJPositive).
@@ -153,11 +153,11 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
 class JPositive:
     """A certified member of the cone P_J: J-Hermitian with JX positive definite.
 
-    JPositive(X, sig, lam) holds X and records lambda_min(JX) = lam;
-    certify_constructed makes members that hold JX.  matrix and jx return the
-    array held or its flip, made on each read and not kept.  Members are equal
-    when their signatures, fields and values agree, whichever form each holds,
-    and are not hashable.
+    Every member holds its image JX: JPositive(X, sig, lam) flips X once and
+    records lambda_min(JX) = lam, and is_j_positive and certify_constructed
+    keep the JX they certified.  jx returns the array held, and matrix its
+    flip, made on each read and not kept.  Members are equal when their
+    signatures, fields and values agree, and are not hashable.
 
     A member certified by a Cholesky factorization has lam = None, and
     lambda_min_of_jx is computed on first read, by eigvalsh of JX, and kept;
@@ -165,10 +165,10 @@ class JPositive:
     takes no part in == or repr, so reading it changes neither.
     """
 
-    __slots__ = ("_array", "_holds_jx", "_signature", "_lambda_min")
+    __slots__ = ("_jx", "_signature", "_lambda_min")
 
     def __init__(self, matrix, signature: Signature, lambda_min: float | None):
-        self._array, self._holds_jx = matrix, False
+        self._jx = signature.flip(matrix)
         self._signature, self._lambda_min = signature, lambda_min
 
     @property
@@ -177,17 +177,17 @@ class JPositive:
 
     @property
     def matrix(self):
-        return self._signature.flip(self._array) if self._holds_jx else self._array
+        return self._signature.flip(self._jx)
 
     @property
     def jx(self):
-        return self._array if self._holds_jx else self._signature.flip(self._array)
+        return self._jx
 
     @property
     def lambda_min_of_jx(self) -> float:
         if self._lambda_min is None:
             try:
-                lam = float(eigvals_unchecked(self.jx)[-1])
+                lam = float(eigvals_unchecked(self._jx)[-1])
             except np.linalg.LinAlgError:   # eigvalsh may fail on a NaN entry
                 lam = np.nan
             if not 0.0 < lam < np.inf:
@@ -198,23 +198,37 @@ class JPositive:
 
     @property
     def field(self) -> str:
-        return field_of(self._array)
+        return field_of(self._jx)
 
     def __eq__(self, other):
         return (isinstance(other, JPositive) and self._signature == other._signature
                 and self.field == other.field
-                and np.array_equal(_embed(self.jx), _embed(other.jx)))
+                and np.array_equal(_embed(self._jx), _embed(other._jx)))
 
     def __repr__(self) -> str:
         return f"JPositive(matrix={self.matrix!r}, signature={self._signature!r})"
 
 
+def _holding(jx, sig: Signature, lam) -> JPositive:
+    """The member that holds the certified image jx, made with no flip."""
+    member = object.__new__(JPositive)
+    member._jx, member._signature, member._lambda_min = jx, sig, lam
+    return member
+
+
 def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """Certify membership in P_J of X from outside the library; raises on rejection."""
-    lam = eigvals_unchecked(phi_J(X, sig, tol))
-    if lam[-1] <= tol * max(1.0, abs(lam[0]), abs(lam[-1])):
-        raise NotJPositive(f"lambda_min(JX) = {lam[-1]:.3e} not positive")
-    return JPositive(X, sig, float(lam[-1]))
+    _check_dim(X, sig)
+    return _certify_image(sig.flip(X), sig, tol)
+
+
+def _certify_image(jx, sig: Signature, tol: float) -> JPositive:
+    """is_j_positive(X) taken on its image jx = JX, which the member holds."""
+    _j_hermitian(jx, tol)
+    lam_min, threshold = _min_over_scale(jx, tol)
+    if lam_min <= threshold:
+        raise NotJPositive(f"lambda_min(JX) = {lam_min:.3e} not positive")
+    return _holding(jx, sig, lam_min)
 
 
 def certify_constructed(P, sig: Signature, lam=None) -> JPositive:
@@ -232,13 +246,12 @@ def certify_constructed(P, sig: Signature, lam=None) -> JPositive:
         except NotPositive as exc:
             raise NotJPositive(f"Cholesky factorization of JX failed: {exc}") from None
     else:
+        lam = np.asarray(lam).tolist()  # Python floats: cheaper to walk than numpy scalars
         for v in lam:
             if not 0.0 < v < np.inf:
                 raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
-        lam = float(min(lam))
-    member = JPositive(P, sig, lam)
-    member._holds_jx = True
-    return member
+        lam = min(lam)
+    return _holding(P, sig, lam)
 
 
 def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
@@ -253,12 +266,17 @@ def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
 def phi_J(X, sig: Signature, tol: float = 1e-10):
     """X -> JX from the J-Hermitian onto the Hermitian space; the one J-Hermitian test."""
     _check_dim(X, sig)
-    jx = sig.flip(X)
-    residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, fnorm(X))
+    return _j_hermitian(sig.flip(X), tol)[0]
+
+
+def _j_hermitian(jx, tol: float) -> tuple:
+    """(jx, ||jx||_F) once X = J jx passes the J-Hermitian test; ||jx||_F = ||X||_F."""
+    nrm = fnorm(jx)
+    residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, nrm)
     # As in matcore._check_hermitian, an overflowed residual certifies nothing.
     if not (residual <= threshold and residual < np.inf):
         raise NotJHermitian(f"sharp-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
-    return jx
+    return jx, nrm
 
 
 def phi_J_inv(P, sig: Signature, tol: float = 1e-10):

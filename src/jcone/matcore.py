@@ -164,7 +164,7 @@ class QMatrix:
 def field_of(X) -> str:
     if isinstance(X, QMatrix):
         return "H"
-    return "C" if np.iscomplexobj(X) else "R"
+    return "C" if X.dtype.kind == "c" else "R"
 
 
 def is_matrix(X) -> bool:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
 from .geometry import _check_pair, _pencil
-from .jcalc import bullet, bullet_commutator, pow_J
-from .jstruct import JPositive, certify_constructed, is_j_positive, phi_J
-from .matcore import block2x2, eigvals_unchecked, fnorm, identity
+from .jcalc import pow_J
+from .jstruct import JPositive, _certify_image, certify_constructed, phi_J
+from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, j_leq
 
 
@@ -49,7 +49,7 @@ def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-    pencil = _pencil(A, B)
+    pencil = Pencil(A.jx, B.jx)
     jmean = pencil.mean(t)
     residual = pencil.riccati_residual(jmean) if t == 0.5 else float("nan")
     return MeanResult(certify_constructed(jmean, A.signature), residual, t)
@@ -95,17 +95,17 @@ def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
 
 def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
                           tol: float = 1e-8) -> JPositive:
-    """Closed form A^{1-t}_J . B^t_J, valid when A and B bullet-commute."""
+    """Closed form A^{1-t}_J . B^t_J, valid when A and B bullet-commute.  Since
+    J(X . Y) = JX JY, it is tested and certified on images, as is_j_positive would."""
     _check_pair(A, B)
-    sig = A.signature
-    comm = bullet_commutator(A.matrix, B.matrix, sig)
-    scale = max(1.0, fnorm(A.matrix) * fnorm(B.matrix))
-    if fnorm(comm) > tol * scale:
+    ja, jb = A.jx, B.jx
+    scale = max(1.0, fnorm(ja) * fnorm(jb))
+    if fnorm(ja @ jb - jb @ ja) > tol * scale:
         raise NotBulletCommuting("bullet commutator exceeds tolerance")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")
-    return is_j_positive(bullet(pow_J(A, 1.0 - t), pow_J(B, t), sig), sig)
+    return _certify_image(pow_J(A, 1.0 - t).jx @ pow_J(B, t).jx, A.signature, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
 
     Valid because scaling both by mu scales the mean by mu.
     """
-    _check_pair(A, B)
     mean = weighted_mean(A, B, t).mean
     mu = (1.0 - margin) / float(eigvals_unchecked(mean.jx)[0])
     return tuple(certify_constructed(mu * X.jx, A.signature, [mu * X.lambda_min_of_jx])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SignatureMismatch
-from .jstruct import JPositive, Signature, phi_J
+from .jstruct import JPositive, Signature, _check_dim, _j_hermitian
 from .matcore import _check_hermitian, eigvals_unchecked, fnorm
 
 
@@ -24,13 +24,13 @@ def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
     """X <= Y iff Y - X is positive semi-definite, with slack tol * scale."""
     if X.shape != Y.shape:
         raise DimensionMismatch("operands differ in shape")
-    return _leq(_check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8), tol)
+    X, Y = _check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8)
+    return _leq(X, Y, tol, max(1.0, fnorm(X), fnorm(Y)))
 
 
-def _leq(X, Y, tol: float) -> OrderVerdict:
+def _leq(X, Y, tol: float, scale: float) -> OrderVerdict:
     # Y - X is Hermitian by construction: it is not re-tested at its own scale.
     margin = float(eigvals_unchecked(Y - X)[-1])
-    scale = max(1.0, fnorm(X), fnorm(Y))
     return OrderVerdict(margin >= -tol * scale, margin)
 
 
@@ -40,10 +40,12 @@ def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
         sig = X.signature
     if sig is None:
         raise ValueError("signature required for raw matrix arguments")
-    def jz(Z):  # only raw operands take the J-Hermitian test
+    def image(Z):  # (JZ, ||JZ||_F): a raw operand's norm comes from its J-Hermitian test
         if not isinstance(Z, JPositive):
-            return phi_J(Z, sig, 1e-8)
+            _check_dim(Z, sig)
+            return _j_hermitian(sig.flip(Z), 1e-8)
         if Z.signature != sig:
             raise SignatureMismatch("operands live over different signatures")
-        return Z.jx
-    return _leq(jz(X), jz(Y), tol)
+        return Z.jx, fnorm(Z.jx)
+    (jx, nx), (jy, ny) = image(X), image(Y)
+    return _leq(jx, jy, tol, max(1.0, nx, ny))

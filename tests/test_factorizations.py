@@ -6,6 +6,7 @@ the work each operation does: a change that adds a factorization, or swaps
 one routine for another, fails here.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,10 +16,11 @@ import jcone.matcore
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (bullet_inverse, exp_J, log_J, polar_decompose_bullet,
                          pow_J, random_kj, random_pj, random_pj_bounded)
-from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
-from jcone.matcore import hermitian_eig, negate_rows, psi_matrix
-from jcone.means import (arithmetic_mean_J, harmonic_mean_J, maximality_check,
-                         riccati_residual, weighted_mean)
+from jcone.jstruct import (JPositive, Signature, block_decompose, certify_constructed,
+                           is_j_positive, schur_j_positive)
+from jcone.matcore import QMatrix, _embed, hermitian_eig, negate_rows, psi_matrix
+from jcone.means import (arithmetic_mean_J, commuting_bullet_mean, harmonic_mean_J,
+                         maximality_check, riccati_residual, weighted_mean)
 from jcone.order import j_leq
 from jcone.scalars import Quaternion
 
@@ -78,19 +80,24 @@ def test_factorization_count(linalg_calls, op, field):
     assert Counter(linalg_calls) == Counter(expected), linalg_calls
 
 
-# Sign flips (Signature.flip) per operation on operands that hold X, as
-# random_pj makes them: a cone operation reads each operand's JX, so an
-# operand that holds X costs one flip and one that holds JX, as
-# random_pj_bounded makes them, none.  Results hold JX and cost none.
-FLIPS_ON_X = {"weighted_mean_t0.5": 2, "weighted_mean_t0.3": 2, "geodesic_t0.3": 2,
-              "geodesic_distance": 2, "j_leq": 2, "pow_J": 1, "riccati_residual": 3}
+# Sign flips (Signature.flip) per operation.  Every member holds JX, which
+# each cone operation reads, and every result holds its JX: an operation on
+# members flips nothing, whether they were certified from X (random_pj) or
+# built from JX (random_pj_bounded).  log_J returns the plain matrix
+# J log(JX), its one flip.  commuting_bullet_mean, on a bullet-commuting pair,
+# flips nothing either.  A raw matrix costs is_j_positive one flip, the JX it
+# keeps, and each read of .matrix one flip.
+FLIPS = {"weighted_mean_t0.5": 0, "weighted_mean_t0.3": 0, "geodesic_t0.3": 0,
+         "geodesic_distance": 0, "riccati_residual": 0, "pow_J": 0, "log_J": 1,
+         "arithmetic_mean_J": 0, "harmonic_mean_J_t0.3": 0, "j_leq": 0}
 
 
 @pytest.mark.parametrize("field", ["R", "C", "H"])
 @pytest.mark.parametrize("make", [random_pj, random_pj_bounded])
-@pytest.mark.parametrize("op", sorted(FLIPS_ON_X) + ["is_j_positive"])
+@pytest.mark.parametrize("op", sorted(FLIPS) + ["commuting_bullet_mean", "is_j_positive"])
 def test_flip_count(monkeypatch, op, make, field):
-    A, B = make(SIG, field, 1), make(SIG, field, 2)
+    A = make(SIG, field, 1)
+    B = pow_J(A, 0.3) if op == "commuting_bullet_mean" else make(SIG, field, 2)
     raw = A.matrix
     calls = []
 
@@ -100,12 +107,41 @@ def test_flip_count(monkeypatch, op, make, field):
 
     monkeypatch.setattr(jcone.jstruct, "negate_rows", counted)
     if op == "is_j_positive":   # a raw matrix: its one J-Hermitian test
-        is_j_positive(raw, SIG)
-        expected = 1
+        X = is_j_positive(raw, SIG)
+        assert len(calls) == 1, calls
+        for reads in (2, 3):
+            X.matrix
+            assert len(calls) == reads, calls
+    elif op == "commuting_bullet_mean":
+        commuting_bullet_mean(A, B, 0.3)
+        assert calls == []
     else:
         OPERATIONS[op][0](A, B)
-        expected = FLIPS_ON_X[op] if make is random_pj else 0
-    assert len(calls) == expected, calls
+        assert len(calls) == FLIPS[op], calls
+
+
+def _bits(value):
+    """The exact bits of an operation's output, whatever its type."""
+    if isinstance(value, JPositive):
+        return ("JPositive", value.signature, _bits(value.jx))
+    if isinstance(value, (QMatrix, np.ndarray)):
+        M = _embed(value)
+        return M.dtype, M.shape, M.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return _bits(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    return np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_members_from_x_and_from_jx_agree_bit_for_bit(op, field):
+    X, Y = random_pj(SIG, field, 1).matrix, random_pj(SIG, field, 2).matrix
+    from_x = is_j_positive(X, SIG), is_j_positive(Y, SIG)
+    from_jx = certify_constructed(SIG.flip(X), SIG), certify_constructed(SIG.flip(Y), SIG)
+    call = OPERATIONS[op][0]
+    assert _bits(call(*from_x)) == _bits(call(*from_jx))
 
 
 # Wider than matcore's block (40) the pencil inverts its factor by blocks,

@@ -97,6 +97,26 @@ class TestPayload:
         with pytest.raises(ValueError):
             payload_to_matrix(payload)
 
+    @pytest.mark.parametrize("field, data, want", [
+        ("R", [[10 ** 20]], [[1e20]]),
+        ("R", [[-(2 ** 70) - 1, 0.5]], [[-(2.0 ** 70), 0.5]]),
+        ("C", [[[10 ** 20, -3]]], [[1e20 - 3j]]),
+    ])
+    def test_integers_of_any_size_read_as_floats(self, field, data, want):
+        # Read as floats, as read_matrix reads them, not refused as non-numbers.
+        payload = {"field": field, "rows": 1, "cols": len(data[0]), "data": data}
+        got = payload_to_matrix(payload)
+        assert bits(got) == bits(np.array(want, dtype=got.dtype))
+
+    @pytest.mark.parametrize("bad", ["1.5", None, True])
+    def test_non_numbers_beside_large_integers_rejected(self, bad):
+        payload = {"field": "R", "rows": 1, "cols": 2, "data": [[10 ** 20, bad]]}
+        with pytest.raises(ValueError, match="data is not 1 rows of 2 R entries"):
+            payload_to_matrix(payload)
+        payload["data"] = [[bad, bad]]
+        with pytest.raises(ValueError, match="data is not 1 rows of 2 R entries"):
+            payload_to_matrix(payload)
+
 
 class TestJsonEncoding:
     # One entry of each field, as the payload holds it and as it reads back.

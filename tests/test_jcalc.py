@@ -8,8 +8,8 @@ from jcone.jcalc import (bullet, bullet_commutator, bullet_inverse, exp_J,
                          random_pj, random_pj_bounded)
 from jcone.jstruct import (Signature, in_pj, is_in_K_J, is_j_hermitian,
                            is_j_positive, sharp)
-from jcone.matcore import (adjoint, allclose, fnorm, from_real, identity,
-                           mat_inverse)
+from jcone.matcore import (_embed, adjoint, allclose, fnorm, from_real,
+                           identity, mat_inverse)
 
 SIG = Signature(1, 1)
 FIELDS = ("R", "C", "H")
@@ -261,6 +261,18 @@ class TestRandomGenerators:
             a = random_pj(SIG, field, 42)
             b = random_pj(SIG, field, 42)
             assert allclose(a.matrix, b.matrix, tol=0.0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_pj_draws_match_g_j_g_sharp(self, field):
+        # g (Jg)* is g J g# = g J (J g* J) with its two cancelling flips left
+        # out: the same members, bit for bit.
+        sig = Signature(2, 1)
+        for seed in range(50):
+            g = random_invertible(sig, field, seed)
+            want = is_j_positive(g @ sig.flip(sharp(g, sig)), sig)
+            got = random_pj(sig, field, seed)
+            assert np.array_equal(_embed(got.jx), _embed(want.jx))
+            assert got.lambda_min_of_jx == want.lambda_min_of_jx
 
     def test_pj_membership(self):
         rng = np.random.default_rng(14)

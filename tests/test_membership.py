@@ -13,7 +13,7 @@ from jcone.geometry import geodesic
 from jcone.jcalc import exp_J, log_J, pow_J, random_pj_bounded
 from jcone.jstruct import (JPositive, Signature, certify_constructed, in_pj,
                            is_j_hermitian, is_j_positive, phi_J)
-from jcone.matcore import eigvals_hermitian, fnorm, from_real, identity
+from jcone.matcore import _embed, eigvals_hermitian, fnorm, from_real, identity
 from jcone.means import arithmetic_mean_J, harmonic_mean_J, weighted_mean
 from jcone.order import j_leq
 
@@ -204,8 +204,8 @@ class TestCholeskyCertificate:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_equal_values_compare_equal_whichever_form_is_held(self, field):
-        # random_pj_bounded holds JX and is_j_positive holds X; neither
-        # shares its array with the other member.
+        # random_pj_bounded builds its member from JX and is_j_positive
+        # certifies it from X; neither shares its array with the other.
         A = random_pj_bounded(self.SIG, field, np.random.default_rng(3))
         X = is_j_positive(A.matrix * 1.0, self.SIG)
         assert A == X and X == A and not A != X
@@ -216,6 +216,18 @@ class TestCholeskyCertificate:
             assert A != is_j_positive(A.matrix + 0j, self.SIG)   # same values over C
         with pytest.raises(TypeError):
             hash(A)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_caller_changing_x_leaves_the_member_unchanged(self, field):
+        # The member holds the JX its J-Hermitian test made, not the caller's X.
+        X = random_pj_bounded(self.SIG, field, np.random.default_rng(4)).matrix
+        member = is_j_positive(X, self.SIG)
+        jx, x, lam = _embed(member.jx).copy(), _embed(member.matrix), member.lambda_min_of_jx
+        _embed(X)[0, 0] += 1.0
+        assert np.array_equal(_embed(member.jx), jx)
+        assert np.array_equal(_embed(member.matrix), x)
+        assert member.lambda_min_of_jx == lam
+        assert not np.array_equal(x, _embed(X))
 
     def test_lambda_min_is_a_required_argument(self):
         with pytest.raises(TypeError):
