@@ -1,4 +1,21 @@
-"""Exception hierarchy shared by all jcone modules."""
+"""Exception hierarchy shared by all jcone modules, and the one tolerance
+rule: a value is compared with threshold(tol, *scales) = tol * max(1, *scales),
+and a residual certifies a structure only through certify, whose error names
+the invariant, the residual and the threshold."""
+
+import math
+
+
+def threshold(tol: float, *scales: float) -> float:
+    """tol relative to the largest scale, floored at tol."""
+    return tol * max(1.0, *scales)
+
+
+def certify(residual: float, limit: float, error: type, invariant: str) -> None:
+    """Raise error unless residual is finite and at most limit: a NaN or an
+    overflowed residual certifies nothing, even against an overflowed limit."""
+    if not (residual <= limit and residual < math.inf):
+        raise error(f"{invariant} residual {residual:.3e} exceeds {limit:.3e}")
 
 
 class JConeError(Exception):

@@ -4,12 +4,14 @@ A matrix file is {"field": "R"|"C"|"H", "rows": n, "cols": n, "data": [...]}
 with entries encoded per field (number, [re, im], or [a, b, c, d]).  The
 serializer is canonical: sorted keys, no whitespace, floats rendered with
 %.17g, so parse followed by serialize is byte-stable.  The parser rejects a
-NaN or infinite entry with a ValueError naming its (0-based) row and column.
+NaN or infinite entry with a ValueError naming its (0-based) row and column,
+and a boolean anywhere in the data, which is not a number.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +48,11 @@ def payload_to_matrix(payload: dict):
         # Integers beyond 64 bits: floats, as read_matrix's parse_int=float reads them.
         parts = np.array([float(str(v)) for v in parts.flat]).reshape(parts.shape)
     shape = (rows, cols) + _ENTRY_SHAPE[field]
-    if parts.dtype.kind not in "fiu" or parts.shape != shape:  # numbers only
+    scalars = payload["data"]
+    for _ in shape[1:]:  # numpy reads true as 1.0 beside a float: look at each
+        scalars = chain.from_iterable(scalars)
+    if (parts.dtype.kind not in "fiu" or parts.shape != shape  # numbers only
+            or not {bool, np.bool_}.isdisjoint(map(type, scalars))):
         raise ValueError(f"data is not {rows} rows of {cols} {field} entries")
     parts = parts.astype(float, copy=False)
     bad = ~np.isfinite(parts)

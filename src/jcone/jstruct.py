@@ -7,14 +7,14 @@ phi_J: X -> JX between the J-Hermitian space and the Hermitian matrices.
 
 Every member of P_J holds its image JX, the form every cone operation works
 on, and X is made from it only where it is read.  Boundary rule:
-is_j_positive certifies outside input X at the caller's tol, by phi_J (the
-one J-Hermitian test, whose flip the member keeps) and a relative threshold
-on lambda_min(JX).  Construction rule: certify_constructed certifies an
-image P = JX built from certified members.  With eigenvalues of P in hand it
-rejects one <= 0 or not finite; without them it takes one Cholesky
-factorization of P, which is all the certificate needs, and lambda_min(P) is
-computed only if it is read (a read value not finite and positive raises
-NotJPositive).
+is_j_positive certifies outside input X at the caller's tol, by matcore's one
+Hermitian test of JX (raising NotJHermitian; the member keeps the flip) and
+its one positivity threshold on lambda_min(JX).  Construction rule:
+certify_constructed certifies an image P = JX built from certified members.
+With eigenvalues of P in hand it rejects one <= 0 or not finite; without
+them it takes one Cholesky factorization of P, which is all the certificate
+needs, and lambda_min(P) is computed only if it is read (a read value not
+finite and positive raises NotJPositive).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive, NotPositive)
-from .matcore import (_check_hermitian, _embed, adjoint, block2x2,
+                     NotJPositive, NotPositive, threshold)
+from .matcore import (_check_hermitian, _embed, _positivity, adjoint, block2x2,
                       cholesky_factor, eigvals_unchecked, field_of, fnorm,
                       from_real, identity, mat_inverse, negate_rows)
 
@@ -91,14 +91,14 @@ def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in the J-unitary group: g# g = Id."""
     _check_dim(g, sig)
     eye = identity(sig.n, field_of(g))
-    return fnorm(sharp(g, sig) @ g - eye) <= tol * max(1.0, fnorm(g) ** 2)
+    return fnorm(sharp(g, sig) @ g - eye) <= threshold(tol, fnorm(g) ** 2)
 
 
 def is_in_K_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in K_J = U_J intersect U, the block-diagonal unitaries."""
     _check_dim(g, sig)
     eye = identity(sig.n, field_of(g))
-    unitary = fnorm(adjoint(g) @ g - eye) <= tol * max(1.0, fnorm(g) ** 2)
+    unitary = fnorm(adjoint(g) @ g - eye) <= threshold(tol, fnorm(g) ** 2)
     return unitary and is_in_U_J(g, sig, tol)
 
 
@@ -122,32 +122,28 @@ def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
     return JHermitianBlocks(H[:p, :p], H[:p, p:], H[p:, p:], sig)
 
 
-def _min_over_scale(M, tol: float) -> tuple[float, float]:
-    # M is Hermitian by construction: its eigenvalues are taken untested.
-    lam = eigvals_unchecked(M)
-    return float(lam[-1]), tol * max(1.0, abs(lam[0]), abs(lam[-1]))
-
-
 def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
     """J-positivity via the block criterion: A > 0 and (-D) - B* A^{-1} B > 0.
 
     The blocks come from a matrix that passed phi_J, so A, D and the Schur
-    complement are Hermitian by construction; only tol applies.
+    complement are Hermitian by construction; only the positivity threshold applies.
     """
     A, B, D = blocks.a_block, blocks.b_block, blocks.d_block
     p, q = blocks.signature.p, blocks.signature.q
     if p == 0:
-        lam_min, threshold = _min_over_scale(-D, tol)
-        return lam_min > threshold
-    lam_min, threshold = _min_over_scale(A, tol)
-    if abs(lam_min) <= threshold:
-        raise IndeterminateSchur("leading block numerically singular")
-    if lam_min <= threshold:
+        lam_min, limit = _positivity(eigvals_unchecked(-D), tol)
+        return lam_min > limit
+    lam_min, limit = _positivity(eigvals_unchecked(A), tol)
+    if abs(lam_min) <= limit:
+        raise IndeterminateSchur(f"leading block numerically singular: lambda_min = "
+                                 f"{lam_min:.3e}, |lambda_min| not above {limit:.3e}")
+    if lam_min <= limit:
         return False
     if q == 0:
         return True
-    lam_min, threshold = _min_over_scale((-D) - adjoint(B) @ mat_inverse(A) @ B, tol)
-    return lam_min > threshold
+    schur = (-D) - adjoint(B) @ mat_inverse(A) @ B
+    lam_min, limit = _positivity(eigvals_unchecked(schur), tol)
+    return lam_min > limit
 
 
 class JPositive:
@@ -225,9 +221,9 @@ def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
 def _certify_image(jx, sig: Signature, tol: float) -> JPositive:
     """is_j_positive(X) taken on its image jx = JX, which the member holds."""
     _j_hermitian(jx, tol)
-    lam_min, threshold = _min_over_scale(jx, tol)
-    if lam_min <= threshold:
-        raise NotJPositive(f"lambda_min(JX) = {lam_min:.3e} not positive")
+    lam_min, limit = _positivity(eigvals_unchecked(jx), tol)
+    if lam_min <= limit:
+        raise NotJPositive(f"lambda_min(JX) = {lam_min:.3e} not above {limit:.3e}")
     return _holding(jx, sig, lam_min)
 
 
@@ -270,19 +266,15 @@ def phi_J(X, sig: Signature, tol: float = 1e-10):
 
 
 def _j_hermitian(jx, tol: float) -> tuple:
-    """(jx, ||jx||_F) once X = J jx passes the J-Hermitian test; ||jx||_F = ||X||_F."""
-    nrm = fnorm(jx)
-    residual, threshold = fnorm(jx - adjoint(jx)), tol * max(1.0, nrm)
-    # As in matcore._check_hermitian, an overflowed residual certifies nothing.
-    if not (residual <= threshold and residual < np.inf):
-        raise NotJHermitian(f"sharp-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
-    return jx, nrm
+    """(jx, ||X||_F) once X = J jx passes the J-Hermitian test: the Hermitian
+    test of jx, as ||X - X#||_F = ||jx - jx*||_F and ||X||_F = ||jx||_F."""
+    return _check_hermitian(jx, tol, NotJHermitian, "sharp-symmetry")
 
 
 def phi_J_inv(P, sig: Signature, tol: float = 1e-10):
     """Inverse bijection P -> JP from Hermitian matrices into the J-Hermitian space."""
     _check_dim(P, sig)
-    return sig.flip(_check_hermitian(P, tol))
+    return sig.flip(_check_hermitian(P, tol)[0])
 
 
 def j_inner(x, y, sig: Signature):

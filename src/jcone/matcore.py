@@ -18,8 +18,10 @@ embeds anything, and only psi_inverse tests the structure, for matrices from
 outside the library.  Psi and block2x2 write their blocks into one
 preallocated array.
 
-Boundary rule: public spectral functions test input once (_check_hermitian),
-mat_*_pd add a relative 1e-10 positivity threshold.  Construction rule: a
+Boundary rule: public spectral functions test input once by the one
+Hermitian test (_check_hermitian: ||X - X*||_F certified against
+threshold(tol, ||X||_F)), mat_*_pd add the one positivity threshold
+(_positivity) at 1e-10.  Construction rule: a
 matrix built from certified members goes to spectral_function or Pencil
 untested, and only a computed eigenvalue <= 0 or a failed Cholesky
 factorization rejects it (cholesky_factor, the certificate's, also rejects
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotInImage, NotPositive, Singular
+from .errors import (NotHermitian, NotInImage, NotPositive, Singular, certify,
+                     threshold)
 from .scalars import Quaternion
 
 
@@ -136,11 +139,6 @@ class QMatrix:
     def H(self) -> "QMatrix":
         # Psi(X)* = Psi(X*).
         return QMatrix._of(self.m.conj().T)
-
-    def trace(self) -> Quaternion:
-        z1 = complex(np.trace(self.a))
-        z2 = complex(np.trace(self.b))
-        return Quaternion.from_complex_pair(z1, z2)
 
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":
@@ -243,8 +241,7 @@ def trd(X) -> float:
 
 
 def allclose(X, Y, tol: float = 1e-9) -> bool:
-    scale = max(1.0, fnorm(X), fnorm(Y))
-    return fnorm(X - Y) <= tol * scale
+    return fnorm(X - Y) <= threshold(tol, fnorm(X), fnorm(Y))
 
 
 def _assemble(P, Q, R, S) -> np.ndarray:
@@ -287,11 +284,8 @@ def psi_structural_residual(M: np.ndarray) -> float:
 def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
     """Inverse of the embedding, for 2n x 2n matrices from outside the library."""
     M = np.asarray(M, dtype=complex)
-    residual, threshold = psi_structural_residual(M), tol * max(1.0, _norm(M))
-    # An overflowed residual certifies nothing, even against an overflowed threshold.
-    if not (residual <= threshold and np.isfinite(residual)):
-        raise NotInImage(f"structural residual {residual:.3e} of M J2n = J2n conj(M) "
-                         f"is not finite or exceeds {threshold:.3e}")
+    certify(psi_structural_residual(M), threshold(tol, _norm(M)), NotInImage,
+            "M J2n = J2n conj(M) structural")
     return QMatrix._from_top(M[:M.shape[0] // 2])
 
 
@@ -347,14 +341,18 @@ def mat_inverse(X):
     return _unembed(_top(inv, X), X)
 
 
-def _check_hermitian(X, tol: float = 1e-10):
-    """X, once it passes the one Hermitian test."""
-    residual, threshold = fnorm(X - adjoint(X)), tol * max(1.0, fnorm(X))
-    # A NaN residual fails the comparison; an overflowed one certifies
-    # nothing, even against an overflowed threshold.
-    if not (residual <= threshold and residual < np.inf):
-        raise NotHermitian(f"adjoint-symmetry residual {residual:.3e} exceeds {threshold:.3e}")
-    return X
+def _check_hermitian(X, tol: float = 1e-10, error=NotHermitian, invariant="adjoint-symmetry"):
+    """(X, ||X||_F), once X passes the one Hermitian test."""
+    nrm = fnorm(X)
+    certify(fnorm(X - adjoint(X)), threshold(tol, nrm), error, invariant)
+    return X, nrm
+
+
+def _positivity(w, tol: float) -> tuple[float, float]:
+    """(lambda_min, threshold(tol, |lambda_min|, |lambda_max|)) of the sorted
+    eigenvalues w: positive definite at tol iff lambda_min > threshold."""
+    a, b = float(w[0]), float(w[-1])
+    return min(a, b), threshold(tol, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -420,7 +418,7 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    w, V = np.linalg.eigh(_embed(_check_hermitian(X, tol)))
+    w, V = np.linalg.eigh(_embed(_check_hermitian(X, tol)[0]))
     w, V = w[::-1], V[:, ::-1]
     if isinstance(X, QMatrix):
         return _quaternionic_eig(w, V)
@@ -439,24 +437,26 @@ def eigvals_unchecked(X) -> np.ndarray:
 
 def eigvals_hermitian(X, tol: float = 1e-10) -> np.ndarray:
     """Descending real eigenvalues; for H the doubled embedded list is halved."""
-    return eigvals_unchecked(_check_hermitian(X, tol))
+    return eigvals_unchecked(_check_hermitian(X, tol)[0])
 
 
 def spectral_function(X, f, floor: float | None = None):
     """f(X) and the descending eigenvalues of X from one eigh, with no structural
     test; f sees those of _embed(X) ascending.  Given a floor, raises NotPositive
-    unless the smallest eigenvalue exceeds floor * max(1, |eigenvalues|)."""
+    unless X is positive definite at tol = floor (_positivity)."""
     M = _embed(X)
     w, U = np.linalg.eigh(M)
-    if floor is not None and not w[0] > floor * max(1.0, abs(w[0]), abs(w[-1])):
-        raise NotPositive(f"smallest eigenvalue {w[0]:.3e} not above {floor:.0e} * max(1, |w|)")
+    if floor is not None:
+        lam, limit = _positivity(w, floor)
+        if not lam > limit:
+            raise NotPositive(f"smallest eigenvalue {lam:.3e} not above {limit:.3e}")
     T = (_top(U, X) * f(w)) @ U.conj().T
     return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(w, X)
 
 
 def matrix_function(X, f):
     """Apply a real function to a Hermitian matrix through its eigenvalues."""
-    return spectral_function(_check_hermitian(X), f)[0]
+    return spectral_function(_check_hermitian(X)[0], f)[0]
 
 
 def mat_exp_h(X):
@@ -464,11 +464,11 @@ def mat_exp_h(X):
 
 
 def mat_log_pd(X):
-    return spectral_function(_check_hermitian(X), np.log, floor=1e-10)[0]
+    return spectral_function(_check_hermitian(X)[0], np.log, floor=1e-10)[0]
 
 
 def mat_pow_pd(X, t: float):
-    return spectral_function(_check_hermitian(X), lambda w: np.power(w, float(t)),
+    return spectral_function(_check_hermitian(X)[0], lambda w: np.power(w, float(t)),
                              floor=1e-10)[0]
 
 
@@ -528,9 +528,8 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(X, tol: float = 1e-10) -> bool:
-    lam = eigvals_hermitian(X, tol)
-    spectral_norm = max(abs(lam[0]), abs(lam[-1]))
-    return lam[-1] > tol * max(1.0, spectral_norm)
+    lam, limit = _positivity(eigvals_hermitian(X, tol), tol)
+    return lam > limit
 
 
 class Pencil:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBulletCommuting, PremiseViolated, WeightOutOfRange
+from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
+                     certify, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
 from .jstruct import JPositive, _certify_image, certify_constructed, phi_J
 from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
-from .order import OrderVerdict, j_leq
+from .order import OrderVerdict, _psd_verdict, j_leq
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,7 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
         _check_pair(A, X)
     jx = X.jx if isinstance(X, JPositive) else phi_J(X, A.signature, 1e-8)
     block = block2x2(A.jx, jx, jx, B.jx)
-    margin = float(eigvals_unchecked(block)[-1])
-    scale = max(1.0, fnorm(block))
-    return OrderVerdict(margin >= -tol * scale, margin)
+    return _psd_verdict(block, tol, fnorm(block))
 
 
 def arithmetic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
@@ -99,9 +98,8 @@ def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
     J(X . Y) = JX JY, it is tested and certified on images, as is_j_positive would."""
     _check_pair(A, B)
     ja, jb = A.jx, B.jx
-    scale = max(1.0, fnorm(ja) * fnorm(jb))
-    if fnorm(ja @ jb - jb @ ja) > tol * scale:
-        raise NotBulletCommuting("bullet commutator exceeds tolerance")
+    certify(fnorm(ja @ jb - jb @ ja), threshold(tol, fnorm(ja) * fnorm(jb)),
+            NotBulletCommuting, "bullet-commutator")
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightOutOfRange(f"weight {t} outside [0, 1]")

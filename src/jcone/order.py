@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, SignatureMismatch
+from .errors import DimensionMismatch, SignatureMismatch, threshold
 from .jstruct import JPositive, Signature, _check_dim, _j_hermitian
 from .matcore import _check_hermitian, eigvals_unchecked, fnorm
 
@@ -21,17 +21,18 @@ class OrderVerdict:
 
 
 def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
-    """X <= Y iff Y - X is positive semi-definite, with slack tol * scale."""
+    """X <= Y iff Y - X is positive semi-definite, with slack threshold(tol, ||X||, ||Y||)."""
     if X.shape != Y.shape:
         raise DimensionMismatch("operands differ in shape")
-    X, Y = _check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8)
-    return _leq(X, Y, tol, max(1.0, fnorm(X), fnorm(Y)))
+    (X, nx), (Y, ny) = _check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8)
+    return _psd_verdict(Y - X, tol, nx, ny)
 
 
-def _leq(X, Y, tol: float, scale: float) -> OrderVerdict:
-    # Y - X is Hermitian by construction: it is not re-tested at its own scale.
-    margin = float(eigvals_unchecked(Y - X)[-1])
-    return OrderVerdict(margin >= -tol * scale, margin)
+def _psd_verdict(D, tol: float, *scales: float) -> OrderVerdict:
+    """D >= 0 with slack threshold(tol, *scales), and the margin lambda_min(D).
+    D is Hermitian by construction: it is not re-tested at its own scale."""
+    margin = float(eigvals_unchecked(D)[-1])
+    return OrderVerdict(margin >= -threshold(tol, *scales), margin)
 
 
 def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
@@ -48,4 +49,4 @@ def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
             raise SignatureMismatch("operands live over different signatures")
         return Z.jx, fnorm(Z.jx)
     (jx, nx), (jy, ny) = image(X), image(Y)
-    return _leq(jx, jy, tol, max(1.0, nx, ny))
+    return _psd_verdict(jy - jx, tol, nx, ny)

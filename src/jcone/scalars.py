@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import certify, threshold
+
 FIELDS = ("R", "C", "H")
 
 
@@ -70,9 +72,7 @@ class Quaternion:
         return Quaternion(z1.real, z1.imag, z2.real, z2.imag)
 
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        scale = max(1.0, self.norm(), _as_quat(other).norm())
-        diff = self - other
-        return diff.norm() <= tol * scale
+        return (self - other).norm() <= threshold(tol, self.norm(), _as_quat(other).norm())
 
 
 QUAT_ONE = Quaternion(1.0)
@@ -117,6 +117,7 @@ def psi_scalar_inverse(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 complex matrix")
     candidate = Quaternion.from_complex_pair(complex(m[0, 0]), complex(m[0, 1]))
-    if np.linalg.norm(psi_scalar(candidate) - m) > tol * max(1.0, np.linalg.norm(m)):
-        raise ValueError("matrix is not in the image of the quaternion embedding")
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf: certify rejects it
+        residual, scale = np.linalg.norm(psi_scalar(candidate) - m), np.linalg.norm(m)
+    certify(residual, threshold(tol, scale), ValueError, "quaternion-embedding")
     return candidate

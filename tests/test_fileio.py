@@ -262,6 +262,9 @@ class TestMalformed:
         "word entry": ("C", 1, [[["one", 2.0]]]),
         "numeral entry": ("R", 1, [["1.5"]]),
         "null entry": ("H", 1, [[[1.0, None, 0.0, 0.0]]]),
+        "boolean beside a float": ("R", 2, [[1.5, True], [0.0, 1.0]]),
+        "boolean part of a complex entry": ("C", 1, [[[1.0, True]]]),
+        "boolean part of a quaternion entry": ("H", 1, [[[1.0, 0.0, False, 0.0]]]),
     }
 
     @staticmethod

@@ -117,3 +117,15 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             psi_scalar_inverse(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_inverse_rejects_non_finite(self, value):
+        # A NaN residual certifies nothing, and inf - inf on the way to it
+        # must not warn.
+        with pytest.raises(ValueError, match=r"residual nan exceeds \S+"):
+            psi_scalar_inverse(np.diag([value, value]))
+
+    def test_inverse_at_overflowing_scale(self):
+        # ||m|| overflows to inf: an exact image passes, without a warning.
+        q = Quaternion(1e300, 2e300, -5e299, 2.5e299)
+        assert psi_scalar_inverse(psi_scalar(q)) == q
+
