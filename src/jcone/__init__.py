@@ -16,9 +16,10 @@ from .jstruct import (JHermitianBlocks, JPositive, Signature, block_decompose,
                       in_pj, is_in_K_J, is_in_U_J, is_j_hermitian,
                       is_j_positive, j_inner, phi_J, phi_J_inv,
                       schur_j_positive, sharp)
-from .jcalc import (bullet, bullet_commutator, bullet_inverse, exp_J, log_J,
-                    polar_decompose_bullet, pow_J, random_invertible,
-                    random_jhermitian, random_kj, random_pj, random_pj_bounded)
+from .jcalc import (GeneratorStack, bullet, bullet_commutator, bullet_inverse,
+                    exp_J, log_J, polar_decompose_bullet, pow_J,
+                    random_invertible, random_jhermitian, random_kj, random_pj,
+                    random_pj_bounded)
 from .order import OrderVerdict, j_leq, loewner_leq
 from .geometry import (curve_ode_residual, geodesic, geodesic_distance,
                        geodesic_ode_residual, metric_omega)

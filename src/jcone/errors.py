@@ -1,20 +1,50 @@
 """Exception hierarchy shared by all jcone modules, and the one tolerance
 rule: a value is compared with threshold(tol, *scales) = tol * max(1, *scales),
 and a residual certifies a structure only through certify, whose error names
-the invariant, the residual and the threshold."""
+the invariant, the residual and the threshold.
+
+Both take one value per member of a stack of matrices as well as a scalar:
+threshold then returns one threshold per member, and certify certifies every
+member, naming the first that fails."""
 
 import math
+from functools import reduce
+
+import numpy as np
 
 
-def threshold(tol: float, *scales: float) -> float:
-    """tol relative to the largest scale, floored at tol."""
-    return tol * max(1.0, *scales)
+def threshold(tol: float, *scales):
+    """tol relative to the largest scale, floored at tol; a NaN scale is
+    passed over, by max and by np.fmax alike."""
+    if not isinstance(scales[0], np.ndarray):
+        try:
+            return tol * max(1.0, *scales)
+        except ValueError:   # a later scale holds several members
+            pass
+    return tol * reduce(np.fmax, scales, 1.0)
 
 
-def certify(residual: float, limit: float, error: type, invariant: str) -> None:
+def all_of(ok) -> bool:
+    """ok for one verdict, every member's ok for an array of them (np.all
+    would cost a Python bool an array)."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def any_of(ok) -> bool:
+    return ok.any() if isinstance(ok, np.ndarray) else ok
+
+
+def first_failed(value, ok) -> float:
+    """The value of the first member where ok is False."""
+    return float(np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)].flat[0])
+
+
+def certify(residual, limit, error: type, invariant: str) -> None:
     """Raise error unless residual is finite and at most limit: a NaN or an
     overflowed residual certifies nothing, even against an overflowed limit."""
-    if not (residual <= limit and residual < math.inf):
+    ok = (residual <= limit) & (residual < math.inf)
+    if not all_of(ok):
+        residual, limit = first_failed(residual, ok), first_failed(limit, ok)
         raise error(f"{invariant} residual {residual:.3e} exceeds {limit:.3e}")
 
 

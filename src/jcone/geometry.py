@@ -14,6 +14,7 @@ L^{-1} JB L^{-*} = W diag(w) W*, where w are the eigenvalues of (JA)^{-1} JB,
     gamma(t) = J (L W) diag(w^t) (L W)*,    d(A, B) = (sum_i log^2 w_i)^{1/2},
 
 and with JP = L L*, omega_P(U, V) = trd(L^{-1} JU L^{-*} L^{-1} JV L^{-*}).
+Each takes stacks of members, and t may be one weight per member.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import SignatureMismatch, StepTooSmall
 from .jstruct import JPositive, certify_constructed, phi_J
-from .matcore import Pencil, fnorm, mat_inverse
+from .matcore import Pencil, _out, fnorm, mat_inverse
 
 MIN_STEP = 1e-7
 
@@ -43,7 +44,7 @@ def _pencil(A: JPositive, B: JPositive) -> Pencil:
     return Pencil(A.jx, B.jx)
 
 
-def geodesic(A: JPositive, B: JPositive, t: float) -> JPositive:
+def geodesic(A: JPositive, B: JPositive, t) -> JPositive:
     """Point gamma(t) on the geodesic from A (t=0) to B (t=1), certified by one
     Cholesky factorization of J gamma(t) (certify_constructed), which it holds."""
     return certify_constructed(_pencil(A, B).mean(t), A.signature)
@@ -72,4 +73,4 @@ def geodesic_ode_residual(A: JPositive, B: JPositive, t: float, h: float = 1e-4)
 def geodesic_distance(A: JPositive, B: JPositive) -> float:
     """Length of the geodesic segment: ||log((JA)^{-1/2} JB (JA)^{-1/2})||_F,
     that is (sum_i log^2 w_i)^{1/2} over the eigenvalues w of (JA)^{-1} JB."""
-    return float(np.sqrt(np.sum(np.log(_pencil(A, B).eigenvalues()) ** 2)))
+    return _out(np.sqrt(np.sum(np.log(_pencil(A, B).eigenvalues()) ** 2, axis=-1)))

@@ -4,18 +4,22 @@ The bullet product A . B = A J B is associative with neutral element J, and
 under it P_J behaves like the classical positive cone: exp_J(X) = J exp(JX)
 is a bijection from the J-Hermitian space onto P_J, with logarithm
 log_J(X) = J log(JX) and real powers X^t_J = J (JX)^t.
+
+Every operation takes stacks of matrices and members, and a power or weight
+may be one per member.  The random draws take a GeneratorStack, which draws
+one result per member, each from its member's own generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import Singular
+from .errors import Singular, all_of, any_of
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (adjoint, block2x2, eigvals_hermitian, fnorm,
-                      from_real_parts, mat_inverse, polar, spectral_function,
-                      unitary_from_columns, zeros)
+from .matcore import (_real, adjoint, block2x2, eigvals_hermitian,
+                      fnorm, from_real_parts, mat_inverse, per_member, polar,
+                      power, spectral_function, unitary_from_columns, zeros)
 
 MAX_POWER = 32.0
 
@@ -56,13 +60,13 @@ def log_J(X: JPositive):
     return X.signature.flip(spectral_function(X.jx, np.log, floor=0.0)[0])
 
 
-def pow_J(X: JPositive, t: float) -> JPositive:
-    """Fractional J-power X^t_J = J (JX)^t."""
-    t = float(t)
-    if abs(t) > MAX_POWER:
+def pow_J(X: JPositive, t) -> JPositive:
+    """Fractional J-power X^t_J = J (JX)^t; t may be one power per member."""
+    t = _real(t)
+    if any_of(abs(t) > MAX_POWER):
         raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
-    out, w = spectral_function(X.jx, lambda w: np.power(w, t), floor=0.0)
-    return certify_constructed(out, X.signature, np.power(w, t))
+    out, w = spectral_function(X.jx, lambda w: power(w, t), floor=0.0)
+    return certify_constructed(out, X.signature, power(w, t))
 
 
 def polar_decompose_bullet(g, sig: Signature):
@@ -77,30 +81,81 @@ def polar_decompose_bullet(g, sig: Signature):
     return k, certify_constructed(ptilde, sig, s)
 
 
-def _min_over_max_eig(H) -> float:
+def _min_over_max_eig(H):
     lam = eigvals_hermitian(H)
-    top = max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    return lam[-1] / top
+    top = np.maximum(np.maximum(abs(lam[..., 0]), abs(lam[..., -1])), 1e-300)
+    return lam[..., -1] / top
 
 
-def _random_matrix(n: int, field: str, rng: np.random.Generator):
+class GeneratorStack:
+    """The generators of a stack of draws, one per member.  Each draw returns
+    one result per member on a leading axis, taken from that member's own
+    generator, so every member consumes its stream as a lone draw from its
+    generator would.  deferred(count, make) makes member i's generator by
+    make(i) at the first draw, so a stack never drawn from makes none."""
+
+    __slots__ = ("_generators", "_make", "_count")
+
+    def __init__(self, generators):
+        self._generators = list(generators)
+        self._count = len(self._generators)
+
+    @classmethod
+    def deferred(cls, count: int, make) -> "GeneratorStack":
+        stack = cls(())
+        stack._generators, stack._make, stack._count = None, make, count
+        return stack
+
+    @property
+    def generators(self) -> list:
+        if self._generators is None:
+            self._generators = [self._make(i) for i in range(self._count)]
+        return self._generators
+
+    @property
+    def drawn(self) -> bool:
+        """Whether the generators were asked for a draw (or made)."""
+        return self._generators is not None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return np.array([g.standard_normal(size) for g in self.generators])
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.array([g.uniform(low, high, size) for g in self.generators])
+
+    def subset(self, index) -> "GeneratorStack":
+        return GeneratorStack([self.generators[i] for i in index])
+
+
+def _random_matrix(n: int, field: str, rng):
     """Gaussian matrix: every real component standard normal."""
     return from_real_parts(lambda: rng.standard_normal((n, n)), field)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
+def _as_rng(seed):
+    if isinstance(seed, (np.random.Generator, GeneratorStack)):
         return seed
     return np.random.default_rng(seed)
 
 
 def random_invertible(sig: Signature, field: str, seed) -> object:
-    """Gaussian square matrix, redrawn while nearly singular."""
+    """Gaussian square matrix, redrawn while nearly singular; over a
+    GeneratorStack, only the rejected members are redrawn, each from its own
+    generator."""
     rng = _as_rng(seed)
+    g = _random_matrix(sig.n, field, rng)
     for _ in range(100):
-        g = _random_matrix(sig.n, field, rng)
-        if np.sqrt(max(0.0, _min_over_max_eig(adjoint(g) @ g))) > 1e-3:
+        ok = np.sqrt(np.maximum(0.0, _min_over_max_eig(adjoint(g) @ g))) > 1e-3
+        if all_of(ok):
             return g
+        if isinstance(rng, GeneratorStack):
+            redo = np.flatnonzero(np.logical_not(ok))
+            g[redo] = _random_matrix(sig.n, field, rng.subset(redo))
+        else:
+            g = _random_matrix(sig.n, field, rng)
     raise Singular("could not draw a well-conditioned matrix")
 
 
@@ -121,22 +176,22 @@ def random_pj_bounded(sig: Signature, field: str, seed, radius: float = 2.0) -> 
     """Random cone element with ||log_J|| bounded by the given radius."""
     x = random_jhermitian(sig, field, seed)
     nrm = fnorm(x)
-    if nrm > radius:
-        x = x * (radius / nrm)
+    if any_of(nrm > radius):
+        x = x * per_member(np.where(nrm > radius, radius / nrm, 1.0))
     return exp_J(x, sig)
 
 
-def _random_unitary_block(n: int, field: str, rng: np.random.Generator):
-    if n == 0:
-        return zeros(0, field)
+def _random_unitary_block(n: int, field: str, rng):
     g = _random_matrix(n, field, rng)
+    if n == 0:
+        return g   # empty: it drew nothing
     if field == "H":
         # numpy has no quaternionic QR: Gram-Schmidt on the columns of g.
         return unitary_from_columns(g)
     q, r = np.linalg.qr(g)
     # Fix the phase so the distribution does not depend on the QR convention.
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_kj(sig: Signature, field: str, seed):

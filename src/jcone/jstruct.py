@@ -15,6 +15,11 @@ With eigenvalues of P in hand it rejects one <= 0 or not finite; without
 them it takes one Cholesky factorization of P, which is all the certificate
 needs, and lambda_min(P) is computed only if it is read (a read value not
 finite and positive raises NotJPositive).
+
+Stacks: every test and member here takes a stack of matrices (..., n, n) as
+matcore does.  A stacked JPositive holds the stack of images, certified
+together (one failing member rejects the stack), and lambda_min_of_jx is one
+value per member; member(i) is the member i alone.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive, NotPositive, threshold)
-from .matcore import (_check_hermitian, _embed, _positivity, adjoint, block2x2,
-                      cholesky_factor, eigvals_unchecked, field_of, fnorm,
-                      from_real, identity, mat_inverse, negate_rows)
+                     NotJPositive, NotPositive, all_of, any_of,
+                     first_failed, threshold)
+from .matcore import (_check_hermitian, _embed, _out, _positivity, adjoint,
+                      block2x2, cholesky_factor, eigvals_unchecked, field_of,
+                      fnorm, from_real, identity, mat_inverse, member,
+                      negate_rows)
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class Signature:
 
 
 def _check_dim(X, sig: Signature):
-    if X.shape != (sig.n, sig.n):
+    if X.shape[-2:] != (sig.n, sig.n):
         raise DimensionMismatch(f"expected {sig.n}x{sig.n}, got {X.shape}")
 
 
@@ -80,6 +87,7 @@ def sharp(X, sig: Signature):
 
 
 def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
+    """Whether X passes the J-Hermitian test; for a stack, every member."""
     try:
         phi_J(X, sig, tol)
         return True
@@ -99,7 +107,7 @@ def is_in_K_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     _check_dim(g, sig)
     eye = identity(sig.n, field_of(g))
     unitary = fnorm(adjoint(g) @ g - eye) <= threshold(tol, fnorm(g) ** 2)
-    return unitary and is_in_U_J(g, sig, tol)
+    return unitary & is_in_U_J(g, sig, tol)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class JHermitianBlocks:
 def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
     phi_J(H, sig, tol)
     p = sig.p
-    return JHermitianBlocks(H[:p, :p], H[:p, p:], H[p:, p:], sig)
+    return JHermitianBlocks(H[..., :p, :p], H[..., :p, p:], H[..., p:, p:], sig)
 
 
 def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
@@ -134,20 +142,23 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
         lam_min, limit = _positivity(eigvals_unchecked(-D), tol)
         return lam_min > limit
     lam_min, limit = _positivity(eigvals_unchecked(A), tol)
-    if abs(lam_min) <= limit:
+    singular = abs(lam_min) <= limit
+    if any_of(singular):
+        regular = np.logical_not(singular)
+        lam_min, limit = first_failed(lam_min, regular), first_failed(limit, regular)
         raise IndeterminateSchur(f"leading block numerically singular: lambda_min = "
                                  f"{lam_min:.3e}, |lambda_min| not above {limit:.3e}")
-    if lam_min <= limit:
-        return False
-    if q == 0:
-        return True
+    leading = lam_min > limit
+    if q == 0 or not any_of(leading):
+        return leading
     schur = (-D) - adjoint(B) @ mat_inverse(A) @ B
     lam_min, limit = _positivity(eigvals_unchecked(schur), tol)
-    return lam_min > limit
+    return leading & (lam_min > limit)
 
 
 class JPositive:
-    """A certified member of the cone P_J: J-Hermitian with JX positive definite.
+    """A certified member of the cone P_J: J-Hermitian with JX positive definite,
+    or a stack of them (one lambda_min per member).
 
     Every member holds its image JX: JPositive(X, sig, lam) flips X once and
     records lambda_min(JX) = lam, and is_j_positive and certify_constructed
@@ -180,17 +191,24 @@ class JPositive:
         return self._jx
 
     @property
-    def lambda_min_of_jx(self) -> float:
+    def lambda_min_of_jx(self):
         if self._lambda_min is None:
             try:
-                lam = float(eigvals_unchecked(self._jx)[-1])
+                lam = _out(eigvals_unchecked(self._jx)[..., -1])
             except np.linalg.LinAlgError:   # eigvalsh may fail on a NaN entry
-                lam = np.nan
-            if not 0.0 < lam < np.inf:
-                raise NotJPositive(f"lambda_min(JX) = {lam:.3e} of a Cholesky-certified "
-                                   "member not finite and positive")
+                lam = np.full(self._jx.shape[:-2], np.nan)
+            ok = (0.0 < lam) & (lam < np.inf)
+            if not all_of(ok):
+                raise NotJPositive(f"lambda_min(JX) = {first_failed(lam, ok):.3e} of a "
+                                   "Cholesky-certified member not finite and positive")
             self._lambda_min = lam
         return self._lambda_min
+
+    def member(self, i) -> "JPositive":
+        """Member i of a stack, holding its image and lambda_min as they are."""
+        lam = self._lambda_min
+        return _holding(member(self._jx, i), self._signature,
+                        lam if lam is None else _out(lam[i]))
 
     @property
     def field(self) -> str:
@@ -222,8 +240,10 @@ def _certify_image(jx, sig: Signature, tol: float) -> JPositive:
     """is_j_positive(X) taken on its image jx = JX, which the member holds."""
     _j_hermitian(jx, tol)
     lam_min, limit = _positivity(eigvals_unchecked(jx), tol)
-    if lam_min <= limit:
-        raise NotJPositive(f"lambda_min(JX) = {lam_min:.3e} not above {limit:.3e}")
+    ok = lam_min > limit
+    if not all_of(ok):
+        raise NotJPositive(f"lambda_min(JX) = {first_failed(lam_min, ok):.3e} not above "
+                           f"{first_failed(limit, ok):.3e}")
     return _holding(jx, sig, lam_min)
 
 
@@ -242,16 +262,22 @@ def certify_constructed(P, sig: Signature, lam=None) -> JPositive:
         except NotPositive as exc:
             raise NotJPositive(f"Cholesky factorization of JX failed: {exc}") from None
     else:
-        lam = np.asarray(lam).tolist()  # Python floats: cheaper to walk than numpy scalars
-        for v in lam:
-            if not 0.0 < v < np.inf:
-                raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite and positive")
-        lam = min(lam)
+        lam = np.asarray(lam)
+        # Python floats, one list per member: cheaper to walk than numpy scalars.
+        rows = [lam.tolist()] if lam.ndim == 1 else lam.reshape(-1, lam.shape[-1]).tolist()
+        for row in rows:
+            for v in row:
+                if not 0.0 < v < np.inf:
+                    raise NotJPositive(f"computed eigenvalue {v:.3e} of JX not finite "
+                                       "and positive")
+        low = [min(row) for row in rows]
+        lam = np.array(low).reshape(lam.shape[:-1]) if lam.ndim > 1 else low[0]
     return _holding(P, sig, lam)
 
 
 def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
-    """Boolean convenience wrapper around the certifying test."""
+    """Boolean convenience wrapper around the certifying test; for a stack,
+    whether every member passes."""
     try:
         is_j_positive(X, sig, tol)
         return True

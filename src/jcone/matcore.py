@@ -32,6 +32,18 @@ not a spectrum.
 Pencil rule: a pencil is one Cholesky factorization and the blocked
 triangular inverse of its factor (tril_inverse): one stacked inv of the
 factor's diagonal blocks, the rest matrix products.
+
+Stack rule: every function here takes a stack of matrices, shape
+(..., n, n) (over H a QMatrix whose embedding is (..., 2n, 2n)), as well as
+one matrix, and a one-matrix call is the stack of no leading axes.  Each
+member of a stack gets, bit for bit, what a call on it alone gets: numpy's
+factorizations and products loop over the leading axes, a norm takes each
+member's dot products as for one matrix (_norm), and a power raises each
+member by its own scalar exponent (power).  A per-member value (a norm, a
+verdict, an eigenvalue bound) is an array over the leading axes, and a
+Python float or bool for one matrix (_out); a per-member scalar operand
+broadcasts over the matrices through per_member.  Tests fail a stack when
+one member fails them, naming the first.
 """
 
 from __future__ import annotations
@@ -41,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotHermitian, NotInImage, NotPositive, Singular, certify,
-                     threshold)
+from .errors import (NotHermitian, NotInImage, NotPositive, Singular, all_of,
+                     certify, first_failed, threshold)
 from .scalars import Quaternion
 
 
@@ -51,18 +63,40 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
+def _out(x):
+    """A per-member value as returned: the array over a stack, a Python
+    scalar for one matrix."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) else x
+
+
+def per_member(s, axes: int = 2):
+    """One scalar per member of a stack as a factor that broadcasts over its
+    matrices (axes=2) or vectors (axes=1); a scalar stays as it is."""
+    return s[(...,) + (None,) * axes] if isinstance(s, np.ndarray) and s.ndim else s
+
+
+def member(X, i):
+    """Member i of a stack of matrices."""
+    return QMatrix._of(X.m[i]) if isinstance(X, QMatrix) else X[i]
+
+
 class QMatrix:
-    """Quaternionic matrix A + B*j held as its embedding Psi(A + B*j)."""
+    """Quaternionic matrix A + B*j held as its embedding Psi(A + B*j), or a
+    stack of them: shape is (..., rows, columns)."""
 
     __slots__ = ("m",)
+    # numpy defers arithmetic with arrays to QMatrix's own operators.
+    __array_ufunc__ = None
 
     def __init__(self, a, b=None):
         a = np.asarray(a, dtype=complex)
         b = np.zeros_like(a) if b is None else np.asarray(b, dtype=complex)
         if a.shape != b.shape:
             raise ValueError("component shapes differ")
-        if a.ndim != 2:
-            raise ValueError("a quaternionic matrix has two axes")
+        if a.ndim < 2:
+            raise ValueError("a quaternionic matrix has at least two axes")
         self.m = _psi(a, b)
 
     @classmethod
@@ -76,28 +110,29 @@ class QMatrix:
     @classmethod
     def _from_top(cls, T: np.ndarray) -> "QMatrix":
         """The QMatrix whose embedding has top rows T = [A, B]."""
-        c = T.shape[1] // 2
-        return cls._of(_psi(T[:, :c], T[:, c:]))
+        c = T.shape[-1] // 2
+        return cls._of(_psi(T[..., :c], T[..., c:]))
 
     @property
     def shape(self):
-        r, c = self.m.shape
-        return r // 2, c // 2
+        *stack, r, c = self.m.shape
+        return (*stack, r // 2, c // 2)
 
     @property
     def a(self) -> np.ndarray:
         """A, as a read-only view of the embedding."""
-        r, c = self.shape
-        return _read_only(self.m[:r, :c])
+        r, c = self.shape[-2:]
+        return _read_only(self.m[..., :r, :c])
 
     @property
     def b(self) -> np.ndarray:
         """B, as a read-only view of the embedding."""
-        r, c = self.shape
-        return _read_only(self.m[:r, c:])
+        r, c = self.shape[-2:]
+        return _read_only(self.m[..., :r, c:])
 
     def __getitem__(self, key):
-        # Integer indices give a Quaternion, slices a QMatrix.
+        # Integer indices give a Quaternion, slices a QMatrix; the key
+        # indexes (..., rows, columns) as it would an array.
         a, b = self.a[key], self.b[key]
         if isinstance(a, np.ndarray):
             return QMatrix(a, b)
@@ -105,10 +140,10 @@ class QMatrix:
 
     def __setitem__(self, key, value: "QMatrix"):
         # Each of the four blocks of Psi takes the same block of value's.
-        (r, c), (vr, vc) = self.shape, value.shape
+        (r, c), (vr, vc) = self.shape[-2:], value.shape[-2:]
         m, v = self.m, value.m
-        m[:r, :c][key], m[:r, c:][key] = v[:vr, :vc], v[:vr, vc:]
-        m[r:, :c][key], m[r:, c:][key] = v[vr:, :vc], v[vr:, vc:]
+        m[..., :r, :c][key], m[..., :r, c:][key] = v[..., :vr, :vc], v[..., :vr, vc:]
+        m[..., r:, :c][key], m[..., r:, c:][key] = v[..., vr:, :vc], v[..., vr:, vc:]
 
     def reshape(self, *shape) -> "QMatrix":
         return QMatrix(self.a.reshape(*shape), self.b.reshape(*shape))
@@ -123,22 +158,23 @@ class QMatrix:
         return QMatrix._of(-self.m)
 
     def __mul__(self, s) -> "QMatrix":
-        # Real scalars only: they are central in H, so the side does not matter.
-        return QMatrix._of(float(s) * self.m)
+        # Real scalars only, or per_member factors of them: they are central
+        # in H, so the side does not matter.
+        return QMatrix._of(_real(s) * self.m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s) -> "QMatrix":
-        return self * (1.0 / float(s))
+        return self * (1.0 / _real(s))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         # The top rows of Psi(X) Psi(Y) are [A1 A2 - B1 conj(B2), A1 B2 + B1 conj(A2)].
-        return QMatrix._from_top(self.m[:self.m.shape[0] // 2] @ other.m)
+        return QMatrix._from_top(self.m[..., :self.m.shape[-2] // 2, :] @ other.m)
 
     @property
     def H(self) -> "QMatrix":
         # Psi(X)* = Psi(X*).
-        return QMatrix._of(self.m.conj().T)
+        return QMatrix._of(self.m.conj().mT)
 
     @staticmethod
     def from_quaternions(rows) -> "QMatrix":
@@ -157,6 +193,11 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix(a={self.a!r}, b={self.b!r})"
+
+
+def _real(s):
+    """A real scalar as a float, or an array of them as a float array."""
+    return np.asarray(s, dtype=float) if isinstance(s, np.ndarray) and s.ndim else float(s)
 
 
 def field_of(X) -> str:
@@ -203,16 +244,22 @@ def zeros(n: int, field: str):
 def adjoint(X):
     if isinstance(X, QMatrix):
         return X.H
-    return np.asarray(X).conj().T
+    return np.asarray(X).conj().mT
 
 
-def _norm(M: np.ndarray) -> float:
-    """Frobenius norm of an array, bit for bit np.linalg.norm's: the same dot
-    products of the raveled real and imaginary parts, taken by np.vdot, which
-    does not warn when the sum of squares overflows.  Only then is it taken
-    again as s ||M / s|| with s the largest |entry|, so finite entries give a
-    finite norm wherever the norm itself is finite."""
-    x = np.asarray(M).ravel(order="K")
+def _norm(M: np.ndarray):
+    """Frobenius norm of a matrix, or of each member of a stack, bit for bit
+    np.linalg.norm's: the same dot products of the raveled real and imaginary
+    parts, taken by np.vdot, which does not warn when the sum of squares
+    overflows.  Only then is it taken again as s ||M / s|| with s the largest
+    |entry|, so finite entries give a finite norm wherever the norm itself is
+    finite.  A stack takes the same dot products per member, by np.vecdot
+    on each member raveled as it would be alone (a reduction by np.sum would
+    add in another order)."""
+    M = np.asarray(M)
+    if M.ndim > 2:
+        return _stacked_norm(M)
+    x = M.ravel(order="K")
     if x.dtype.kind not in "fc":
         x = x.astype(float)
     if x.dtype.kind == "c":
@@ -226,34 +273,76 @@ def _norm(M: np.ndarray) -> float:
     return nrm
 
 
+@np.errstate(over="ignore")
+def _sums_of_squares(flat: np.ndarray) -> np.ndarray:
+    """Per row, the sum of squares of the real and imaginary parts, by the
+    BLAS dot that np.vdot calls: an overflow is quietly inf."""
+    if flat.dtype.kind == "c":
+        return np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return np.vecdot(flat, flat)
+
+
+def _stacked_norm(M: np.ndarray) -> np.ndarray:
+    """_norm of each member of a stack, by the dot products _norm takes."""
+    if M.strides[-2] < M.strides[-1]:
+        M = M.mT   # a member in column order ravels by columns
+    stack, (r, c) = M.shape[:-2], M.shape[-2:]
+    if M.strides[-1] != M.itemsize or M.strides[-2] != c * M.itemsize or M.dtype.kind not in "fc":
+        return np.array([_norm(X) for X in M.reshape((-1, r, c))]).reshape(stack)
+    flat = M.reshape(-1, r * c)   # each row is a member raveled as alone
+    nrm = np.sqrt(_sums_of_squares(flat))
+    if math.inf in nrm.tolist():
+        nrm = np.array([v if v < math.inf else _norm(x) for v, x in zip(nrm.tolist(), flat)])
+    return nrm.reshape(stack)
+
+
 def fnorm(X) -> float:
     """Frobenius norm sqrt(trd(X* X)), uniform across the three fields: over H
     that of the top rows [A, B] of Psi(X)."""
     return _norm(_top(_embed(X), X))
 
 
-def trd(X) -> float:
+def fnorms(*Xs):
+    """fnorm of each X; stacks of one shape whose members lie in row order
+    are taken in one pass, each member as fnorm takes it."""
+    if type(Xs[0]) is np.ndarray and Xs[0].ndim == 2:
+        return [_norm(X) for X in Xs]   # one matrix over R or C, taken as fnorm takes it
+    Ms = [_top(_embed(X), X) for X in Xs]
+    M = Ms[0]
+    if M.ndim > 2 and all(N.shape == M.shape and N.strides[-1] == N.itemsize
+                          and N.strides[-2] == N.shape[-1] * N.itemsize for N in Ms):
+        stack = np.empty((len(Ms),) + M.shape, dtype=np.result_type(*Ms))
+        for i, N in enumerate(Ms):
+            stack[i] = N
+        return _norm(stack)
+    return [_norm(N) for N in Ms]
+
+
+def trd(X):
     """Reduced trace: real part of the trace (real part of tr(A) for A + B*j)."""
-    if isinstance(X, QMatrix):
-        n = X.shape[0]
-        return float(np.real(np.trace(X.m[:n, :n])))
-    return float(np.real(np.trace(X)))
+    M = X.a if isinstance(X, QMatrix) else X
+    return _out(np.real(np.trace(M, axis1=-2, axis2=-1)))
 
 
-def allclose(X, Y, tol: float = 1e-9) -> bool:
-    return fnorm(X - Y) <= threshold(tol, fnorm(X), fnorm(Y))
+def allclose(X, Y, tol: float = 1e-9):
+    dist, nx, ny = fnorms(X - Y, X, Y)
+    return dist <= threshold(tol, nx, ny)
 
 
 def _assemble(P, Q, R, S) -> np.ndarray:
-    """[[P, Q], [R, S]] written block by block into one preallocated array."""
-    (r, c), (r2, c2) = P.shape, S.shape
-    if Q.shape != (r, c2) or R.shape != (r2, c):
+    """[[P, Q], [R, S]] written block by block into one preallocated array;
+    stacked blocks broadcast over their leading axes."""
+    (r, c), (r2, c2) = P.shape[-2:], S.shape[-2:]
+    if Q.shape[-2:] != (r, c2) or R.shape[-2:] != (r2, c):
         raise ValueError("blocks do not conform")
-    out = np.empty((r + r2, c + c2), dtype=np.result_type(P, Q, R, S))
-    out[:r, :c] = P
-    out[:r, c:] = Q
-    out[r:, :c] = R
-    out[r:, c:] = S
+    stack = P.shape[:-2]
+    if not stack == Q.shape[:-2] == R.shape[:-2] == S.shape[:-2]:
+        stack = np.broadcast_shapes(stack, Q.shape[:-2], R.shape[:-2], S.shape[:-2])
+    out = np.empty(stack + (r + r2, c + c2), dtype=np.result_type(P, Q, R, S))
+    out[..., :r, :c] = P
+    out[..., :r, c:] = Q
+    out[..., r:, :c] = R
+    out[..., r:, c:] = S
     return out
 
 
@@ -274,10 +363,10 @@ def psi_structural_residual(M: np.ndarray) -> float:
     ||M J2c - J2r conj(M)||_F with J2k = [[0, I_k], [-I_k, 0]], taken block by
     block."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] % 2 or M.shape[1] % 2:
+    if M.ndim < 2 or M.shape[-2] % 2 or M.shape[-1] % 2:
         raise ValueError("expected a matrix with an even number of rows and of columns")
-    r, c = M.shape[0] // 2, M.shape[1] // 2
-    A, B, C, D = M[:r, :c], M[:r, c:], M[r:, :c], M[r:, c:]
+    r, c = M.shape[-2] // 2, M.shape[-1] // 2
+    A, B, C, D = M[..., :r, :c], M[..., :r, c:], M[..., r:, :c], M[..., r:, c:]
     return _norm(_assemble(-B - C.conj(), A - D.conj(), A.conj() - D, C + B.conj()))
 
 
@@ -286,7 +375,7 @@ def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
     M = np.asarray(M, dtype=complex)
     certify(psi_structural_residual(M), threshold(tol, _norm(M)), NotInImage,
             "M J2n = J2n conj(M) structural")
-    return QMatrix._from_top(M[:M.shape[0] // 2])
+    return QMatrix._from_top(M[..., :M.shape[-2] // 2, :])
 
 
 def _embed(X) -> np.ndarray:
@@ -298,7 +387,7 @@ def _embed(X) -> np.ndarray:
 def _top(M: np.ndarray, X) -> np.ndarray:
     """The rows of a result computed on _embed(X) that determine it: all of
     them over R and C, the top half over H."""
-    return M[:M.shape[0] // 2] if isinstance(X, QMatrix) else M
+    return M[..., :M.shape[-2] // 2, :] if isinstance(X, QMatrix) else M
 
 
 def _unembed(T: np.ndarray, X):
@@ -316,13 +405,13 @@ def negate_rows(X, p: int):
     product with a complex sign would add 0 * inf, a NaN, to its other part."""
     if isinstance(X, QMatrix):
         M = X.m.copy()
-        n = len(M) // 2
-        top, bottom = M[p:n], M[n + p:]
+        n = M.shape[-2] // 2
+        top, bottom = M[..., p:n, :], M[..., n + p:, :]
         np.negative(top, out=top)
         np.negative(bottom, out=bottom)
         return QMatrix._of(M)
     M = np.array(X)
-    rows = M[p:]
+    rows = M[..., p:, :]
     np.negative(rows, out=rows)
     return M
 
@@ -335,22 +424,26 @@ def mat_inverse(X):
         inv = np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"inverse failed: {exc}") from None
-    cond = np.linalg.norm(M, 1) * np.linalg.norm(inv, 1)
-    if not cond < 1e13:
-        raise Singular(f"1-norm condition number {cond:.3e} not below 1e13")
+    cond = np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    ok = cond < 1e13
+    if not all_of(ok):
+        raise Singular(f"1-norm condition number {first_failed(cond, ok):.3e} not below 1e13")
     return _unembed(_top(inv, X), X)
 
 
 def _check_hermitian(X, tol: float = 1e-10, error=NotHermitian, invariant="adjoint-symmetry"):
     """(X, ||X||_F), once X passes the one Hermitian test."""
-    nrm = fnorm(X)
-    certify(fnorm(X - adjoint(X)), threshold(tol, nrm), error, invariant)
+    nrm, residual = fnorms(X, X - adjoint(X))
+    certify(residual, threshold(tol, nrm), error, invariant)
     return X, nrm
 
 
-def _positivity(w, tol: float) -> tuple[float, float]:
+def _positivity(w, tol: float):
     """(lambda_min, threshold(tol, |lambda_min|, |lambda_max|)) of the sorted
-    eigenvalues w: positive definite at tol iff lambda_min > threshold."""
+    eigenvalues w (..., m): positive definite at tol iff lambda_min > threshold."""
+    if w.ndim > 1:
+        a, b = w[..., 0], w[..., -1]
+        return np.where(b < a, b, a), threshold(tol, abs(a), abs(b))
     a, b = float(w[0]), float(w[-1])
     return min(a, b), threshold(tol, abs(a), abs(b))
 
@@ -363,8 +456,11 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
 
     def reconstruct(self):
-        U = self.unitary
-        return U @ from_real(np.diag(self.eigenvalues), field_of(U)) @ adjoint(U)
+        U, w = self.unitary, self.eigenvalues
+        D = np.zeros(w.shape + w.shape[-1:])
+        i = np.arange(w.shape[-1])
+        D[..., i, i] = w
+        return U @ from_real(D, field_of(U)) @ adjoint(U)
 
 
 def _orthonormal_columns(V: np.ndarray, count: int, floor: float):
@@ -376,7 +472,13 @@ def _orthonormal_columns(V: np.ndarray, count: int, floor: float):
     quaternionic column x, which fixes x, and J2n conj(v) is the second.  The
     embeddings of the columns kept so far fill E, so x - U (U* x) is
     v - E (E* v); it is kept, normalized, when its norm ||x|| exceeds floor.
+    Which columns are kept depends on the data, so a stack of V is taken
+    member by member: kept is then one list per member.
     """
+    if V.ndim > 2:
+        flat = [_orthonormal_columns(v, count, floor) for v in V.reshape((-1,) + V.shape[-2:])]
+        m = np.stack([U.m for U, _ in flat]).reshape(V.shape[:-2] + flat[0][0].m.shape)
+        return QMatrix._of(m), [kept for _, kept in flat]
     n = V.shape[0] // 2
     E = np.zeros((2 * n, 2 * count), dtype=complex)
     kept = []
@@ -398,8 +500,8 @@ def _orthonormal_columns(V: np.ndarray, count: int, floor: float):
 
 def unitary_from_columns(g: QMatrix) -> QMatrix:
     """The unitary factor of g's quaternionic QR, by Gram-Schmidt on its columns."""
-    n = g.shape[1]
-    return _orthonormal_columns(g.m[:, :n], n, 0.0)[0]
+    n = g.shape[-1]
+    return _orthonormal_columns(g.m[..., :n], n, 0.0)[0]
 
 
 def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
@@ -409,17 +511,18 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
     a quaternionic Gram-Schmidt pass selects n of the 2n and orthonormalizes
     inside degenerate clusters.
     """
-    n = V.shape[0] // 2
+    n = V.shape[-2] // 2
     U, kept = _orthonormal_columns(V, n, 1e-3)
-    if len(kept) != n:
+    if any(len(k) != n for k in (kept if V.ndim > 2 else [kept])):
         raise NotHermitian("quaternionic eigenvector selection failed")
-    return SpectralDecomposition(U, w[kept])
+    kept = np.array(kept).reshape(w.shape[:-1] + (n,))
+    return SpectralDecomposition(U, np.take_along_axis(w, kept, -1))
 
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     w, V = np.linalg.eigh(_embed(_check_hermitian(X, tol)[0]))
-    w, V = w[::-1], V[:, ::-1]
+    w, V = w[..., ::-1], V[..., ::-1]
     if isinstance(X, QMatrix):
         return _quaternionic_eig(w, V)
     return SpectralDecomposition(V, w)
@@ -427,7 +530,7 @@ def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
 
 def _descending(w: np.ndarray, X) -> np.ndarray:
     # Over H each eigenvalue of X appears twice in Psi(X): keep one of each.
-    return w[::-2] if isinstance(X, QMatrix) else w[::-1]
+    return w[..., ::-2] if isinstance(X, QMatrix) else w[..., ::-1]
 
 
 def eigvals_unchecked(X) -> np.ndarray:
@@ -448,9 +551,11 @@ def spectral_function(X, f, floor: float | None = None):
     w, U = np.linalg.eigh(M)
     if floor is not None:
         lam, limit = _positivity(w, floor)
-        if not lam > limit:
-            raise NotPositive(f"smallest eigenvalue {lam:.3e} not above {limit:.3e}")
-    T = (_top(U, X) * f(w)) @ U.conj().T
+        ok = lam > limit
+        if not all_of(ok):
+            raise NotPositive(f"smallest eigenvalue {first_failed(lam, ok):.3e} not above "
+                              f"{first_failed(limit, ok):.3e}")
+    T = (_top(U, X) * f(w)[..., None, :]) @ U.conj().mT
     return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(w, X)
 
 
@@ -467,8 +572,21 @@ def mat_log_pd(X):
     return spectral_function(_check_hermitian(X)[0], np.log, floor=1e-10)[0]
 
 
-def mat_pow_pd(X, t: float):
-    return spectral_function(_check_hermitian(X)[0], lambda w: np.power(w, float(t)),
+def power(w: np.ndarray, t) -> np.ndarray:
+    """w ** t on eigenvalue vectors w (..., m), t a real exponent or one per
+    member.  Members are raised one by one, each by a scalar exponent as a
+    lone call raises it: numpy takes a scalar exponent of 2, -1 or 0.5 by a
+    faster route, rounded differently from an array of them."""
+    if not (isinstance(t, np.ndarray) and t.ndim):
+        return np.power(w, float(t))
+    flat = w.reshape(-1, w.shape[-1])
+    return np.array([np.power(v, s) for v, s in zip(flat, np.ravel(t).tolist())]
+                    ).reshape(w.shape)
+
+
+def mat_pow_pd(X, t):
+    t = _real(t)
+    return spectral_function(_check_hermitian(X)[0], lambda w: power(w, t),
                              floor=1e-10)[0]
 
 
@@ -511,23 +629,24 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
     by products alone (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992),
     about a third of the flops of a general inverse.
     """
-    n = L.shape[0]
+    n = L.shape[-1]
     if n <= _TRIL_BLOCK:
         return np.linalg.inv(L)
     k = -(-n // _TRIL_BLOCK)
     b = -(-n // k)
     starts = [i * b for i in range(k - 1)] + [n - b]
-    adjoints = np.stack([L[s:s + b, s:s + b] for s in starts]).conj().swapaxes(1, 2)
+    adjoints = np.stack([L[..., s:s + b, s:s + b] for s in starts], axis=-3).conj().mT
+    inverses = np.linalg.inv(adjoints).conj().mT
     X = np.zeros_like(L)
-    for s, d in zip(starts, np.linalg.inv(adjoints).swapaxes(1, 2).conj()):
-        rows = slice(s, s + b)
-        X[rows, rows] = d
+    for i, s in enumerate(starts):
+        rows, d = slice(s, s + b), inverses[..., i, :, :]
+        X[..., rows, rows] = d
         if s:
-            X[rows, :s] = -(d @ (L[rows, :s] @ X[:s, :s]))
+            X[..., rows, :s] = -(d @ (L[..., rows, :s] @ X[..., :s, :s]))
     return X
 
 
-def is_positive_definite(X, tol: float = 1e-10) -> bool:
+def is_positive_definite(X, tol: float = 1e-10):
     lam, limit = _positivity(eigvals_hermitian(X, tol), tol)
     return lam > limit
 
@@ -560,13 +679,16 @@ class Pencil:
     def _congruence(self, M):
         # Symmetrized: the products accumulate rounding, and eigh reads one
         # triangle only.
-        C = self._linv @ M @ self._linv.conj().T
-        return (C + C.conj().T) * 0.5
+        C = self._linv @ M @ self._linv.conj().mT
+        return (C + C.conj().mT) * 0.5
 
     @staticmethod
     def _positive(w):
-        if not w[0] > 0.0:
-            raise NotPositive(f"smallest eigenvalue {w[0]:.3e} of P^-1 Q not positive")
+        low = _out(w[..., 0])
+        ok = low > 0.0
+        if not all_of(ok):
+            raise NotPositive(f"smallest eigenvalue {first_failed(low, ok):.3e} "
+                              "of P^-1 Q not positive")
         return w
 
     def eigenvalues(self) -> np.ndarray:
@@ -586,20 +708,21 @@ class Pencil:
         """
         w, U = np.linalg.eigh(self._mid)
         V = self._l @ U
-        M = (V * np.power(self._positive(w), float(t))) @ V.conj().T
-        return _project_to_image((M + M.conj().T) * 0.5, self._like)
+        M = (V * power(self._positive(w), t)[..., None, :]) @ V.conj().mT
+        return _project_to_image((M + M.conj().mT) * 0.5, self._like)
 
     def riccati_residual(self, Y) -> float:
         """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand: over H
         on the top rows of the embedded difference, which hold A and B once."""
         Z = self._linv @ _embed(Y)
-        return _norm(_top(Z.conj().T, self._like) @ Z - _top(self._q, self._like))
+        return _norm(_top(Z.conj().mT, self._like) @ Z - _top(self._q, self._like))
 
-    def inner(self, V) -> float:
+    def inner(self, V):
         """trd(P^{-1} Q P^{-1} V) = trd(mid L^{-1} V L^{-*}) for Hermitian V."""
-        tr = float(np.sum(self._mid * self._congruence(_embed(V)).T).real)
+        C = self._congruence(_embed(V)).mT
+        tr = np.sum(self._mid * C, axis=(-2, -1)).real
         # Over H the trace of the embedding counts each diagonal entry twice.
-        return tr / 2.0 if isinstance(V, QMatrix) else tr
+        return _out(tr / 2.0 if isinstance(V, QMatrix) else tr)
 
 
 def _project_to_image(M: np.ndarray, X):
@@ -608,10 +731,11 @@ def _project_to_image(M: np.ndarray, X):
     each block, after which M is the embedding of the result."""
     if not isinstance(X, QMatrix):
         return M
-    n = M.shape[0] // 2
-    a = (M[:n, :n] + M[n:, n:].conj()) * 0.5
-    b = (M[:n, n:] - M[n:, :n].conj()) * 0.5
-    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = a, b, -np.conj(b), np.conj(a)
+    n = M.shape[-2] // 2
+    a = (M[..., :n, :n] + M[..., n:, n:].conj()) * 0.5
+    b = (M[..., :n, n:] - M[..., n:, :n].conj()) * 0.5
+    M[..., :n, :n], M[..., :n, n:] = a, b
+    M[..., n:, :n], M[..., n:, n:] = -np.conj(b), np.conj(a)
     return QMatrix._of(M)
 
 
@@ -625,12 +749,14 @@ def polar(X):
     so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
     """
     W, s, Vh = np.linalg.svd(_embed(X))
-    if not s[-1] > 1e-13 * s[0]:
-        raise Singular(f"singular-value ratio {s[-1] / max(s[0], 1e-300):.3e} not above 1e-13")
-    R = (Vh.conj().T * s) @ Vh
+    ok = s[..., -1] > 1e-13 * s[..., 0]
+    if not all_of(ok):
+        ratio = s[..., -1] / np.maximum(s[..., 0], 1e-300)
+        raise Singular(f"singular-value ratio {first_failed(ratio, ok):.3e} not above 1e-13")
+    R = (Vh.conj().mT * s[..., None, :]) @ Vh
     # Over H each singular value of X appears twice in Psi(X): keep one of each.
-    return (_project_to_image(W @ Vh, X), _project_to_image((R + R.conj().T) * 0.5, X),
-            s[::2] if isinstance(X, QMatrix) else s)
+    return (_project_to_image(W @ Vh, X), _project_to_image((R + R.conj().mT) * 0.5, X),
+            s[..., ::2] if isinstance(X, QMatrix) else s)
 
 
 def block2x2(P, Q, R, S):

@@ -14,18 +14,24 @@ image as the pencil returned it, and it is the maximum of
 provides the arithmetic and harmonic companions with the AGM sandwich, the
 closed form for bullet-commuting pairs, and the Ando-Hiai and Furuta
 inequalities transported to P_J.
+
+Every operation takes stacks of members and one weight per member; verdicts
+and residuals then hold one value per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
-                     certify, threshold)
+                     all_of, any_of, certify, first_failed, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
 from .jstruct import JPositive, _certify_image, certify_constructed, phi_J
-from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
+from .matcore import (Pencil, _out, _real, block2x2, eigvals_unchecked, fnorm,
+                      identity, per_member)
 from .order import OrderVerdict, _psd_verdict, j_leq
 
 
@@ -44,15 +50,26 @@ def riccati_residual(X: JPositive, A: JPositive, B: JPositive) -> float:
     return _pencil(A, B).riccati_residual(X.jx)
 
 
-def weighted_mean(A: JPositive, B: JPositive, t: float = 0.5) -> MeanResult:
-    """The weighted geometric mean of A and B on P_J, weight t in [0, 1]."""
+def _weight(t):
+    """The weight t, or one per member, checked to lie in [0, 1]."""
+    t = _real(t)
+    ok = (0.0 <= t) & (t <= 1.0)
+    if not all_of(ok):
+        raise WeightOutOfRange(f"weight {first_failed(t, ok)} outside [0, 1]")
+    return t
+
+
+def weighted_mean(A: JPositive, B: JPositive, t=0.5) -> MeanResult:
+    """The weighted geometric mean of A and B on P_J, weight t in [0, 1]; the
+    Riccati residual is that of the members at t = 0.5, NaN elsewhere."""
     _check_pair(A, B)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise WeightOutOfRange(f"weight {t} outside [0, 1]")
+    t = _weight(t)
     pencil = Pencil(A.jx, B.jx)
     jmean = pencil.mean(t)
-    residual = pencil.riccati_residual(jmean) if t == 0.5 else float("nan")
+    half = t == 0.5
+    residual = pencil.riccati_residual(jmean) if any_of(half) else float("nan")
+    if isinstance(half, np.ndarray):
+        residual = np.where(half, residual, np.nan)
     return MeanResult(certify_constructed(jmean, A.signature), residual, t)
 
 
@@ -75,20 +92,23 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
     return _psd_verdict(block, tol, fnorm(block))
 
 
-def arithmetic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
+def arithmetic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
     _check_pair(A, B)
-    return certify_constructed((1.0 - float(t)) * A.jx + float(t) * B.jx, A.signature)
+    t = per_member(_real(t))
+    return certify_constructed(A.jx * (1.0 - t) + B.jx * t, A.signature)
 
 
-def harmonic_mean_J(A: JPositive, B: JPositive, t: float = 0.5) -> JPositive:
-    """[(1-t) A^{-1}_J + t B^{-1}_J]^{-1}_J with J-power inverses throughout."""
+def harmonic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
+    """[(1-t) A^{-1}_J + t B^{-1}_J]^{-1}_J with J-power inverses throughout;
+    A itself when every weight is 0 and B when every weight is 1."""
     _check_pair(A, B)
-    t = float(t)
-    if t == 0.0:
+    t = _real(t)
+    if all_of(t == 0.0):
         return A
-    if t == 1.0:
+    if all_of(t == 1.0):
         return B
-    combo = (1.0 - t) * pow_J(A, -1).jx + t * pow_J(B, -1).jx
+    s = per_member(t)
+    combo = pow_J(A, -1).jx * (1.0 - s) + pow_J(B, -1).jx * s
     return pow_J(certify_constructed(combo, A.signature), -1)
 
 
@@ -100,9 +120,7 @@ def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
     ja, jb = A.jx, B.jx
     certify(fnorm(ja @ jb - jb @ ja), threshold(tol, fnorm(ja) * fnorm(jb)),
             NotBulletCommuting, "bullet-commutator")
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise WeightOutOfRange(f"weight {t} outside [0, 1]")
+    t = _weight(t)
     return _certify_image(pow_J(A, 1.0 - t).jx @ pow_J(B, t).jx, A.signature, 1e-10)
 
 
@@ -121,8 +139,9 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
     Valid because scaling both by mu scales the mean by mu.
     """
     mean = weighted_mean(A, B, t).mean
-    mu = (1.0 - margin) / float(eigvals_unchecked(mean.jx)[0])
-    return tuple(certify_constructed(mu * X.jx, A.signature, [mu * X.lambda_min_of_jx])
+    mu = (1.0 - margin) / _out(eigvals_unchecked(mean.jx)[..., 0])
+    return tuple(certify_constructed(X.jx * per_member(mu), A.signature,
+                                     np.expand_dims(mu * X.lambda_min_of_jx, -1))
                  for X in (A, B))
 
 
@@ -132,16 +151,19 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
     _check_pair(A, B)
     if r < 1.0:
         raise ValueError("need r >= 1")
-    if not 0.0 < t < 1.0:
+    if not all_of((0.0 < t) & (t < 1.0)):
         raise ValueError("need t in (0, 1)")
     j_elt = certify_constructed(identity(A.signature.n, A.field), A.signature, [1.0])
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
-    if not premise.holds:
-        return InequalityVerdict(True, True, premise.margin, float("nan"))
-    powered = weighted_mean(pow_J(A, r), pow_J(B, r), t).mean
-    conclusion = j_leq(powered, j_elt, tol=tol)
-    return InequalityVerdict(conclusion.holds, False, premise.margin,
-                             conclusion.margin)
+    # A member whose premise fails holds vacuously, with no conclusion margin.
+    vacuous = np.logical_not(premise.holds)
+    if all_of(vacuous):
+        conclusion = OrderVerdict(vacuous, np.nan)
+    else:
+        powered = weighted_mean(pow_J(A, r), pow_J(B, r), t).mean
+        conclusion = j_leq(powered, j_elt, tol=tol)
+    return InequalityVerdict(_out(conclusion.holds | vacuous), _out(vacuous), premise.margin,
+                             _out(np.where(vacuous, np.nan, conclusion.margin)))
 
 
 def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
@@ -151,7 +173,7 @@ def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
     if p_exp < 0.0 or r < 1.0:
         raise ValueError("need p >= 0 and r >= 1")
     premise = j_leq(B, A, tol=tol)
-    if not premise.holds:
+    if not all_of(premise.holds):
         raise PremiseViolated("need B <=_J A")
     half = pow_J(A, r / 2.0)
     inner = half.jx @ pow_J(B, p_exp).jx @ half.jx

@@ -2,7 +2,8 @@
 
 X <=_J Y means JX <= JY in the classical positive-semidefinite order; both
 predicates return the margin (smallest eigenvalue of the difference) so that
-callers can assert strictness or near-equality.
+callers can assert strictness or near-equality.  On stacks of matrices a
+verdict holds one holds and one margin per member.
 """
 
 from __future__ import annotations
@@ -11,18 +12,20 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SignatureMismatch, threshold
 from .jstruct import JPositive, Signature, _check_dim, _j_hermitian
-from .matcore import _check_hermitian, eigvals_unchecked, fnorm
+from .matcore import _check_hermitian, _out, eigvals_unchecked, fnorm
 
 
 @dataclass(frozen=True)
 class OrderVerdict:
+    """bool and float for one pair of matrices, arrays over a stack."""
+
     holds: bool
     margin: float
 
 
 def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
     """X <= Y iff Y - X is positive semi-definite, with slack threshold(tol, ||X||, ||Y||)."""
-    if X.shape != Y.shape:
+    if X.shape[-2:] != Y.shape[-2:]:
         raise DimensionMismatch("operands differ in shape")
     (X, nx), (Y, ny) = _check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8)
     return _psd_verdict(Y - X, tol, nx, ny)
@@ -31,7 +34,7 @@ def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
 def _psd_verdict(D, tol: float, *scales: float) -> OrderVerdict:
     """D >= 0 with slack threshold(tol, *scales), and the margin lambda_min(D).
     D is Hermitian by construction: it is not re-tested at its own scale."""
-    margin = float(eigvals_unchecked(D)[-1])
+    margin = _out(eigvals_unchecked(D)[..., -1])
     return OrderVerdict(margin >= -threshold(tol, *scales), margin)
 
 

@@ -4,9 +4,18 @@ Each property is registered under a stable id and grouped into suites
 (powers, order, geometry, means, inequalities, quaternion).  A trial draws
 its own generator from (seed, trial index, property id), so reports are
 deterministic and trials are order-independent.  The counterexample is the
-last failing trial's own inputs, reproducible from (seed, trial, id).  A
-property that draws nothing from its generator runs once, and that outcome
-counts for every trial.
+last failing trial's own inputs, reproducible from (seed, trial, id).
+
+A property f(ctx, rng) runs a block of trials in one call: rng is a
+GeneratorStack of the block's trial generators, each draw returns one result
+per trial on a leading axis, and the property computes on those stacks, so
+its outcome holds one ok and one margin per trial (and its witness one value
+per trial).  Each trial consumes its own generator exactly as a call on that
+generator alone, f(ctx, _trial_rng(seed, id, trial)), which is the one-trial
+case of the same code, and gets the same outcome bit for bit.  A block holds
+at most _BLOCK_ENTRIES matrix entries per stacked n x n array.  A property
+that draws nothing from its generators runs once, and that outcome counts for
+every trial.
 """
 
 from __future__ import annotations
@@ -19,14 +28,16 @@ import numpy as np
 from .errors import UnknownSuite
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
-from .jcalc import (_random_matrix, bullet, exp_J, pow_J, random_invertible,
-                    random_jhermitian, random_kj, random_pj_bounded)
+from .errors import threshold
+from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
+                    random_invertible, random_jhermitian, random_kj,
+                    random_pj_bounded)
 from .jstruct import (JPositive, Signature, is_j_hermitian, is_j_positive,
                       phi_J_inv, sharp)
-from .matcore import (adjoint, fnorm, hermitian_eig, identity, is_matrix,
-                      mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
-                      mat_sqrt_pd, matrix_function, psi_matrix,
-                      psi_structural_residual, trd)
+from .matcore import (adjoint, fnorm, fnorms, hermitian_eig, identity,
+                      is_matrix, mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
+                      mat_sqrt_pd, matrix_function, member, per_member,
+                      psi_matrix, psi_structural_residual, trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
                     furuta_check, harmonic_mean_J, maximality_check,
                     weighted_mean)
@@ -44,6 +55,9 @@ class Context:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One trial's verdict, or a block's: then ok and margin are arrays over
+    its trials and each witness value holds one value per trial."""
+
     ok: bool
     margin: float
     # Named inputs of the trial, serialized only if it ends up reported.
@@ -84,14 +98,36 @@ def _payload(X):
     return matrix_to_payload(X) if is_matrix(X) else X
 
 
-def _rel_err(X, Y) -> float:
-    return fnorm(X - Y) / max(1.0, fnorm(X), fnorm(Y))
+def _member(value, i):
+    """Trial i's own witness value out of a block's: member i of a stack of
+    members, matrices or values, and dicts entry by entry."""
+    if isinstance(value, JPositive):
+        return value.member(i)
+    if isinstance(value, dict):
+        return {k: _member(v, i) for k, v in value.items()}
+    return member(value, i) if is_matrix(value) else value
+
+
+def _rel_err(X, Y):
+    dist, nx, ny = fnorms(X - Y, X, Y)
+    return dist / threshold(1.0, nx, ny)
+
+
+_scalar_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _pow(x, y):
+    """x ** y per trial by the C library's pow, as a Python float power takes
+    it: numpy's vectorized power may differ from it in the last bit."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return _scalar_pow(x, y).astype(float)
+    return x ** y
 
 
 def _psd_bump(sig: Signature, fld: str, rng, scale: float):
     g = random_invertible(sig, fld, rng)
     bump = g @ adjoint(g)
-    return bump * (scale / max(1.0, fnorm(bump)))
+    return bump * per_member(scale / threshold(1.0, fnorm(bump)))
 
 
 def _comparable_pair(ctx: Context, rng):
@@ -117,7 +153,7 @@ def _prop_exp_noninjectivity(ctx, rng):
 
 def _prop_inverse_exponential_law(ctx, rng):
     X = random_jhermitian(ctx.sig, ctx.field, rng)
-    X = X * (2.0 / max(1.0, fnorm(X)))
+    X = X * per_member(2.0 / threshold(1.0, fnorm(X)))
     E = exp_J(X, ctx.sig)
     j = ctx.sig.matrix_for(X)
     rhs = mat_exp_h(-(j @ X)) @ j
@@ -133,9 +169,8 @@ def _prop_inverse_generic_gap(ctx, rng):
         X = random_jhermitian(sig, ctx.field if ctx.field != "H" else "C", rng)
         E = exp_J(X, sig)
         gap = fnorm(mat_inverse(E.matrix) - exp_J(-X, sig).matrix)
-        if gap > 1e-6:
-            hits += 1
-    return TrialOutcome(hits >= 9, float(hits - 9))
+        hits = hits + (gap > 1e-6)
+    return TrialOutcome(hits >= 9, hits - 9.0)
 
 
 def _prop_kj_congruence_powers(ctx, rng):
@@ -145,20 +180,20 @@ def _prop_kj_congruence_powers(ctx, rng):
     for t in (-1.0, 0.3, 0.5, 2.0):
         lhs = pow_J(is_j_positive(g @ X.matrix @ sharp(g, ctx.sig), ctx.sig), t)
         rhs = g @ pow_J(X, t).matrix @ sharp(g, ctx.sig)
-        worst = min(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
+        worst = np.fmin(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
 def _prop_commuting_power_factorization(ctx, rng):
     S = random_pj_bounded(ctx.sig, ctx.field, rng)
-    a, b = rng.uniform(-1.5, 1.5, size=2)
+    a, b = np.moveaxis(rng.uniform(-1.5, 1.5, size=2), -1, 0)
     X, Y = pow_J(S, a), pow_J(S, b)
     worst = np.inf
     for t in (0.5, 2.0, -1.0):
         prod = is_j_positive(bullet(X, Y, ctx.sig), ctx.sig)
         lhs = pow_J(prod, t).matrix
         rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
-        worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(S=S))
 
 
@@ -167,11 +202,11 @@ def _prop_commuting_power_factorization(ctx, rng):
 
 def _prop_power_monotone_unit(ctx, rng):
     X, Y = _comparable_pair(ctx, rng)
-    scale = max(1.0, fnorm(X.matrix), fnorm(Y.matrix))
+    scale = threshold(1.0, *fnorms(X.matrix, Y.matrix))
     worst = np.inf
     for t in (0.25, 0.5, 0.75, 1.0):
         v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
-        worst = min(worst, v.margin + ctx.tol * scale)
+        worst = np.fmin(worst, v.margin + ctx.tol * scale)
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
@@ -181,14 +216,14 @@ def _prop_power_monotone_breaks_t2(ctx, rng):
     # so every trial exhibits a genuine violation.
     sig = Signature(1, 1)
     j = sig.matrix()
-    delta = 0.01 + 0.2 * float(rng.uniform())
-    base = np.array([[1.0, 1.0], [1.0, 1.0]]) + delta * np.eye(2)
-    bump = np.diag([0.5 + float(rng.uniform()), 0.0])
+    delta = 0.01 + 0.2 * rng.uniform()
+    base = np.array([[1.0, 1.0], [1.0, 1.0]]) + per_member(delta) * np.eye(2)
+    bump = per_member(0.5 + rng.uniform()) * np.diag([1.0, 0.0])
     X = is_j_positive(j @ base, sig)
     Y = is_j_positive(j @ (base + bump), sig)
     premise = j_leq(X, Y, tol=ctx.tol)
     v = j_leq(pow_J(X, 2.0), pow_J(Y, 2.0), tol=ctx.tol)
-    ok = premise.holds and v.margin < -1e-6
+    ok = premise.holds & (v.margin < -1e-6)
     return TrialOutcome(ok, -v.margin, dict(X=X, Y=Y))
 
 
@@ -198,7 +233,7 @@ def _prop_order_congruence(ctx, rng):
     lhs = sharp(C, ctx.sig) @ X.matrix @ C
     rhs = sharp(C, ctx.sig) @ Y.matrix @ C
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = max(1.0, fnorm(lhs), fnorm(rhs))
+    scale = threshold(1.0, *fnorms(lhs, rhs))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y, C=C))
 
 
@@ -207,7 +242,7 @@ def _prop_inverse_antimonotone(ctx, rng):
     xi = is_j_positive(mat_inverse(X.matrix), ctx.sig)
     yi = is_j_positive(mat_inverse(Y.matrix), ctx.sig)
     v = j_leq(yi, xi, tol=ctx.tol)
-    scale = max(1.0, fnorm(xi.matrix), fnorm(yi.matrix))
+    scale = threshold(1.0, *fnorms(xi.matrix, yi.matrix))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y))
 
 
@@ -227,7 +262,7 @@ def _prop_pullback_geodesic(ctx, rng):
     for t in (0.1, 0.5, 0.9):
         lhs = geodesic(A, B, t).jx
         rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -240,10 +275,10 @@ def _prop_metric_invariance(ctx, rng):
     gs = sharp(g, ctx.sig)
     moved = metric_omega(is_j_positive(g @ P.matrix @ gs, ctx.sig),
                          g @ U @ gs, g @ V @ gs)
-    inv_err = abs(base - moved) / max(1.0, abs(base))
+    inv_err = abs(base - moved) / threshold(1.0, abs(base))
     positivity = metric_omega(P, U, U)
-    ok = inv_err <= 1e-9 and positivity > 0.0
-    return TrialOutcome(ok, min(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
+    ok = (inv_err <= 1e-9) & (positivity > 0.0)
+    return TrialOutcome(ok, np.fmin(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
 
 
 def _prop_segment_additivity(ctx, rng):
@@ -253,7 +288,7 @@ def _prop_segment_additivity(ctx, rng):
     G = geodesic(A, B, t)
     total = geodesic_distance(A, B)
     err = abs(geodesic_distance(A, G) + geodesic_distance(G, B) - total)
-    err /= max(1.0, total)
+    err = err / threshold(1.0, total)
     return TrialOutcome(err <= 1e-8, 1e-8 - err, dict(A=A, B=B))
 
 
@@ -291,8 +326,8 @@ def _prop_mean_idempotence(ctx, rng):
     bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, 1.0), ctx.sig)
     B = is_j_positive(A.matrix + bump, ctx.sig)
     moved = fnorm(_mean(A, B, t).matrix - A.matrix)
-    ok = same_err <= ctx.tol and moved > 1e-8
-    return TrialOutcome(ok, min(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
+    ok = (same_err <= ctx.tol) & (moved > 1e-8)
+    return TrialOutcome(ok, np.fmin(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
 
 
 def _prop_mean_scaling(ctx, rng):
@@ -304,8 +339,8 @@ def _prop_mean_scaling(ctx, rng):
         for beta in (0.5, 2.0, 3.0):
             lhs = _mean(is_j_positive(alpha * A.matrix, ctx.sig),
                         is_j_positive(beta * B.matrix, ctx.sig), t).matrix
-            rhs = (alpha ** (1.0 - t)) * (beta ** t) * base
-            worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
+            rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
+            worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -323,7 +358,7 @@ def _prop_mean_monotonicity(ctx, rng):
     lhs = _mean(A, B, t)
     rhs = _mean(C, D, t)
     v = j_leq(lhs, rhs, tol=ctx.tol)
-    scale = max(1.0, fnorm(lhs.matrix), fnorm(rhs.matrix))
+    scale = threshold(1.0, *fnorms(lhs.matrix, rhs.matrix))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
                         dict(A=A, B=B, C=C, D=D))
 
@@ -343,21 +378,21 @@ def _prop_mean_kj_congruence(ctx, rng):
 def _prop_mean_joint_concavity(ctx, rng):
     A, C = _random_pair(ctx, rng)
     B, D = _random_pair(ctx, rng)
-    s = rng.uniform(0.1, 0.9)
+    s = per_member(rng.uniform(0.1, 0.9))
     t = rng.uniform(0.1, 0.9)
-    lhs = (1.0 - s) * _mean(A, C, t).matrix + s * _mean(B, D, t).matrix
-    mixed1 = is_j_positive((1.0 - s) * A.matrix + s * B.matrix, ctx.sig)
-    mixed2 = is_j_positive((1.0 - s) * C.matrix + s * D.matrix, ctx.sig)
+    lhs = _mean(A, C, t).matrix * (1.0 - s) + _mean(B, D, t).matrix * s
+    mixed1 = is_j_positive(A.matrix * (1.0 - s) + B.matrix * s, ctx.sig)
+    mixed2 = is_j_positive(C.matrix * (1.0 - s) + D.matrix * s, ctx.sig)
     rhs = _mean(mixed1, mixed2, t).matrix
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = max(1.0, fnorm(lhs), fnorm(rhs))
+    scale = threshold(1.0, *fnorms(lhs, rhs))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
                         dict(A=A, B=B, C=C, D=D))
 
 
 def _prop_mean_composition(ctx, rng):
     A, B = _random_pair(ctx, rng)
-    t, s, u = rng.uniform(0.1, 0.9, size=3)
+    t, s, u = np.moveaxis(rng.uniform(0.1, 0.9, size=3), -1, 0)
     lhs = _mean(_mean(A, B, t), _mean(A, B, s), u).matrix
     rhs = _mean(A, B, (1.0 - u) * t + u * s).matrix
     err = _rel_err(lhs, rhs)
@@ -372,9 +407,9 @@ def _prop_mean_agm_sandwich(ctx, rng):
     ari = arithmetic_mean_J(A, B, t)
     lower = j_leq(har, geo, tol=ctx.tol)
     upper = j_leq(geo, ari, tol=ctx.tol)
-    scale = max(1.0, fnorm(ari.matrix))
-    worst = min(lower.margin, upper.margin) + ctx.tol * scale
-    return TrialOutcome(lower.holds and upper.holds, worst, dict(A=A, B=B))
+    scale = threshold(1.0, fnorm(ari.matrix))
+    worst = np.fmin(lower.margin, upper.margin) + ctx.tol * scale
+    return TrialOutcome(lower.holds & upper.holds, worst, dict(A=A, B=B))
 
 
 def _prop_mean_pullback_oracle(ctx, rng):
@@ -383,7 +418,7 @@ def _prop_mean_pullback_oracle(ctx, rng):
     for t in (0.1, 0.5, 0.9):
         lhs = _mean(A, B, t).jx
         rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = min(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -412,8 +447,8 @@ def _prop_ando_hiai(ctx, rng):
     ok = True
     for r in (1.0, 1.5, 2.0, 3.0):
         v = ando_hiai_check(A, B, t, r, tol=ctx.tol)
-        ok = ok and v.holds and not v.vacuous
-        worst = min(worst, v.conclusion_margin + ctx.tol)
+        ok = ok & v.holds & np.logical_not(v.vacuous)
+        worst = np.fmin(worst, v.conclusion_margin + ctx.tol)
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
@@ -421,14 +456,15 @@ def _prop_furuta(ctx, rng):
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
     bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
     A = is_j_positive(B.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
+    size = fnorm(A.matrix)
     worst = np.inf
     ok = True
     for p_exp in (0.0, 1.0, 2.0):
         for r in (1.0, 2.0, 3.0):
             v = furuta_check(A, B, p_exp, r, tol=ctx.tol)
-            scale = max(1.0, fnorm(A.matrix) ** r)
-            ok = ok and v.holds
-            worst = min(worst, v.margin + ctx.tol * scale)
+            scale = threshold(1.0, _pow(size, r))
+            ok = ok & v.holds
+            worst = np.fmin(worst, v.margin + ctx.tol * scale)
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
@@ -442,19 +478,19 @@ def _prop_maximality(ctx, rng):
     at_max = maximality_check(M.matrix, A, B, tol=ctx.tol)
     above = maximality_check(M.matrix + bump, A, B, tol=1e-12)
     above_order = j_leq(M.matrix + bump, M.matrix, ctx.sig, tol=1e-12)
-    ok = at_max.holds and not above.holds and not above_order.holds
+    ok = at_max.holds & np.logical_not(above.holds) & np.logical_not(above_order.holds)
     for c in (-0.9, 0.0, 0.5, 0.9):
         scaled = maximality_check(c * M.matrix, A, B, tol=ctx.tol)
         dominated = j_leq(c * M.matrix, M.matrix, ctx.sig, tol=ctx.tol)
-        ok = ok and scaled.holds and dominated.holds
-    # Soundness near the maximum: feasibility implies domination.
+        ok = ok & scaled.holds & dominated.holds
+    # Soundness near the maximum: feasibility implies domination, where the
+    # feasibility margin is decisive.
     X = M.matrix + 0.05 * random_jhermitian(ctx.sig, ctx.field, rng)
     feas = maximality_check(X, A, B, tol=1e-12)
     dom = j_leq(X, M.matrix, ctx.sig, tol=1e-12)
-    scale = max(1.0, fnorm(M.matrix))
-    if abs(feas.margin) > 1e-9 * scale:
-        ok = ok and ((not feas.holds) or dom.holds)
-    return TrialOutcome(ok, min(at_max.margin + ctx.tol, -above.margin),
+    decisive = abs(feas.margin) > 1e-9 * threshold(1.0, fnorm(M.matrix))
+    ok = ok & (np.logical_not(decisive & feas.holds) | dom.holds)
+    return TrialOutcome(ok, np.fmin(at_max.margin + ctx.tol, -above.margin),
                         dict(A=A, B=B))
 
 
@@ -464,18 +500,18 @@ def _prop_maximality(ctx, rng):
 def _prop_psi_homomorphism(ctx, rng):
     n = ctx.sig.n
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
-    e1 = np.linalg.norm(psi_matrix(X @ Y) - psi_matrix(X) @ psi_matrix(Y))
-    e2 = np.linalg.norm(psi_matrix(X.H) - psi_matrix(X).conj().T)
-    e3 = np.linalg.norm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))
-    scale = max(1.0, np.linalg.norm(psi_matrix(X)) * np.linalg.norm(psi_matrix(Y)))
-    err = max(e1, e2, e3) / scale
+    e1 = fnorm(psi_matrix(X @ Y) - psi_matrix(X) @ psi_matrix(Y))
+    e2 = fnorm(psi_matrix(X.H) - adjoint(psi_matrix(X)))
+    e3 = fnorm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))
+    scale = threshold(1.0, fnorm(psi_matrix(X)) * fnorm(psi_matrix(Y)))
+    err = np.fmax(np.fmax(e1, e2), e3) / scale
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))
 
 
 def _prop_trd_cyclicity(ctx, rng):
     n = ctx.sig.n
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
-    err = abs(trd(X @ Y) - trd(Y @ X)) / max(1.0, fnorm(X) * fnorm(Y))
+    err = abs(trd(X @ Y) - trd(Y @ X)) / threshold(1.0, fnorm(X) * fnorm(Y))
     return TrialOutcome(err <= 1e-12, 1e-12 - err, dict(X=X, Y=Y))
 
 
@@ -487,44 +523,42 @@ def _prop_quat_spectral(ctx, rng):
     recon = _rel_err(dec.reconstruct(), X)
     U = dec.unitary
     unit = fnorm(U.H @ U - identity(n, "H"))
-    ok = recon <= 1e-9 and unit <= 1e-9
-    return TrialOutcome(ok, 1e-9 - max(recon, unit), dict(X=X))
+    ok = (recon <= 1e-9) & (unit <= 1e-9)
+    return TrialOutcome(ok, 1e-9 - np.fmax(recon, unit), dict(X=X))
+
+
+def _unit_hermitian(n, rng, size):
+    """A random quaternionic Hermitian matrix scaled to norm at most size."""
+    Y = _random_matrix(n, "H", rng)
+    H = (Y + Y.H) * 0.5
+    return H * per_member(size / threshold(1.0, fnorm(H)))
 
 
 def _prop_quat_exp_log(ctx, rng):
-    n = ctx.sig.n
-    Y = _random_matrix(n, "H", rng)
-    H = (Y + Y.H) * 0.5
-    H = H * (3.0 / max(1.0, fnorm(H)))
+    H = _unit_hermitian(ctx.sig.n, rng, 3.0)
     err = _rel_err(mat_log_pd(mat_exp_h(H)), H)
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(H=H))
 
 
 def _prop_quat_functional_calculus(ctx, rng):
-    n = ctx.sig.n
-    Y = _random_matrix(n, "H", rng)
-    H = (Y + Y.H) * 0.5
-    H = H * (2.0 / max(1.0, fnorm(H)))
+    H = _unit_hermitian(ctx.sig.n, rng, 2.0)
     worst = np.inf
     P = mat_exp_h(H)
     for f in (np.exp, np.log, np.sqrt, lambda w: np.power(w, 0.7)):
         lhs = psi_matrix(matrix_function(P, f))
         rhs = matrix_function(psi_matrix(P), f)
-        worst = min(worst, 1e-9 - _rel_err(lhs, rhs))
+        worst = np.fmin(worst, 1e-9 - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
 def _prop_quat_image_structure(ctx, rng):
-    n = ctx.sig.n
-    Y = _random_matrix(n, "H", rng)
-    H = (Y + Y.H) * 0.5
-    H = H * (2.0 / max(1.0, fnorm(H)))
+    H = _unit_hermitian(ctx.sig.n, rng, 2.0)
     P = psi_matrix(mat_exp_h(H))
     worst = np.inf
     for f in (np.exp, np.log, lambda w: 1.0 / w, lambda w: np.power(w, 0.3)):
         M = matrix_function(P, f)
-        res = psi_structural_residual(M) / max(1.0, np.linalg.norm(M))
-        worst = min(worst, 1e-10 - res)
+        res = psi_structural_residual(M) / threshold(1.0, fnorm(M))
+        worst = np.fmin(worst, 1e-10 - res)
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
@@ -574,28 +608,41 @@ def _trial_rng(seed: int, property_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), zlib.crc32(property_id.encode()), trial))
 
 
+# Entries of one stacked n x n array of a block: n = 3 runs up to 7281 trials
+# per call, n = 256 one.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> PropertyReport:
+    block = max(1, _BLOCK_ENTRIES // ctx.sig.n ** 2)
     failures = 0
     worst = np.inf if trials else 0.0
     failing = None
-    for trial in range(trials):
-        rng = _trial_rng(seed, spec.property_id, trial)
-        start = rng.bit_generator.state if trial == 0 else None
-        outcome = spec.func(ctx, rng)
-        worst = min(worst, outcome.margin)
-        # A first trial that draws nothing depends on ctx alone, so it stands
-        # for every trial.
-        last = trials - 1 if trial == 0 and rng.bit_generator.state == start else trial
-        if not outcome.ok:
-            failures += last - trial + 1
-            failing = (last, outcome)
-        if last == trials - 1:
+    for first in range(0, trials, block):
+        rngs = GeneratorStack.deferred(min(block, trials - first), lambda i, first=first:
+                                       _trial_rng(seed, spec.property_id, first + i))
+        outcome = spec.func(ctx, rngs)
+        if first == 0 and not rngs.drawn:
+            # A property that draws nothing depends on ctx alone, so its one
+            # outcome stands for every trial.
+            count, stacked = trials, False
+        else:
+            count, stacked = len(rngs), True
+        ok = np.broadcast_to(outcome.ok, (count,))
+        margin = np.broadcast_to(outcome.margin, (count,))
+        worst = np.fmin(worst, np.fmin.reduce(margin))
+        failed = np.flatnonzero(np.logical_not(ok))
+        if failed.size:
+            failures += failed.size
+            failing = (first, failed[-1], margin[failed[-1]], outcome, stacked)
+        if not stacked:
             break
     counterexample = None
     if failing is not None:
-        trial, outcome = failing
-        inputs = {name: _payload(m) for name, m in (outcome.witness or {}).items()}
-        counterexample = {"trial": trial, "margin": outcome.margin, "inputs": inputs}
+        first, i, margin, outcome, stacked = failing
+        inputs = {name: _payload(_member(m, i) if stacked else m)
+                  for name, m in (outcome.witness or {}).items()}
+        counterexample = {"trial": int(first + i), "margin": float(margin), "inputs": inputs}
     return PropertyReport(spec.property_id, trials, failures, float(worst),
                           int(seed), counterexample)
 

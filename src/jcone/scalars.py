@@ -113,11 +113,14 @@ def psi_scalar(q: Quaternion) -> np.ndarray:
 
 
 def psi_scalar_inverse(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
+    # matcore imports this module: its norm, which rescales where the sum of
+    # squares overflows, is imported here at the call.
+    from .matcore import _norm
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 complex matrix")
     candidate = Quaternion.from_complex_pair(complex(m[0, 0]), complex(m[0, 1]))
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf: certify rejects it
-        residual, scale = np.linalg.norm(psi_scalar(candidate) - m), np.linalg.norm(m)
-    certify(residual, threshold(tol, scale), ValueError, "quaternion-embedding")
+        difference = psi_scalar(candidate) - m
+    certify(_norm(difference), threshold(tol, _norm(m)), ValueError, "quaternion-embedding")
     return candidate

@@ -241,10 +241,11 @@ def _modules_loaded_by(module: str, wanted: str) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["jcone", "jcone.cli"])
+@pytest.mark.parametrize("module", ["jcone", "jcone.cli", "jcone.propcheck"])
 def test_cli_import_loads_no_scipy(module):
     # Importing scipy.linalg costs each CLI process about twice numpy's import,
-    # so no kernel may reach for it (solve_triangular, lapack's trtri).
+    # so no kernel may reach for it (solve_triangular, lapack's trtri); the
+    # suites import it only in the one property that runs scipy's expm.
     assert _modules_loaded_by(module, "scipy") == "[]"
 
 

@@ -14,8 +14,9 @@ import pytest
 
 import jcone.matcore
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
-from jcone.jcalc import (bullet_inverse, exp_J, log_J, polar_decompose_bullet,
-                         pow_J, random_kj, random_pj, random_pj_bounded)
+from jcone.jcalc import (GeneratorStack, bullet_inverse, exp_J, log_J,
+                         polar_decompose_bullet, pow_J, random_kj, random_pj,
+                         random_pj_bounded)
 from jcone.jstruct import (JPositive, Signature, block_decompose, certify_constructed,
                            is_j_positive, schur_j_positive)
 from jcone.matcore import QMatrix, _embed, hermitian_eig, negate_rows, psi_matrix
@@ -56,6 +57,14 @@ OPERATIONS = {
 }
 
 
+def _stacked_pair(field, k=4):
+    """k pairs of random_pj members as two stacks of k members."""
+    def stack(first):
+        return random_pj(SIG, field, GeneratorStack([np.random.default_rng(first + 2 * i)
+                                                     for i in range(k)]))
+    return stack(1), stack(2)
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
     calls = []
@@ -78,6 +87,20 @@ def test_factorization_count(linalg_calls, op, field):
     linalg_calls.clear()
     call(A, B)
     assert Counter(linalg_calls) == Counter(expected), linalg_calls
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_factorization_count_per_stack(linalg_calls, op, field):
+    # A stack of 4 pairs makes the numpy.linalg calls of one pair: each
+    # routine loops over the members inside one call.
+    A, B = _stacked_pair(field)
+    call, expected = OPERATIONS[op]
+    linalg_calls.clear()
+    out = call(A, B)
+    assert Counter(linalg_calls) == Counter(expected), linalg_calls
+    for i in range(4):   # and each member gets what a call on it alone gets
+        assert _bits(_member_of(out, i)) == _bits(call(A.member(i), B.member(i)))
 
 
 # Sign flips (Signature.flip) per operation.  Every member holds JX, which
@@ -118,6 +141,22 @@ def test_flip_count(monkeypatch, op, make, field):
     else:
         OPERATIONS[op][0](A, B)
         assert len(calls) == FLIPS[op], calls
+
+
+def _member_of(value, i):
+    """Member i of an operation's stacked output, whatever its type."""
+    if isinstance(value, JPositive):
+        return value.member(i)
+    if isinstance(value, QMatrix):
+        return QMatrix._of(value.m[i])
+    if isinstance(value, np.ndarray):
+        return value[i] if value.ndim > 1 else value[i].item()
+    if isinstance(value, tuple):
+        return tuple(_member_of(v, i) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(_member_of(getattr(value, f.name), i)
+                             for f in dataclasses.fields(value)))
+    return value
 
 
 def _bits(value):

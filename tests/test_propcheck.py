@@ -4,13 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from jcone.errors import UnknownSuite
+from jcone.errors import JConeError, UnknownSuite
+from jcone.jcalc import GeneratorStack
 from jcone.jstruct import Signature
 from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SUITES, Context,
                              PropertyReport, PropertySpec, TrialOutcome,
                              _payload, _trial_rng, run_property, run_suite)
 
 SIG = Signature(1, 1)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
 
 class TestRegistry:
@@ -48,15 +53,19 @@ class TestRunner:
             run_suite("nonsense", SIG, "R", trials=1, seed=0)
 
     def test_failing_property_runs_once_per_trial(self):
+        # One call runs the block of 7 trials; each trial draws once, from
+        # its own generator, and fails.
         calls = []
 
         def failing(ctx, rng):
-            calls.append(float(rng.uniform()))
-            return TrialOutcome(False, -1.0)
+            draws = rng.uniform()
+            calls.append(draws)
+            return TrialOutcome(np.zeros(len(draws), dtype=bool), np.full(len(draws), -1.0))
 
         spec = PropertySpec("test.failing", ("powers",), failing)
         report = run_property(spec, Context(SIG, "R", 1e-8), trials=7, seed=2)
-        assert len(calls) == 7
+        own = [_trial_rng(2, "test.failing", trial).uniform() for trial in range(7)]
+        assert np.concatenate(calls).tolist() == own
         assert report.failures == 7 and report.counterexample["trial"] == 6
 
     @pytest.mark.parametrize("property_id, tol", [
@@ -80,12 +89,14 @@ class TestRunner:
         calls = []
 
         def constant(ctx, rng):
-            calls.append(ctx)
+            calls.append(len(rng))
             return TrialOutcome(ok, 0.5 if ok else -0.5)
 
         spec = PropertySpec("test.constant", ("powers",), constant)
         report = run_property(spec, Context(SIG, "R", 1e-8), trials=5, seed=0)
-        assert len(calls) == 1
+        # Called once, on the block of all five trials, and its one outcome
+        # stands for each of them.
+        assert calls == [5]
         assert report.trials == 5
         assert report.worst_margin == (0.5 if ok else -0.5)
         if ok:
@@ -105,9 +116,11 @@ class TestRunner:
 class TestMutationSanity:
     def test_broken_property_reports_counterexample(self):
         # A deliberately wrong predicate must fail and carry a witness.
+        # Written to broadcast: one draw, margin and witness value per trial
+        # of the block, or a lone one on a trial's own generator.
         def broken(ctx, rng):
-            x = float(rng.standard_normal())
-            margin = -abs(x)
+            x = rng.standard_normal()
+            margin = -np.abs(x)
             return TrialOutcome(margin >= 0.0, margin, {"x": {"value": x}})
 
         spec = PropertySpec("test.broken", ("powers",), broken)
@@ -120,6 +133,7 @@ class TestMutationSanity:
         own = broken(ctx, _trial_rng(3, "test.broken", 4))
         assert report.counterexample == {"trial": 4, "margin": own.margin,
                                          "inputs": own.witness}
+        assert json.loads(report.to_json_line())["counterexample"]["inputs"] == own.witness
 
     def test_counterexample_inputs_are_matrix_payloads(self):
         # No tolerance is met at -1: the witness matrices are serialized
@@ -140,3 +154,82 @@ class TestMutationSanity:
         monkeypatch.setattr(jcone.propcheck, "matrix_to_payload", forbidden)
         reports = run_suite("means", SIG, "H", trials=2, seed=1)
         assert all(r.failures == 0 for r in reports)
+
+
+class TestBlocks:
+    """A property runs a block of trials in one call; each trial's ok and
+    margin are those of the property on its own generator, bit for bit."""
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_block_matches_each_trial_alone(self, field, seed):
+        trials = 4
+        for tol in (1e-8, -1.0):   # every relative-error oracle fails at -1
+            ctx = Context(Signature(2, 1), field, tol)
+            for spec in REGISTRY:
+                blocks = []
+
+                def recorded(ctx, rng, _func=spec.func):
+                    blocks.append(_func(ctx, rng))
+                    return blocks[-1]
+
+                try:
+                    alone = [spec.func(ctx, _trial_rng(seed, spec.property_id, trial))
+                             for trial in range(trials)]
+                except JConeError as exc:   # a premise test of the property rejects tol
+                    with pytest.raises(type(exc)):
+                        run_property(spec, ctx, trials, seed)
+                    continue
+                report = run_property(PropertySpec(spec.property_id, spec.suites, recorded),
+                                      ctx, trials, seed)
+                assert len(blocks) == 1, spec.property_id
+                ok = np.broadcast_to(blocks[0].ok, (trials,))
+                margin = np.broadcast_to(blocks[0].margin, (trials,))
+                assert ok.tolist() == [bool(o.ok) for o in alone], spec.property_id
+                assert _bits(margin) == _bits([o.margin for o in alone]), spec.property_id
+                failing = [trial for trial, o in enumerate(alone) if not o.ok]
+                assert report.failures == len(failing), spec.property_id
+                if not failing:
+                    assert report.counterexample is None
+                    continue
+                own = alone[failing[-1]]
+                assert report.counterexample == {
+                    "trial": failing[-1], "margin": own.margin,
+                    "inputs": {name: _payload(m) for name, m in (own.witness or {}).items()}
+                }, spec.property_id
+
+    def test_a_block_is_one_call_at_n3(self):
+        calls = []
+        spec = REGISTRY_BY_ID["means.symmetry"]
+
+        def counted(ctx, rng):
+            calls.append(len(rng))
+            return spec.func(ctx, rng)
+
+        ctx = Context(Signature(2, 1), "C", 1e-8)
+        report = run_property(PropertySpec(spec.property_id, spec.suites, counted), ctx, 5, 0)
+        assert calls == [5] and report.failures == 0
+
+    def test_block_size_bounds_the_entries_per_array(self, monkeypatch):
+        import jcone.propcheck
+        monkeypatch.setattr(jcone.propcheck, "_BLOCK_ENTRIES", 2 * 9)
+        calls = []
+        spec = REGISTRY_BY_ID["means.symmetry"]
+
+        def counted(ctx, rng):
+            calls.append(len(rng))
+            return spec.func(ctx, rng)
+
+        ctx = Context(Signature(2, 1), "R", 1e-8)
+        blocked = run_property(PropertySpec(spec.property_id, spec.suites, counted), ctx, 5, 3)
+        assert calls == [2, 2, 1]
+        monkeypatch.undo()
+        assert blocked == run_property(spec, ctx, 5, 3)
+
+    def test_generator_stack_draws_from_each_generator(self):
+        rngs = GeneratorStack([np.random.default_rng(s) for s in range(3)])
+        normal, uniform = rngs.standard_normal((2, 2)), rngs.uniform(0.1, 0.9, size=3)
+        for s in range(3):
+            alone = np.random.default_rng(s)
+            assert np.array_equal(normal[s], alone.standard_normal((2, 2)))
+            assert np.array_equal(uniform[s], alone.uniform(0.1, 0.9, size=3))

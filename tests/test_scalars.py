@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jcone.matcore import psi_inverse
 from jcone.scalars import (QUAT_I, QUAT_J, QUAT_K, QUAT_ONE, Quaternion,
                            psi_scalar, psi_scalar_inverse, quat_conj, quat_mul,
                            quat_norm, trd_scalar)
@@ -128,4 +129,14 @@ class TestEmbedding:
         # ||m|| overflows to inf: an exact image passes, without a warning.
         q = Quaternion(1e300, 2e300, -5e299, 2.5e299)
         assert psi_scalar_inverse(psi_scalar(q)) == q
+
+    def test_inverse_measures_by_rescaling_at_overflowing_scale(self):
+        # A perturbation of 1e-11 of the size at 1e300: the residual and the
+        # scale are taken by rescaling, as matcore.psi_inverse takes them,
+        # where a plain sum of squares overflows to inf.
+        q = Quaternion(1.0, 2.0, -0.5, 0.25) * 1e300
+        m = psi_scalar(q)
+        m[1, 1] += 1e289
+        assert psi_scalar_inverse(m) == q
+        assert psi_inverse(m).shape == (1, 1)
 
