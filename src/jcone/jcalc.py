@@ -17,9 +17,10 @@ import numpy as np
 from .errors import Singular, all_of, any_of
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (_real, adjoint, block2x2, eigvals_hermitian,
-                      fnorm, from_real_parts, mat_inverse, per_member, polar,
-                      power, spectral_function, unitary_from_columns, zeros)
+from .matcore import (_real, adjoint, block2x2, eigvals_hermitian, fnorm,
+                      from_real_parts, mat_inverse, per_member, polar, power,
+                      scatter, select, spectral_function, unitary_from_columns,
+                      zeros)
 
 MAX_POWER = 32.0
 
@@ -126,8 +127,9 @@ class GeneratorStack:
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return np.array([g.uniform(low, high, size) for g in self.generators])
 
-    def subset(self, index) -> "GeneratorStack":
-        return GeneratorStack([self.generators[i] for i in index])
+    def member(self, mask) -> "GeneratorStack":
+        """The generators of the members a mask selects."""
+        return GeneratorStack(g for g, keep in zip(self.generators, mask) if keep)
 
 
 def _random_matrix(n: int, field: str, rng):
@@ -151,11 +153,8 @@ def random_invertible(sig: Signature, field: str, seed) -> object:
         ok = np.sqrt(np.maximum(0.0, _min_over_max_eig(adjoint(g) @ g))) > 1e-3
         if all_of(ok):
             return g
-        if isinstance(rng, GeneratorStack):
-            redo = np.flatnonzero(np.logical_not(ok))
-            g[redo] = _random_matrix(sig.n, field, rng.subset(redo))
-        else:
-            g = _random_matrix(sig.n, field, rng)
+        redo = np.logical_not(ok)
+        g = scatter(redo, _random_matrix(sig.n, field, select(rng, redo)), g)
     raise Singular("could not draw a well-conditioned matrix")
 
 

@@ -43,7 +43,9 @@ member by its own scalar exponent (power).  A per-member value (a norm, a
 verdict, an eigenvalue bound) is an array over the leading axes, and a
 Python float or bool for one matrix (_out); a per-member scalar operand
 broadcasts over the matrices through per_member.  Tests fail a stack when
-one member fails them, naming the first.
+one member fails them, naming the first.  A step that a lone call takes only
+for some inputs runs on just those members (select), and its per-member
+results are put back among the others' (scatter).
 """
 
 from __future__ import annotations
@@ -53,22 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotHermitian, NotInImage, NotPositive, Singular, all_of,
-                     certify, first_failed, threshold)
+from .errors import (NotHermitian, NotInImage, NotPositive, Singular, _out,
+                     all_of, certify, first_failed, min_of, threshold)
 from .scalars import Quaternion
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
-
-
-def _out(x):
-    """A per-member value as returned: the array over a stack, a Python
-    scalar for one matrix."""
-    if isinstance(x, np.ndarray) and x.ndim:
-        return x
-    return x.item() if isinstance(x, (np.ndarray, np.generic)) else x
 
 
 def per_member(s, axes: int = 2):
@@ -78,8 +72,35 @@ def per_member(s, axes: int = 2):
 
 
 def member(X, i):
-    """Member i of a stack of matrices."""
+    """Member i of a stack of matrices, or the members a mask over its
+    leading axes selects."""
     return QMatrix._of(X.m[i]) if isinstance(X, QMatrix) else X[i]
+
+
+def select(x, mask):
+    """The members of x where mask holds: x is a stack of matrices, of cone
+    members or of generators (whatever has a member method), or one value
+    per member.  x itself where every member's mask holds or where it is
+    one value for all, so one matrix or value passes whole."""
+    if all_of(mask):
+        return x
+    if hasattr(x, "member"):
+        return x.member(mask)
+    if isinstance(x, QMatrix) or (isinstance(x, np.ndarray) and x.ndim):
+        return member(x, mask)
+    return x
+
+
+def scatter(mask, values, base):
+    """values, given for the members where mask holds, put among the others:
+    base is one value for every other member, or a stack of values or
+    matrices, which is written into.  values itself where every member's
+    mask holds.  With select, a step runs on just the members that need it."""
+    if all_of(mask):
+        return values
+    out = base if isinstance(base, (np.ndarray, QMatrix)) else np.full(np.shape(mask), base)
+    out[mask] = values
+    return out
 
 
 class QMatrix:
@@ -249,73 +270,63 @@ def adjoint(X):
 
 def _norm(M: np.ndarray):
     """Frobenius norm of a matrix, or of each member of a stack, bit for bit
-    np.linalg.norm's: the same dot products of the raveled real and imaginary
-    parts, taken by np.vdot, which does not warn when the sum of squares
-    overflows.  Only then is it taken again as s ||M / s|| with s the largest
-    |entry|, so finite entries give a finite norm wherever the norm itself is
-    finite.  A stack takes the same dot products per member, by np.vecdot
-    on each member raveled as it would be alone (a reduction by np.sum would
-    add in another order)."""
-    M = np.asarray(M)
-    if M.ndim > 2:
-        return _stacked_norm(M)
-    x = M.ravel(order="K")
+    np.linalg.norm's: each member raveled as it would be alone (_raveled)
+    and its sum of squares taken by the BLAS dot (_row_norms)."""
+    return _row_norms(_raveled(np.asarray(M)))
+
+
+def _raveled(M: np.ndarray) -> np.ndarray:
+    """Each member of M (..., r, c) raveled as ravel(order="K") ravels it
+    alone: in memory order, with an axis of negative stride reversed.  The
+    members of one array share their strides, so one rule serves them all."""
+    if M.ndim == 2:
+        return M.ravel(order="K")   # the same rule, a microsecond cheaper than reshape
+    if M.strides[-2] < 0:
+        M = M[..., ::-1, :]
+    if M.strides[-1] < 0:
+        M = M[..., ::-1]
+    if M.strides[-2] < M.strides[-1]:
+        M = M.mT   # a member in column order ravels by columns
+    return M.reshape(M.shape[:-2] + (-1,))
+
+
+def _sum_of_squares(x: np.ndarray, dot):
+    # The real and imaginary parts apart, as np.linalg.norm takes them.
+    if x.dtype.kind == "c":
+        return dot(x.real, x.real) + dot(x.imag, x.imag)
+    return dot(x, x)
+
+
+def _row_norms(x: np.ndarray):
+    """The 2-norm of each row of x (..., m), a float for one row.  A row
+    whose sum of squares overflows is taken again as s ||x / s|| with s its
+    largest |entry|, so finite entries give a finite norm wherever the norm
+    itself is finite."""
     if x.dtype.kind not in "fc":
         x = x.astype(float)
-    if x.dtype.kind == "c":
-        nrm = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
-    else:
-        nrm = math.sqrt(np.vdot(x, x))
+    if x.ndim > 1:
+        # np.vecdot takes each row's dot as np.vdot takes one row's, but
+        # warns when it overflows.
+        with np.errstate(over="ignore"):
+            nrm = np.sqrt(_sum_of_squares(x, np.vecdot))
+        if math.inf in nrm.tolist():
+            for i in zip(*np.nonzero(nrm == math.inf)):
+                nrm[i] = _row_norms(x[i])
+        return nrm
+    # One row takes np.vdot, which does not warn, rather than entering
+    # np.errstate, which costs about 2.3 us, half a 3 x 3 norm.
+    nrm = math.sqrt(_sum_of_squares(x, np.vdot))
     if nrm == math.inf:
         s = float(np.max(np.abs(x)))
         if s < math.inf:
-            nrm = s * _norm(x / s)
+            nrm = s * _row_norms(x / s)
     return nrm
-
-
-@np.errstate(over="ignore")
-def _sums_of_squares(flat: np.ndarray) -> np.ndarray:
-    """Per row, the sum of squares of the real and imaginary parts, by the
-    BLAS dot that np.vdot calls: an overflow is quietly inf."""
-    if flat.dtype.kind == "c":
-        return np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
-    return np.vecdot(flat, flat)
-
-
-def _stacked_norm(M: np.ndarray) -> np.ndarray:
-    """_norm of each member of a stack, by the dot products _norm takes."""
-    if M.strides[-2] < M.strides[-1]:
-        M = M.mT   # a member in column order ravels by columns
-    stack, (r, c) = M.shape[:-2], M.shape[-2:]
-    if M.strides[-1] != M.itemsize or M.strides[-2] != c * M.itemsize or M.dtype.kind not in "fc":
-        return np.array([_norm(X) for X in M.reshape((-1, r, c))]).reshape(stack)
-    flat = M.reshape(-1, r * c)   # each row is a member raveled as alone
-    nrm = np.sqrt(_sums_of_squares(flat))
-    if math.inf in nrm.tolist():
-        nrm = np.array([v if v < math.inf else _norm(x) for v, x in zip(nrm.tolist(), flat)])
-    return nrm.reshape(stack)
 
 
 def fnorm(X) -> float:
     """Frobenius norm sqrt(trd(X* X)), uniform across the three fields: over H
     that of the top rows [A, B] of Psi(X)."""
     return _norm(_top(_embed(X), X))
-
-
-def fnorms(*Xs):
-    """fnorm of each X; stacks of one shape whose members lie in row order
-    are taken in one pass, each member as fnorm takes it."""
-    if type(Xs[0]) is np.ndarray and Xs[0].ndim == 2:
-        return [_norm(X) for X in Xs]   # one matrix over R or C, taken as fnorm takes it
-    Ms = [_top(_embed(X), X) for X in Xs]
-    M = Ms[0]
-    if M.ndim > 2 and all(N.shape == M.shape and N.strides[-1] == N.itemsize
-                          and N.strides[-2] == N.shape[-1] * N.itemsize for N in Ms):
-        stack = np.empty((len(Ms),) + M.shape, dtype=np.result_type(*Ms))
-        for i, N in enumerate(Ms):
-            stack[i] = N
-        return _norm(stack)
-    return [_norm(N) for N in Ms]
 
 
 def trd(X):
@@ -325,8 +336,7 @@ def trd(X):
 
 
 def allclose(X, Y, tol: float = 1e-9):
-    dist, nx, ny = fnorms(X - Y, X, Y)
-    return dist <= threshold(tol, nx, ny)
+    return fnorm(X - Y) <= threshold(tol, fnorm(X), fnorm(Y))
 
 
 def _assemble(P, Q, R, S) -> np.ndarray:
@@ -433,19 +443,16 @@ def mat_inverse(X):
 
 def _check_hermitian(X, tol: float = 1e-10, error=NotHermitian, invariant="adjoint-symmetry"):
     """(X, ||X||_F), once X passes the one Hermitian test."""
-    nrm, residual = fnorms(X, X - adjoint(X))
-    certify(residual, threshold(tol, nrm), error, invariant)
+    nrm = fnorm(X)
+    certify(fnorm(X - adjoint(X)), threshold(tol, nrm), error, invariant)
     return X, nrm
 
 
 def _positivity(w, tol: float):
     """(lambda_min, threshold(tol, |lambda_min|, |lambda_max|)) of the sorted
     eigenvalues w (..., m): positive definite at tol iff lambda_min > threshold."""
-    if w.ndim > 1:
-        a, b = w[..., 0], w[..., -1]
-        return np.where(b < a, b, a), threshold(tol, abs(a), abs(b))
-    a, b = float(w[0]), float(w[-1])
-    return min(a, b), threshold(tol, abs(a), abs(b))
+    a, b = _out(w[..., 0]), _out(w[..., -1])
+    return min_of(a, b), threshold(tol, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -574,9 +581,12 @@ def mat_log_pd(X):
 
 def power(w: np.ndarray, t) -> np.ndarray:
     """w ** t on eigenvalue vectors w (..., m), t a real exponent or one per
-    member.  Members are raised one by one, each by a scalar exponent as a
-    lone call raises it: numpy takes a scalar exponent of 2, -1 or 0.5 by a
-    faster route, rounded differently from an array of them."""
+    member.  One exponent raises the whole stack in one call; per-member
+    exponents raise members one by one, each by a scalar exponent as a lone
+    call raises it: numpy takes a scalar exponent of 2, -1 or 0.5 by a
+    faster route, rounded differently from an array of them.  The one-call
+    route is kept for a shared exponent because the member loop costs a
+    3-vector 6.5 us against 1.5 us, and a stack of 3000 5.4 ms against 39 us."""
     if not (isinstance(t, np.ndarray) and t.ndim):
         return np.power(w, float(t))
     flat = w.reshape(-1, w.shape[-1])

@@ -29,9 +29,10 @@ from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
                      all_of, any_of, certify, first_failed, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
-from .jstruct import JPositive, _certify_image, certify_constructed, phi_J
+from .jstruct import (JPositive, _certify_image, certify_constructed, merged,
+                      phi_J)
 from .matcore import (Pencil, _out, _real, block2x2, eigvals_unchecked, fnorm,
-                      identity, per_member)
+                      identity, per_member, scatter, select)
 from .order import OrderVerdict, _psd_verdict, j_leq
 
 
@@ -100,16 +101,17 @@ def arithmetic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
 
 def harmonic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
     """[(1-t) A^{-1}_J + t B^{-1}_J]^{-1}_J with J-power inverses throughout;
-    A itself when every weight is 0 and B when every weight is 1."""
+    A itself at weight 0 and B itself at weight 1, member by member."""
     _check_pair(A, B)
     t = _real(t)
-    if all_of(t == 0.0):
-        return A
-    if all_of(t == 1.0):
-        return B
-    s = per_member(t)
-    combo = pow_J(A, -1).jx * (1.0 - s) + pow_J(B, -1).jx * s
-    return pow_J(certify_constructed(combo, A.signature), -1)
+    at_b, inner = t == 1.0, (t != 0.0) & (t != 1.0)
+    mean = merged(A, at_b, select(B, at_b)) if any_of(at_b) else A
+    if any_of(inner):
+        a, b, s = (select(x, inner) for x in (A, B, t))
+        s = per_member(s)
+        combo = pow_J(a, -1).jx * (1.0 - s) + pow_J(b, -1).jx * s
+        mean = merged(mean, inner, pow_J(certify_constructed(combo, A.signature), -1))
+    return mean
 
 
 def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
@@ -155,15 +157,16 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
         raise ValueError("need t in (0, 1)")
     j_elt = certify_constructed(identity(A.signature.n, A.field), A.signature, [1.0])
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
-    # A member whose premise fails holds vacuously, with no conclusion margin.
-    vacuous = np.logical_not(premise.holds)
-    if all_of(vacuous):
-        conclusion = OrderVerdict(vacuous, np.nan)
-    else:
-        powered = weighted_mean(pow_J(A, r), pow_J(B, r), t).mean
-        conclusion = j_leq(powered, j_elt, tol=tol)
-    return InequalityVerdict(_out(conclusion.holds | vacuous), _out(vacuous), premise.margin,
-                             _out(np.where(vacuous, np.nan, conclusion.margin)))
+    # A member whose premise fails holds vacuously, with no conclusion margin;
+    # the conclusion is taken on the others alone.
+    live = premise.holds
+    holds = margin = ()   # the conclusions of no member
+    if any_of(live):
+        a, b, s = (select(x, live) for x in (A, B, t))
+        conclusion = j_leq(weighted_mean(pow_J(a, r), pow_J(b, r), s).mean, j_elt, tol=tol)
+        holds, margin = conclusion.holds, conclusion.margin
+    return InequalityVerdict(_out(scatter(live, holds, True)), _out(np.logical_not(live)),
+                             premise.margin, _out(scatter(live, margin, np.nan)))
 
 
 def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,

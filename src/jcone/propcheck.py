@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownSuite
+from .errors import UnknownSuite, max_of, min_of, threshold
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
-from .errors import threshold
 from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
                     random_invertible, random_jhermitian, random_kj,
                     random_pj_bounded)
 from .jstruct import (JPositive, Signature, is_j_hermitian, is_j_positive,
                       phi_J_inv, sharp)
-from .matcore import (adjoint, fnorm, fnorms, hermitian_eig, identity,
-                      is_matrix, mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
+from .matcore import (adjoint, fnorm, hermitian_eig, identity, is_matrix,
+                      mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
                       mat_sqrt_pd, matrix_function, member, per_member,
                       psi_matrix, psi_structural_residual, trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
@@ -109,8 +108,7 @@ def _member(value, i):
 
 
 def _rel_err(X, Y):
-    dist, nx, ny = fnorms(X - Y, X, Y)
-    return dist / threshold(1.0, nx, ny)
+    return fnorm(X - Y) / threshold(1.0, fnorm(X), fnorm(Y))
 
 
 _scalar_pow = np.frompyfunc(pow, 2, 1)
@@ -180,7 +178,7 @@ def _prop_kj_congruence_powers(ctx, rng):
     for t in (-1.0, 0.3, 0.5, 2.0):
         lhs = pow_J(is_j_positive(g @ X.matrix @ sharp(g, ctx.sig), ctx.sig), t)
         rhs = g @ pow_J(X, t).matrix @ sharp(g, ctx.sig)
-        worst = np.fmin(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
+        worst = min_of(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
@@ -193,7 +191,7 @@ def _prop_commuting_power_factorization(ctx, rng):
         prod = is_j_positive(bullet(X, Y, ctx.sig), ctx.sig)
         lhs = pow_J(prod, t).matrix
         rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
-        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(S=S))
 
 
@@ -202,11 +200,11 @@ def _prop_commuting_power_factorization(ctx, rng):
 
 def _prop_power_monotone_unit(ctx, rng):
     X, Y = _comparable_pair(ctx, rng)
-    scale = threshold(1.0, *fnorms(X.matrix, Y.matrix))
+    scale = threshold(1.0, fnorm(X.matrix), fnorm(Y.matrix))
     worst = np.inf
     for t in (0.25, 0.5, 0.75, 1.0):
         v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
-        worst = np.fmin(worst, v.margin + ctx.tol * scale)
+        worst = min_of(worst, v.margin + ctx.tol * scale)
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
@@ -233,7 +231,7 @@ def _prop_order_congruence(ctx, rng):
     lhs = sharp(C, ctx.sig) @ X.matrix @ C
     rhs = sharp(C, ctx.sig) @ Y.matrix @ C
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = threshold(1.0, *fnorms(lhs, rhs))
+    scale = threshold(1.0, fnorm(lhs), fnorm(rhs))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y, C=C))
 
 
@@ -242,7 +240,7 @@ def _prop_inverse_antimonotone(ctx, rng):
     xi = is_j_positive(mat_inverse(X.matrix), ctx.sig)
     yi = is_j_positive(mat_inverse(Y.matrix), ctx.sig)
     v = j_leq(yi, xi, tol=ctx.tol)
-    scale = threshold(1.0, *fnorms(xi.matrix, yi.matrix))
+    scale = threshold(1.0, fnorm(xi.matrix), fnorm(yi.matrix))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y))
 
 
@@ -262,7 +260,7 @@ def _prop_pullback_geodesic(ctx, rng):
     for t in (0.1, 0.5, 0.9):
         lhs = geodesic(A, B, t).jx
         rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -278,7 +276,7 @@ def _prop_metric_invariance(ctx, rng):
     inv_err = abs(base - moved) / threshold(1.0, abs(base))
     positivity = metric_omega(P, U, U)
     ok = (inv_err <= 1e-9) & (positivity > 0.0)
-    return TrialOutcome(ok, np.fmin(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
+    return TrialOutcome(ok, min_of(1e-9 - inv_err, positivity), dict(P=P, U=U, V=V))
 
 
 def _prop_segment_additivity(ctx, rng):
@@ -327,7 +325,7 @@ def _prop_mean_idempotence(ctx, rng):
     B = is_j_positive(A.matrix + bump, ctx.sig)
     moved = fnorm(_mean(A, B, t).matrix - A.matrix)
     ok = (same_err <= ctx.tol) & (moved > 1e-8)
-    return TrialOutcome(ok, np.fmin(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
+    return TrialOutcome(ok, min_of(ctx.tol - same_err, moved - 1e-8), dict(A=A, B=B))
 
 
 def _prop_mean_scaling(ctx, rng):
@@ -340,7 +338,7 @@ def _prop_mean_scaling(ctx, rng):
             lhs = _mean(is_j_positive(alpha * A.matrix, ctx.sig),
                         is_j_positive(beta * B.matrix, ctx.sig), t).matrix
             rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
-            worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
+            worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -358,7 +356,7 @@ def _prop_mean_monotonicity(ctx, rng):
     lhs = _mean(A, B, t)
     rhs = _mean(C, D, t)
     v = j_leq(lhs, rhs, tol=ctx.tol)
-    scale = threshold(1.0, *fnorms(lhs.matrix, rhs.matrix))
+    scale = threshold(1.0, fnorm(lhs.matrix), fnorm(rhs.matrix))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
                         dict(A=A, B=B, C=C, D=D))
 
@@ -385,7 +383,7 @@ def _prop_mean_joint_concavity(ctx, rng):
     mixed2 = is_j_positive(C.matrix * (1.0 - s) + D.matrix * s, ctx.sig)
     rhs = _mean(mixed1, mixed2, t).matrix
     v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = threshold(1.0, *fnorms(lhs, rhs))
+    scale = threshold(1.0, fnorm(lhs), fnorm(rhs))
     return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
                         dict(A=A, B=B, C=C, D=D))
 
@@ -408,7 +406,7 @@ def _prop_mean_agm_sandwich(ctx, rng):
     lower = j_leq(har, geo, tol=ctx.tol)
     upper = j_leq(geo, ari, tol=ctx.tol)
     scale = threshold(1.0, fnorm(ari.matrix))
-    worst = np.fmin(lower.margin, upper.margin) + ctx.tol * scale
+    worst = min_of(lower.margin, upper.margin) + ctx.tol * scale
     return TrialOutcome(lower.holds & upper.holds, worst, dict(A=A, B=B))
 
 
@@ -418,7 +416,7 @@ def _prop_mean_pullback_oracle(ctx, rng):
     for t in (0.1, 0.5, 0.9):
         lhs = _mean(A, B, t).jx
         rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = np.fmin(worst, ctx.tol - _rel_err(lhs, rhs))
+        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -448,7 +446,7 @@ def _prop_ando_hiai(ctx, rng):
     for r in (1.0, 1.5, 2.0, 3.0):
         v = ando_hiai_check(A, B, t, r, tol=ctx.tol)
         ok = ok & v.holds & np.logical_not(v.vacuous)
-        worst = np.fmin(worst, v.conclusion_margin + ctx.tol)
+        worst = min_of(worst, v.conclusion_margin + ctx.tol)
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
@@ -464,7 +462,7 @@ def _prop_furuta(ctx, rng):
             v = furuta_check(A, B, p_exp, r, tol=ctx.tol)
             scale = threshold(1.0, _pow(size, r))
             ok = ok & v.holds
-            worst = np.fmin(worst, v.margin + ctx.tol * scale)
+            worst = min_of(worst, v.margin + ctx.tol * scale)
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
@@ -490,7 +488,7 @@ def _prop_maximality(ctx, rng):
     dom = j_leq(X, M.matrix, ctx.sig, tol=1e-12)
     decisive = abs(feas.margin) > 1e-9 * threshold(1.0, fnorm(M.matrix))
     ok = ok & (np.logical_not(decisive & feas.holds) | dom.holds)
-    return TrialOutcome(ok, np.fmin(at_max.margin + ctx.tol, -above.margin),
+    return TrialOutcome(ok, min_of(at_max.margin + ctx.tol, -above.margin),
                         dict(A=A, B=B))
 
 
@@ -504,7 +502,7 @@ def _prop_psi_homomorphism(ctx, rng):
     e2 = fnorm(psi_matrix(X.H) - adjoint(psi_matrix(X)))
     e3 = fnorm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))
     scale = threshold(1.0, fnorm(psi_matrix(X)) * fnorm(psi_matrix(Y)))
-    err = np.fmax(np.fmax(e1, e2), e3) / scale
+    err = max_of(max_of(e1, e2), e3) / scale
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))
 
 
@@ -524,7 +522,7 @@ def _prop_quat_spectral(ctx, rng):
     U = dec.unitary
     unit = fnorm(U.H @ U - identity(n, "H"))
     ok = (recon <= 1e-9) & (unit <= 1e-9)
-    return TrialOutcome(ok, 1e-9 - np.fmax(recon, unit), dict(X=X))
+    return TrialOutcome(ok, 1e-9 - max_of(recon, unit), dict(X=X))
 
 
 def _unit_hermitian(n, rng, size):
@@ -547,7 +545,7 @@ def _prop_quat_functional_calculus(ctx, rng):
     for f in (np.exp, np.log, np.sqrt, lambda w: np.power(w, 0.7)):
         lhs = psi_matrix(matrix_function(P, f))
         rhs = matrix_function(psi_matrix(P), f)
-        worst = np.fmin(worst, 1e-9 - _rel_err(lhs, rhs))
+        worst = min_of(worst, 1e-9 - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
@@ -558,7 +556,7 @@ def _prop_quat_image_structure(ctx, rng):
     for f in (np.exp, np.log, lambda w: 1.0 / w, lambda w: np.power(w, 0.3)):
         M = matrix_function(P, f)
         res = psi_structural_residual(M) / threshold(1.0, fnorm(M))
-        worst = np.fmin(worst, 1e-10 - res)
+        worst = min_of(worst, 1e-10 - res)
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 

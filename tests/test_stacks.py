@@ -7,10 +7,12 @@ import pytest
 
 from jcone.errors import NotJPositive, WeightOutOfRange
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
-from jcone.jcalc import GeneratorStack, pow_J, random_invertible, random_pj
-from jcone.jstruct import Signature, is_j_positive
-from jcone.matcore import QMatrix, fnorm, is_positive_definite, trd
-from jcone.means import ando_hiai_check, ando_hiai_normalize, weighted_mean
+from jcone.jcalc import (GeneratorStack, pow_J, random_invertible, random_pj,
+                         random_pj_bounded)
+from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
+from jcone.matcore import QMatrix, fnorm, from_real, is_positive_definite, trd
+from jcone.means import (ando_hiai_check, ando_hiai_normalize, harmonic_mean_J,
+                         weighted_mean)
 from jcone.order import j_leq
 
 SIG = Signature(2, 1)
@@ -116,3 +118,51 @@ def test_random_invertible_redraws_only_rejected_members(monkeypatch):
             first = random_invertible(SIG, "H", alone)
         assert np.array_equal(g.m[s], first.m)
         assert alone.bit_generator.state == rngs[s].bit_generator.state
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_schur_complement_only_where_the_leading_block_is_positive(field):
+    # Member 0's leading block diag(1, 0, -1) is indefinite, so alone it is
+    # rejected before A^{-1} is formed, which would fail: the stack forms the
+    # Schur complement of member 1 alone.
+    sig = Signature(3, 1)
+    indefinite = np.diag([1.0, 0.0, -1.0, -1.0])
+    positive = np.diag([2.0, 3.0, 4.0, -1.0])
+    positive[0, 3], positive[3, 0] = 0.5, -0.5
+    H = from_real(np.stack([indefinite, positive]), field)
+    verdicts = schur_j_positive(block_decompose(H, sig))
+    alone = [schur_j_positive(block_decompose(from_real(M, field), sig))
+             for M in (indefinite, positive)]
+    assert alone == [False, True] and verdicts.tolist() == alone
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ando_hiai_powers_only_members_whose_premise_holds(field):
+    # Member 1, scaled by 1e120, fails the premise and holds vacuously alone;
+    # its cube would overflow, so the stack must not power it.
+    A, B = (random_pj_bounded(SIG, field, GeneratorStack([np.random.default_rng(s + i)
+                                                          for i in range(2)]), radius=1.0)
+            for s in (1, 10))
+    small = ando_hiai_normalize(A, B, 0.4)
+    scale = np.array([1.0, 1e120])[:, None, None]
+    A, B = (is_j_positive(X.matrix * scale, SIG) for X in small)
+    v = ando_hiai_check(A, B, 0.4, 3.0)
+    for i in range(2):
+        alone = ando_hiai_check(A.member(i), B.member(i), 0.4, 3.0)
+        assert (alone.holds, alone.vacuous) == (v.holds[i], v.vacuous[i])
+        assert np.array_equal(alone.conclusion_margin, v.conclusion_margin[i], equal_nan=True)
+        assert alone.premise_margin == v.premise_margin[i]
+    assert v.vacuous.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_harmonic_mean_endpoints_are_the_members_themselves(field):
+    A, B = _stack(field, 1, 4), _stack(field, 10, 4)
+    t = np.array([0.0, 0.4, 1.0, 0.0])
+    mean = harmonic_mean_J(A, B, t)
+    assert mean.member(0) == A.member(0) and mean.member(3) == A.member(3)
+    assert mean.member(2) == B.member(2)
+    assert mean.member(1) == harmonic_mean_J(A.member(1), B.member(1), 0.4)
+    for i in range(4):
+        alone = harmonic_mean_J(A.member(i), B.member(i), t[i])
+        assert alone.lambda_min_of_jx == mean.lambda_min_of_jx[i]

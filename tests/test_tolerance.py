@@ -9,7 +9,7 @@ import pytest
 
 import jcone
 from jcone.errors import (IndeterminateSchur, NotJPositive, NotPositive,
-                          certify, threshold)
+                          certify, max_of, min_of, threshold)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
 from jcone.matcore import from_real, is_positive_definite, mat_log_pd
 
@@ -49,6 +49,26 @@ class TestRule:
 
     def test_certify_accepts(self):
         assert certify(1.0, 1.0, NotPositive, "test") is None
+
+    def test_threshold_per_member_equals_one_at_a_time(self):
+        a = np.array([0.5, 2.0, np.nan, np.inf, 7.0])
+        b = np.array([3.0, np.nan, 0.25, 1.0, 7.5])
+        stacked = threshold(1e-9, a, b)
+        alone = [threshold(1e-9, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert type(alone[0]) is float and stacked.tolist() == alone
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.nan), (2.0, 1.0),
+                                      (0.0, -0.0), (-0.0, 0.0)])
+    def test_min_and_max_take_python_order(self, a, b):
+        # Python's min(a, b) keeps a unless b < a: a NaN first operand is
+        # kept, a NaN second one passed over, on one value and per member.
+        for mine, python in ((min_of, min), (max_of, max)):
+            one, stacked = mine(a, b), mine(np.array([a, a]), np.array([b, b]))
+            want = python(a, b)
+            assert np.array_equal(one, want, equal_nan=True)
+            assert np.copysign(1.0, one) == np.copysign(1.0, want)
+            assert np.array_equal(stacked, [want, want], equal_nan=True)
+            assert np.copysign(1.0, stacked[0]) == np.copysign(1.0, want)
 
 
 def _accepts(call) -> bool:
