@@ -1,7 +1,7 @@
 """Calculus on the cone of J-positive matrices over R, C and the quaternions."""
 
 from .errors import (DimensionMismatch, IndeterminateSchur, JConeError,
-                     NotBulletCommuting, NotHermitian, NotInImage,
+                     NotBulletCommuting, NotFinite, NotHermitian, NotInImage,
                      NotJHermitian, NotJPositive, NotPositive, PremiseViolated,
                      SignatureMismatch, Singular, StepTooSmall, UnknownSuite,
                      WeightOutOfRange)

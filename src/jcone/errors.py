@@ -105,6 +105,10 @@ class Singular(JConeError):
     pass
 
 
+class NotFinite(JConeError):
+    """An entry of a matrix from outside the library is NaN or infinite."""
+
+
 class NotInImage(JConeError):
     """A complex matrix fails the structural test for the quaternionic embedding."""
 

@@ -32,10 +32,11 @@ import numpy as np
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive, NotPositive, all_of, any_of,
                      first_failed, threshold)
-from .matcore import (QMatrix, _check_hermitian, _embed, _out, _positivity,
-                      adjoint, block2x2, cholesky_factor, eigvals_unchecked,
-                      field_of, fnorm, from_real, identity, mat_inverse, member,
-                      negate_rows, scatter, select)
+from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _out,
+                      _positivity, adjoint, block2x2, cholesky_factor,
+                      eigvals_unchecked, field_of, fnorm, from_real, identity,
+                      mat_inverse, member, negate_rows, per_member, scatter,
+                      select)
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,26 @@ def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
         return False
 
 
+def _is_identity(product, g, tol: float):
+    """Whether product(g) = Id within threshold(tol, ||g||_F^2), taken at the
+    scale c = max(1, max |g_ij|) where nothing overflows: product(h) = Id / c^2
+    within threshold(tol, ||h||_F^2) for h = g / c, the same test over c^2
+    (||h||_F >= 1 when c > 1).  Raises NotFinite on a non-finite entry."""
+    c = threshold(1.0, _out(np.abs(_finite(_embed(g))).max(axis=(-2, -1))))
+    h = g / per_member(c)
+    eye = identity(g.shape[-1], field_of(g)) * per_member((1.0 / c) ** 2)
+    return fnorm(product(h) - eye) <= threshold(tol, fnorm(h) ** 2)
+
+
 def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in the J-unitary group: g# g = Id."""
     _check_dim(g, sig)
-    eye = identity(sig.n, field_of(g))
-    return fnorm(sharp(g, sig) @ g - eye) <= threshold(tol, fnorm(g) ** 2)
+    return _is_identity(lambda h: sharp(h, sig) @ h, g, tol)
 
 
 def is_in_K_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in K_J = U_J intersect U, the block-diagonal unitaries."""
-    _check_dim(g, sig)
-    eye = identity(sig.n, field_of(g))
-    unitary = fnorm(adjoint(g) @ g - eye) <= threshold(tol, fnorm(g) ** 2)
-    return unitary & is_in_U_J(g, sig, tol)
+    return is_in_U_J(g, sig, tol) & _is_identity(lambda h: adjoint(h) @ h, g, tol)
 
 
 @dataclass(frozen=True)

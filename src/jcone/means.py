@@ -149,9 +149,10 @@ def ando_hiai_normalize(A: JPositive, B: JPositive, t: float,
 
 def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
                     tol: float = 1e-9) -> InequalityVerdict:
-    """A #_t B <=_J J implies A^r_J #_t B^r_J <=_J J, for r >= 1, t in (0, 1)."""
+    """A #_t B <=_J J implies A^r_J #_t B^r_J <=_J J, for r >= 1, t in (0, 1);
+    t and r may be one per member, broadcasting against the stack."""
     _check_pair(A, B)
-    if r < 1.0:
+    if any_of(r < 1.0):
         raise ValueError("need r >= 1")
     if not all_of((0.0 < t) & (t < 1.0)):
         raise ValueError("need t in (0, 1)")
@@ -162,8 +163,9 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
     live = premise.holds
     holds = margin = ()   # the conclusions of no member
     if any_of(live):
-        a, b, s = (select(x, live) for x in (A, B, t))
-        conclusion = j_leq(weighted_mean(pow_J(a, r), pow_J(b, r), s).mean, j_elt, tol=tol)
+        t, r = (np.broadcast_to(x, np.shape(live)) if np.ndim(x) else x for x in (t, r))
+        a, b, s, e = (select(x, live) for x in (A, B, t, r))
+        conclusion = j_leq(weighted_mean(pow_J(a, e), pow_J(b, e), s).mean, j_elt, tol=tol)
         holds, margin = conclusion.holds, conclusion.margin
     return InequalityVerdict(_out(scatter(live, holds, True)), _out(np.logical_not(live)),
                              premise.margin, _out(scatter(live, margin, np.nan)))
@@ -171,9 +173,10 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
 
 def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
                  tol: float = 1e-9) -> OrderVerdict:
-    """(A^{r/2}_J . B^p_J . A^{r/2}_J)^{r/(r+p)}_J <=_J A^r_J for 0 <_J B <=_J A."""
+    """(A^{r/2}_J . B^p_J . A^{r/2}_J)^{r/(r+p)}_J <=_J A^r_J for 0 <_J B <=_J A;
+    p and r may be one per member, or a grid (k, 1) over a stack of pairs."""
     _check_pair(A, B)
-    if p_exp < 0.0 or r < 1.0:
+    if any_of((p_exp < 0.0) | (r < 1.0)):
         raise ValueError("need p >= 0 and r >= 1")
     premise = j_leq(B, A, tol=tol)
     if not all_of(premise.holds):

@@ -12,16 +12,18 @@ per trial on a leading axis, and the property computes on those stacks, so
 its outcome holds one ok and one margin per trial (and its witness one value
 per trial).  Each trial consumes its own generator exactly as a call on that
 generator alone, f(ctx, _trial_rng(seed, id, trial)), which is the one-trial
-case of the same code, and gets the same outcome bit for bit.  A block holds
-at most _BLOCK_ENTRIES matrix entries per stacked n x n array.  A property
-that draws nothing from its generators runs once, and that outcome counts for
-every trial.
+case of the same code, and gets the same outcome bit for bit.  A parameter
+grid (PropertySpec.grid points) stacks on an axis in front of the trials, and
+a block holds at most _BLOCK_ENTRIES matrix entries per stacked n x n array.
+A property that draws nothing from its generators runs once, and that outcome
+counts for every trial.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,12 +33,13 @@ from .geometry import geodesic, geodesic_distance, metric_omega
 from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
                     random_invertible, random_jhermitian, random_kj,
                     random_pj_bounded)
-from .jstruct import (JPositive, Signature, is_j_hermitian, is_j_positive,
-                      phi_J_inv, sharp)
-from .matcore import (adjoint, fnorm, hermitian_eig, identity, is_matrix,
-                      mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
-                      mat_sqrt_pd, matrix_function, member, per_member,
-                      psi_matrix, psi_structural_residual, trd)
+from .jstruct import (JPositive, Signature, _holding, is_j_hermitian,
+                      is_j_positive, phi_J_inv, sharp)
+from .matcore import (QMatrix, _embed, adjoint, fnorm, from_real_parts,
+                      hermitian_eig, identity, is_matrix, mat_exp_h,
+                      mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
+                      matrix_function, member, per_member, psi_matrix,
+                      psi_structural_residual, trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
                     furuta_check, harmonic_mean_J, maximality_check,
                     weighted_mean)
@@ -88,6 +91,7 @@ class PropertySpec:
     property_id: str
     suites: tuple
     func: object
+    grid: int = 1   # points of its parameter grid, each a copy of the block's trials
 
 
 def _payload(X):
@@ -112,6 +116,20 @@ def _rel_err(X, Y):
 
 
 _scalar_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _grid(rng, *values):
+    """A parameter grid on an axis before the trial axis of rng's draws, (k, 1),
+    or (k,) over one generator: a cone operation then runs once on them all,
+    and reduce(min_of, ..., np.inf) folds the axis in grid order, as a loop."""
+    grid = np.array(values)
+    return grid[:, None] if isinstance(rng, GeneratorStack) else grid
+
+
+def _tiled(X: JPositive, k: int) -> JPositive:
+    """k copies of X on a new leading axis, as a read-only view of its images."""
+    jx = np.broadcast_to(_embed(X.jx), (k,) + _embed(X.jx).shape)
+    return _holding(QMatrix._of(jx) if X.field == "H" else jx, X.signature, None)
 
 
 def _pow(x, y):
@@ -140,11 +158,12 @@ def _comparable_pair(ctx: Context, rng):
 # powers suite (J-exponential calculus)
 
 def _prop_exp_noninjectivity(ctx, rng):
-    from scipy.linalg import expm
     two_pi = 2.0 * np.pi
     X = np.array([[0.0, two_pi * 1j], [two_pi * 1j, 0.0]])
     sig = Signature(1, 1)
-    err = fnorm(expm(X) - np.eye(2))
+    # X = iS with S real symmetric, so exp(X) = U diag(exp(iw)) U^T from S = U diag(w) U^T.
+    w, U = np.linalg.eigh(X.imag)
+    err = fnorm((U * np.exp(1j * w)) @ U.T - np.eye(2))
     ok = (err <= 1e-10 and is_j_hermitian(X, sig) and fnorm(X) > 1.0)
     return TrialOutcome(ok, 1e-10 - err)
 
@@ -161,24 +180,27 @@ def _prop_inverse_exponential_law(ctx, rng):
 
 def _prop_inverse_generic_gap(ctx, rng):
     # exp_J(X)^{-1} differs from exp_J(-X) on at least 9 of 10 generic draws.
+    # random_jhermitian's 10 draws of 1 or 2 real 2 x 2 parts each, as one
+    # draw that takes the stream in their order, stacked before the matrix axes.
     sig = Signature(1, 1)
-    hits = 0
-    for _ in range(10):
-        X = random_jhermitian(sig, ctx.field if ctx.field != "H" else "C", rng)
-        E = exp_J(X, sig)
-        gap = fnorm(mat_inverse(E.matrix) - exp_J(-X, sig).matrix)
-        hits = hits + (gap > 1e-6)
+    field = "R" if ctx.field == "R" else "C"
+    parts = rng.standard_normal((10, 1 if field == "R" else 2, 2, 2))
+    parts = iter(np.moveaxis(parts, -3, 0))
+    y = from_real_parts(lambda: next(parts), field)
+    X = (y + sharp(y, sig)) * 0.5
+    gap = fnorm(mat_inverse(exp_J(X, sig).matrix) - exp_J(-X, sig).matrix)
+    hits = np.count_nonzero(gap > 1e-6, axis=-1)
     return TrialOutcome(hits >= 9, hits - 9.0)
 
 
 def _prop_kj_congruence_powers(ctx, rng):
     X = random_pj_bounded(ctx.sig, ctx.field, rng)
     g = random_kj(ctx.sig, ctx.field, rng)
-    worst = np.inf
-    for t in (-1.0, 0.3, 0.5, 2.0):
-        lhs = pow_J(is_j_positive(g @ X.matrix @ sharp(g, ctx.sig), ctx.sig), t)
-        rhs = g @ pow_J(X, t).matrix @ sharp(g, ctx.sig)
-        worst = min_of(worst, ctx.tol - _rel_err(lhs.matrix, rhs))
+    gs = sharp(g, ctx.sig)
+    t = _grid(rng, -1.0, 0.3, 0.5, 2.0)
+    lhs = pow_J(is_j_positive(g @ X.matrix @ gs, ctx.sig), t)
+    rhs = g @ pow_J(X, t).matrix @ gs
+    worst = reduce(min_of, ctx.tol - _rel_err(lhs.matrix, rhs), np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
@@ -186,12 +208,11 @@ def _prop_commuting_power_factorization(ctx, rng):
     S = random_pj_bounded(ctx.sig, ctx.field, rng)
     a, b = np.moveaxis(rng.uniform(-1.5, 1.5, size=2), -1, 0)
     X, Y = pow_J(S, a), pow_J(S, b)
-    worst = np.inf
-    for t in (0.5, 2.0, -1.0):
-        prod = is_j_positive(bullet(X, Y, ctx.sig), ctx.sig)
-        lhs = pow_J(prod, t).matrix
-        rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
-        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
+    prod = is_j_positive(bullet(X, Y, ctx.sig), ctx.sig)
+    t = _grid(rng, 0.5, 2.0, -1.0)
+    lhs = pow_J(prod, t).matrix
+    rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
+    worst = reduce(min_of, ctx.tol - _rel_err(lhs, rhs), np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(S=S))
 
 
@@ -201,10 +222,9 @@ def _prop_commuting_power_factorization(ctx, rng):
 def _prop_power_monotone_unit(ctx, rng):
     X, Y = _comparable_pair(ctx, rng)
     scale = threshold(1.0, fnorm(X.matrix), fnorm(Y.matrix))
-    worst = np.inf
-    for t in (0.25, 0.5, 0.75, 1.0):
-        v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
-        worst = min_of(worst, v.margin + ctx.tol * scale)
+    t = _grid(rng, 0.25, 0.5, 0.75, 1.0)
+    v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
+    worst = reduce(min_of, v.margin + ctx.tol * scale, np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
@@ -256,11 +276,9 @@ def _classical_geodesic(P, Q, t):
 def _prop_pullback_geodesic(ctx, rng):
     A = random_pj_bounded(ctx.sig, ctx.field, rng)
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
-    worst = np.inf
-    for t in (0.1, 0.5, 0.9):
-        lhs = geodesic(A, B, t).jx
-        rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
+    t = _grid(rng, 0.1, 0.5, 0.9)
+    err = _rel_err(geodesic(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
+    worst = reduce(min_of, ctx.tol - err, np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -332,13 +350,12 @@ def _prop_mean_scaling(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
     base = _mean(A, B, t).matrix
-    worst = np.inf
-    for alpha in (0.5, 2.0, 3.0):
-        for beta in (0.5, 2.0, 3.0):
-            lhs = _mean(is_j_positive(alpha * A.matrix, ctx.sig),
-                        is_j_positive(beta * B.matrix, ctx.sig), t).matrix
-            rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
-            worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
+    alpha = _grid(rng, *np.repeat((0.5, 2.0, 3.0), 3))
+    beta = _grid(rng, *np.tile((0.5, 2.0, 3.0), 3))
+    lhs = _mean(is_j_positive(per_member(alpha) * A.matrix, ctx.sig),
+                is_j_positive(per_member(beta) * B.matrix, ctx.sig), t).matrix
+    rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
+    worst = reduce(min_of, ctx.tol - _rel_err(lhs, rhs), np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -412,11 +429,9 @@ def _prop_mean_agm_sandwich(ctx, rng):
 
 def _prop_mean_pullback_oracle(ctx, rng):
     A, B = _random_pair(ctx, rng)
-    worst = np.inf
-    for t in (0.1, 0.5, 0.9):
-        lhs = _mean(A, B, t).jx
-        rhs = _classical_geodesic(A.jx, B.jx, t)
-        worst = min_of(worst, ctx.tol - _rel_err(lhs, rhs))
+    t = _grid(rng, 0.1, 0.5, 0.9)
+    err = _rel_err(_mean(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
+    worst = reduce(min_of, ctx.tol - err, np.inf)
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -441,12 +456,10 @@ def _prop_ando_hiai(ctx, rng):
     B = random_pj_bounded(ctx.sig, ctx.field, rng, radius=1.0)
     t = rng.uniform(0.2, 0.8)
     A, B = ando_hiai_normalize(A, B, t)
-    worst = np.inf
-    ok = True
-    for r in (1.0, 1.5, 2.0, 3.0):
-        v = ando_hiai_check(A, B, t, r, tol=ctx.tol)
-        ok = ok & v.holds & np.logical_not(v.vacuous)
-        worst = min_of(worst, v.conclusion_margin + ctx.tol)
+    r = _grid(rng, 1.0, 1.5, 2.0, 3.0)
+    v = ando_hiai_check(_tiled(A, len(r)), _tiled(B, len(r)), t, r, tol=ctx.tol)
+    ok = np.logical_and.reduce(v.holds & np.logical_not(v.vacuous))
+    worst = reduce(min_of, v.conclusion_margin + ctx.tol, np.inf)
     return TrialOutcome(ok, worst, dict(A=A, B=B))
 
 
@@ -455,15 +468,13 @@ def _prop_furuta(ctx, rng):
     bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
     A = is_j_positive(B.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
     size = fnorm(A.matrix)
-    worst = np.inf
-    ok = True
-    for p_exp in (0.0, 1.0, 2.0):
-        for r in (1.0, 2.0, 3.0):
-            v = furuta_check(A, B, p_exp, r, tol=ctx.tol)
-            scale = threshold(1.0, _pow(size, r))
-            ok = ok & v.holds
-            worst = min_of(worst, v.margin + ctx.tol * scale)
-    return TrialOutcome(ok, worst, dict(A=A, B=B))
+    # Every (p, r) of {0, 1, 2} x {1, 2, 3}, p the outer loop as alpha is in
+    # means.scaling: the grid order is the order NaN margins are met in.
+    p_exp = _grid(rng, *np.repeat((0.0, 1.0, 2.0), 3))
+    r = _grid(rng, *np.tile((1.0, 2.0, 3.0), 3))
+    v = furuta_check(A, B, p_exp, r, tol=ctx.tol)
+    worst = reduce(min_of, v.margin + ctx.tol * threshold(1.0, _pow(size, r)), np.inf)
+    return TrialOutcome(np.logical_and.reduce(v.holds), worst, dict(A=A, B=B))
 
 
 def _prop_maximality(ctx, rng):
@@ -477,10 +488,10 @@ def _prop_maximality(ctx, rng):
     above = maximality_check(M.matrix + bump, A, B, tol=1e-12)
     above_order = j_leq(M.matrix + bump, M.matrix, ctx.sig, tol=1e-12)
     ok = at_max.holds & np.logical_not(above.holds) & np.logical_not(above_order.holds)
-    for c in (-0.9, 0.0, 0.5, 0.9):
-        scaled = maximality_check(c * M.matrix, A, B, tol=ctx.tol)
-        dominated = j_leq(c * M.matrix, M.matrix, ctx.sig, tol=ctx.tol)
-        ok = ok & scaled.holds & dominated.holds
+    cM = per_member(_grid(rng, -0.9, 0.0, 0.5, 0.9)) * M.matrix
+    scaled = maximality_check(cM, A, B, tol=ctx.tol)
+    dominated = j_leq(cM, M.matrix, ctx.sig, tol=ctx.tol)
+    ok = ok & np.logical_and.reduce(scaled.holds & dominated.holds)
     # Soundness near the maximum: feasibility implies domination, where the
     # feasibility margin is decisive.
     X = M.matrix + 0.05 * random_jhermitian(ctx.sig, ctx.field, rng)
@@ -566,31 +577,32 @@ def _prop_quat_image_structure(ctx, rng):
 REGISTRY = [
     PropertySpec("powers.exp_noninjectivity", ("powers",), _prop_exp_noninjectivity),
     PropertySpec("powers.inverse_exponential_law", ("powers",), _prop_inverse_exponential_law),
-    PropertySpec("powers.inverse_generic_gap", ("powers",), _prop_inverse_generic_gap),
-    PropertySpec("powers.kj_congruence", ("powers",), _prop_kj_congruence_powers),
-    PropertySpec("powers.commuting_factorization", ("powers",), _prop_commuting_power_factorization),
-    PropertySpec("order.power_monotone_unit", ("order",), _prop_power_monotone_unit),
+    PropertySpec("powers.inverse_generic_gap", ("powers",), _prop_inverse_generic_gap, 10),
+    PropertySpec("powers.kj_congruence", ("powers",), _prop_kj_congruence_powers, 4),
+    PropertySpec("powers.commuting_factorization", ("powers",),
+                 _prop_commuting_power_factorization, 3),
+    PropertySpec("order.power_monotone_unit", ("order",), _prop_power_monotone_unit, 4),
     PropertySpec("order.power_monotone_breaks_t2", ("order",), _prop_power_monotone_breaks_t2),
     PropertySpec("order.congruence", ("order",), _prop_order_congruence),
     PropertySpec("order.inverse_antimonotone", ("order",), _prop_inverse_antimonotone),
-    PropertySpec("geometry.pullback_geodesic", ("geometry",), _prop_pullback_geodesic),
+    PropertySpec("geometry.pullback_geodesic", ("geometry",), _prop_pullback_geodesic, 3),
     PropertySpec("geometry.metric_invariance", ("geometry",), _prop_metric_invariance),
     PropertySpec("geometry.segment_additivity", ("geometry",), _prop_segment_additivity),
     PropertySpec("means.symmetry", ("means",), _prop_mean_symmetry),
     PropertySpec("means.inversion", ("means",), _prop_mean_inversion),
     PropertySpec("means.idempotence", ("means",), _prop_mean_idempotence),
-    PropertySpec("means.scaling", ("means",), _prop_mean_scaling),
+    PropertySpec("means.scaling", ("means",), _prop_mean_scaling, 9),
     PropertySpec("means.time_reversal", ("means",), _prop_mean_time_reversal),
     PropertySpec("means.monotonicity", ("means",), _prop_mean_monotonicity),
     PropertySpec("means.kj_congruence", ("means",), _prop_mean_kj_congruence),
     PropertySpec("means.joint_concavity", ("means",), _prop_mean_joint_concavity),
     PropertySpec("means.composition", ("means",), _prop_mean_composition),
     PropertySpec("means.agm_sandwich", ("means",), _prop_mean_agm_sandwich),
-    PropertySpec("means.pullback_oracle", ("means",), _prop_mean_pullback_oracle),
+    PropertySpec("means.pullback_oracle", ("means",), _prop_mean_pullback_oracle, 3),
     PropertySpec("means.noncommuting_witness", ("means",), _prop_noncommuting_witness),
-    PropertySpec("ineq.ando_hiai", ("inequalities",), _prop_ando_hiai),
-    PropertySpec("ineq.furuta", ("inequalities",), _prop_furuta),
-    PropertySpec("ineq.maximality", ("inequalities",), _prop_maximality),
+    PropertySpec("ineq.ando_hiai", ("inequalities",), _prop_ando_hiai, 4),
+    PropertySpec("ineq.furuta", ("inequalities",), _prop_furuta, 9),
+    PropertySpec("ineq.maximality", ("inequalities",), _prop_maximality, 4),
     PropertySpec("quat.psi_homomorphism", ("quaternion",), _prop_psi_homomorphism),
     PropertySpec("quat.trd_cyclicity", ("quaternion",), _prop_trd_cyclicity),
     PropertySpec("quat.spectral_reconstruction", ("quaternion",), _prop_quat_spectral),
@@ -606,13 +618,14 @@ def _trial_rng(seed: int, property_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), zlib.crc32(property_id.encode()), trial))
 
 
-# Entries of one stacked n x n array of a block: n = 3 runs up to 7281 trials
-# per call, n = 256 one.
+# Entries of one stacked n x n array of a block, over the grid points and
+# trials it holds: n = 3 runs up to 7281 trials per call (808 with a grid of
+# 9), n = 256 one.
 _BLOCK_ENTRIES = 1 << 16
 
 
 def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> PropertyReport:
-    block = max(1, _BLOCK_ENTRIES // ctx.sig.n ** 2)
+    block = max(1, _BLOCK_ENTRIES // (spec.grid * ctx.sig.n ** 2))
     failures = 0
     worst = np.inf if trials else 0.0
     failing = None

@@ -229,11 +229,11 @@ class TestQuaternionicFiles:
         assert 0.0 <= next(iter(residual.values())) <= 1e-9
 
 
-def _modules_loaded_by(module: str, wanted: str) -> str:
-    """The modules named `wanted` or under it that `import module` loads in a
-    fresh interpreter, as printed there."""
+def _modules_loaded_by(module: str, wanted: str, run: str = "pass") -> str:
+    """The modules named `wanted` or under it that `import module` and then
+    the statement `run` load in a fresh interpreter, as printed there."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = (f"import sys, {module}; "
+    code = (f"import sys, {module}; {run}; "
             f"print([m for m in sys.modules if (m + '.').startswith('{wanted}.')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
@@ -241,12 +241,16 @@ def _modules_loaded_by(module: str, wanted: str) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("module", ["jcone", "jcone.cli", "jcone.propcheck"])
+@pytest.mark.parametrize("module", ["jcone", "jcone.cli", "jcone.propcheck", "jcone.cli check"])
 def test_cli_import_loads_no_scipy(module):
     # Importing scipy.linalg costs each CLI process about twice numpy's import,
-    # so no kernel may reach for it (solve_triangular, lapack's trtri); the
-    # suites import it only in the one property that runs scipy's expm.
-    assert _modules_loaded_by(module, "scipy") == "[]"
+    # so no kernel may reach for it (solve_triangular, lapack's trtri), and
+    # numpy is the only runtime dependency: neither does `jcone check` run
+    # every suite (powers.exp_noninjectivity takes exp(X) from numpy's eigh).
+    module, *command = module.split()
+    run = ("jcone.cli.main(['check', '--suite', 'all', '--signature', '2,1', '--trials', '1', "
+           "'--out', __import__('os').devnull])" if command else "pass")
+    assert _modules_loaded_by(module, "scipy", run) == "[]"
 
 
 def test_cli_import_loads_no_propcheck():

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -253,6 +258,25 @@ class TestPolar:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             polar_decompose_bullet(np.eye(1), Signature(2, 1))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_entry_named_without_hanging(self, value):
+        # numpy's svd need not return on an infinite entry, and raises a bare
+        # LinAlgError on a NaN one.  The call runs in a child process under a
+        # timeout, so a hang fails this test instead of stalling the suite.
+        code = ("from jcone import NotFinite, Signature, polar_decompose_bullet, random_pj\n"
+                "sig = Signature(2, 1)\n"
+                "X = random_pj(sig, 'R', 0).matrix.copy()\n"
+                f"X[0, 0] = float('{value}')\n"
+                "try:\n"
+                "    polar_decompose_bullet(X, sig)\n"
+                "except NotFinite as exc:\n"
+                "    print('NotFinite:', exc)\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "NotFinite: an entry is not finite\n"
 
 
 class TestRandomGenerators:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jcone.errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                          NotJPositive)
+from jcone.errors import (DimensionMismatch, IndeterminateSchur, NotFinite,
+                          NotJHermitian, NotJPositive)
 from jcone.jcalc import random_invertible, random_jhermitian, random_pj
 from jcone.jstruct import (Signature, block_decompose, in_pj, is_in_K_J,
                            is_in_U_J, is_j_hermitian, is_j_positive, j_inner,
@@ -85,6 +85,29 @@ class TestMembership:
         g = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
         assert is_in_U_J(g, SIG)
         assert not is_in_K_J(g, SIG)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_group_tests_at_huge_entries(self, field):
+        # g# g overflows at these entries, and ||g||_F^2 overflows a float:
+        # the tests take both at the scale of g's largest entry, so a boost
+        # with entries near 1e173 is J-unitary, 1e300 Id is not, and no
+        # warning or OverflowError escapes (warnings fail Tier-1).
+        t = 400.0
+        boost = from_real(np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]]), field)
+        huge = identity(2, field) * 1e300
+        assert is_in_U_J(boost, SIG) is True and is_in_K_J(boost, SIG) is False
+        assert is_in_U_J(huge, SIG) is False and is_in_K_J(huge, SIG) is False
+        stacked = from_real(np.stack([np.eye(2), np.eye(2) * 1e300]), field)
+        assert is_in_U_J(stacked, SIG).tolist() == [True, False]
+        assert is_in_K_J(stacked, SIG).tolist() == [True, False]
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_group_tests_reject_non_finite_entries(self, value):
+        g = np.eye(2)
+        g[0, 1] = value
+        for test in (is_in_U_J, is_in_K_J):
+            with pytest.raises(NotFinite, match="not finite"):
+                test(g, SIG)
 
     def test_random_jhermitian_members(self):
         rng = np.random.default_rng(1)

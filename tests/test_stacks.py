@@ -2,18 +2,22 @@
 one-matrix call keeps its Python return types, and a stack's verdicts and
 residuals hold one value per member."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import jcone.propcheck
 from jcone.errors import NotJPositive, WeightOutOfRange
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (GeneratorStack, pow_J, random_invertible, random_pj,
                          random_pj_bounded)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
 from jcone.matcore import QMatrix, fnorm, from_real, is_positive_definite, trd
-from jcone.means import (ando_hiai_check, ando_hiai_normalize, harmonic_mean_J,
-                         weighted_mean)
+from jcone.means import (ando_hiai_check, ando_hiai_normalize, furuta_check,
+                         harmonic_mean_J, weighted_mean)
 from jcone.order import j_leq
+from jcone.propcheck import REGISTRY_BY_ID, Context
 
 SIG = Signature(2, 1)
 FIELDS = ("R", "C", "H")
@@ -166,3 +170,74 @@ def test_harmonic_mean_endpoints_are_the_members_themselves(field):
     for i in range(4):
         alone = harmonic_mean_J(A.member(i), B.member(i), t[i])
         assert alone.lambda_min_of_jx == mean.lambda_min_of_jx[i]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _furuta_pair(field):
+    # 0 <_J B <=_J A: JA = JB + Id.
+    B = random_pj_bounded(SIG, field, GeneratorStack([np.random.default_rng(s)
+                                                      for s in range(3)]))
+    return is_j_positive(B.matrix + SIG.matrix(field), SIG), B
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_per_member_furuta_matches_scalar_calls(field):
+    A, B = _furuta_pair(field)
+    p, r = np.array([0.0, 1.0, 2.0]), np.array([3.0, 1.0, 2.0])
+    per_member = furuta_check(A, B, p, r)
+    # A grid (k, 1) of (p, r) over the stack of pairs: row g is point g.
+    grid = furuta_check(A, B, p[:, None], r[:, None])
+    assert grid.margin.shape == (3, 3)
+    for i in range(3):
+        for g, v in ((i, per_member), *((g, grid) for g in range(3))):
+            at = i if v is per_member else (g, i)
+            alone = furuta_check(A.member(i), B.member(i), float(p[g]), float(r[g]))
+            assert alone.holds == v.holds[at]
+            assert _bits(alone.margin) == _bits(v.margin[at])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_per_member_ando_hiai_matches_scalar_calls(field):
+    # Member 1, scaled up, holds vacuously: the others are powered by their
+    # own r, selected from the per-member values.
+    A, B = _stack(field, 1), _stack(field, 10)
+    t, r = np.array([0.3, 0.5, 0.7]), np.array([1.5, 2.0, 3.0])
+    small = ando_hiai_normalize(A, B, t)
+    scale = np.array([1.0, 100.0, 1.0])[:, None, None]
+    for scaled in (False, True):
+        A, B = (is_j_positive(X.matrix * scale, SIG) if scaled else X for X in small)
+        v = ando_hiai_check(A, B, t, r)
+        assert v.vacuous.tolist() == [False, scaled, False]
+        for i in range(3):
+            alone = ando_hiai_check(A.member(i), B.member(i), float(t[i]), float(r[i]))
+            assert (alone.holds, alone.vacuous) == (v.holds[i], v.vacuous[i])
+            assert _bits(alone.premise_margin) == _bits(v.premise_margin[i])
+            assert _bits(alone.conclusion_margin) == _bits(v.conclusion_margin[i])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("property_id", ["ineq.furuta", "means.scaling"])
+def test_a_grid_makes_the_linalg_calls_of_one_point(monkeypatch, property_id, field):
+    # A property's parameter grid is a stack axis: at 3 trials its 9 points
+    # make the numpy.linalg calls that one point makes, not 9 times as many.
+    spec = REGISTRY_BY_ID[property_id]
+    ctx = Context(SIG, field, 1e-8)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "inv", "cholesky", "solve"):
+        def counted(*args, _routine=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def run():
+        calls.clear()
+        spec.func(ctx, GeneratorStack([np.random.default_rng(s) for s in range(3)]))
+        return Counter(calls)
+
+    grid = run()
+    one_point = jcone.propcheck._grid
+    monkeypatch.setattr(jcone.propcheck, "_grid", lambda rng, *values: one_point(rng, values[0]))
+    assert spec.grid == 9 and grid == run() and sum(grid.values()) > 0
