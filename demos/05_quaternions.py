@@ -10,11 +10,11 @@ import numpy as np
 
 from jcone import (Quaternion, Signature, fnorm, geodesic_distance,
                    hermitian_eig, psi_matrix, psi_structural_residual,
-                   quat_mul, random_pj_bounded, trd, weighted_mean)
+                   random_pj_bounded, trd, weighted_mean)
 
 # Scalar quaternions: i*j = k and the rest of the table.
 i, jq, k = Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)
-print("i*j =", quat_mul(i, jq), " j*i =", quat_mul(jq, i))
+print("i*j =", i * jq, " j*i =", jq * i)
 
 sig = Signature(2, 1)
 rng = np.random.default_rng(5)

@@ -5,8 +5,7 @@ from .errors import (DimensionMismatch, IndeterminateSchur, JConeError,
                      NotJHermitian, NotJPositive, NotPositive, PremiseViolated,
                      SignatureMismatch, Singular, StepTooSmall, UnknownSuite,
                      WeightOutOfRange)
-from .scalars import (Quaternion, psi_scalar, psi_scalar_inverse, quat_conj,
-                      quat_mul, quat_norm, trd_scalar)
+from .scalars import Quaternion, psi_scalar, psi_scalar_inverse
 from .matcore import (QMatrix, SpectralDecomposition, adjoint, block2x2,
                       eigvals_hermitian, field_of, fnorm, hermitian_eig,
                       identity, is_positive_definite, mat_exp_h, mat_inverse,

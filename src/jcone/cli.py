@@ -18,6 +18,7 @@ from .jcalc import pow_J, random_pj
 from .jstruct import Signature, is_j_positive
 from .means import weighted_mean
 from .order import j_leq
+from .scalars import FIELDS
 
 
 class InputError(Exception):
@@ -113,23 +114,25 @@ def cmd_riccati(args) -> int:
     return 0
 
 
-def cmd_rand(args) -> int:
+def _sized_signature(args) -> Signature:
+    """The --signature of rand and check, once --dim and --field agree with it."""
     sig = _parse_signature(args.signature)
     if args.dim is not None and args.dim != sig.n:
         raise InputError(f"--dim {args.dim} disagrees with signature n={sig.n}")
-    if args.field not in ("R", "C", "H"):
+    if args.field not in FIELDS:
         raise InputError(f"unknown field {args.field!r}")
+    return sig
+
+
+def cmd_rand(args) -> int:
+    sig = _sized_signature(args)
     X = random_pj(sig, args.field, args.seed)
     _emit(args.out, canonical_dumps(matrix_to_payload(X.matrix)))
     return 0
 
 
 def cmd_check(args) -> int:
-    sig = _parse_signature(args.signature)
-    if args.dim is not None and args.dim != sig.n:
-        raise InputError(f"--dim {args.dim} disagrees with signature n={sig.n}")
-    if args.field not in ("R", "C", "H"):
-        raise InputError(f"unknown field {args.field!r}")
+    sig = _sized_signature(args)
     # Imported here: the suites are most of the package, and only check runs them.
     from .propcheck import run_suite
     try:

@@ -3,24 +3,16 @@ rule: a value is compared with threshold(tol, *scales) = tol * max(1, *scales),
 and a residual certifies a structure only through certify, whose error names
 the invariant, the residual and the threshold.
 
-Both take one value per member of a stack of matrices as well as a scalar:
-threshold then returns one threshold per member, and certify certifies every
-member, naming the first that fails.  A per-member value is a Python scalar
-for one matrix and an array over a stack; the helpers here take either, and
-take a scalar by Python's own operations."""
+Both take one value per member of a stack of matrices as well as a scalar
+(the stack contract: see stacks): threshold then returns one threshold per
+member, and certify certifies every member, naming the first that fails."""
 
 import math
 from functools import reduce
 
 import numpy as np
 
-
-def _out(x):
-    """A per-member value as returned: the array over a stack, a Python
-    scalar for one matrix."""
-    if type(x) is np.ndarray:
-        return x if x.ndim else x.item()
-    return x.item() if isinstance(x, np.generic) else x
+from .stacks import all_of, first_failed
 
 
 def threshold(tol: float, *scales):
@@ -31,37 +23,6 @@ def threshold(tol: float, *scales):
     if np.ndarray in map(type, scales):
         return tol * reduce(np.fmax, scales, 1.0)
     return tol * max(1.0, *scales)
-
-
-def min_of(a, b):
-    """min(a, b) for one value or one per member, taken as Python's min
-    takes it: b where b < a, else a, so a NaN b is passed over and a NaN a
-    kept."""
-    if type(a) is np.ndarray or type(b) is np.ndarray:
-        return np.where(b < a, b, a)
-    return b if b < a else a
-
-
-def max_of(a, b):
-    """max(a, b) as Python's max takes it: b where b > a, else a."""
-    if type(a) is np.ndarray or type(b) is np.ndarray:
-        return np.where(b > a, b, a)
-    return b if b > a else a
-
-
-def all_of(ok) -> bool:
-    """ok for one verdict, every member's ok for an array of them (np.all
-    would cost a Python bool an array)."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
-
-
-def any_of(ok) -> bool:
-    return ok.any() if isinstance(ok, np.ndarray) else ok
-
-
-def first_failed(value, ok) -> float:
-    """The value of the first member where ok is False."""
-    return float(np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)].flat[0])
 
 
 def certify(residual, limit, error: type, invariant: str) -> None:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import SignatureMismatch, StepTooSmall
 from .jstruct import JPositive, certify_constructed, phi_J
-from .matcore import Pencil, _out, fnorm, mat_inverse
+from .matcore import Pencil, fnorm, mat_inverse
+from .stacks import _out
 
 MIN_STEP = 1e-7
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Singular, all_of, any_of
+from .errors import Singular
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (_real, adjoint, block2x2, eigvals_hermitian, fnorm,
-                      from_real_parts, mat_inverse, per_member, polar, power,
-                      scatter, select, spectral_function, unitary_from_columns,
-                      zeros)
+from .matcore import (adjoint, block2x2, eigvals_hermitian, fnorm,
+                      from_real_parts, mat_inverse, polar, spectral_function,
+                      unitary_from_columns, zeros)
+from .stacks import _real, all_of, any_of, per_member, power, scatter, select
 
 MAX_POWER = 32.0
 
@@ -52,8 +52,8 @@ def bullet_commutator(X, Y, sig: Signature):
 
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """exp_J(X) = J exp(JX); maps the J-Hermitian space onto P_J."""
-    out, w = spectral_function(phi_J(X, sig, tol), np.exp)
-    return certify_constructed(out, sig, np.exp(w))
+    out, lam = spectral_function(phi_J(X, sig, tol), np.exp)
+    return certify_constructed(out, sig, lam)
 
 
 def log_J(X: JPositive):
@@ -66,8 +66,8 @@ def pow_J(X: JPositive, t) -> JPositive:
     t = _real(t)
     if any_of(abs(t) > MAX_POWER):
         raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
-    out, w = spectral_function(X.jx, lambda w: power(w, t), floor=0.0)
-    return certify_constructed(out, X.signature, power(w, t))
+    out, lam = spectral_function(X.jx, lambda w: power(w, t), floor=0.0)
+    return certify_constructed(out, X.signature, lam)
 
 
 def polar_decompose_bullet(g, sig: Signature):

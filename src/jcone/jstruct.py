@@ -16,10 +16,9 @@ them it takes one Cholesky factorization of P, which is all the certificate
 needs, and lambda_min(P) is computed only if it is read (a read value not
 finite and positive raises NotJPositive).
 
-Stacks: every test and member here takes a stack of matrices (..., n, n) as
-matcore does.  A stacked JPositive holds the stack of images, certified
-together (one failing member rejects the stack), and lambda_min_of_jx is one
-value per member; member(i) is the member i alone.
+Stacks: every test and member here keeps the stack contract (see stacks); a
+stacked JPositive holds the stack of images and one lambda_min_of_jx per
+member.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive, NotPositive, all_of, any_of,
-                     first_failed, threshold)
-from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _out,
-                      _positivity, adjoint, block2x2, cholesky_factor,
-                      eigvals_unchecked, field_of, fnorm, from_real, identity,
-                      mat_inverse, member, negate_rows, per_member, scatter,
-                      select)
+                     NotJPositive, NotPositive, threshold)
+from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _positivity,
+                      adjoint, block2x2, cholesky_factor, eigvals_unchecked,
+                      field_of, fnorm, from_real, identity, mat_inverse,
+                      negate_rows)
+from .stacks import (_out, all_of, any_of, first_failed, member, per_member,
+                     scatter, select)
 
 
 @dataclass(frozen=True)

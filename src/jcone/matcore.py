@@ -33,74 +33,24 @@ Pencil rule: a pencil is one Cholesky factorization and the blocked
 triangular inverse of its factor (tril_inverse): one stacked inv of the
 factor's diagonal blocks, the rest matrix products.
 
-Stack rule: every function here takes a stack of matrices, shape
-(..., n, n) (over H a QMatrix whose embedding is (..., 2n, 2n)), as well as
-one matrix, and a one-matrix call is the stack of no leading axes.  Each
-member of a stack gets, bit for bit, what a call on it alone gets: numpy's
-factorizations and products loop over the leading axes, a norm takes each
-member's dot products as for one matrix (_norm), and a power raises each
-member by its own scalar exponent, a grid row by its one (power).  A per-member value (a norm, a
-verdict, an eigenvalue bound) is an array over the leading axes, and a
-Python float or bool for one matrix (_out); a per-member scalar operand
-broadcasts over the matrices through per_member.  Tests fail a stack when
-one member fails them, naming the first.  A step that a lone call takes only
-for some inputs runs on just those members (select), and its per-member
-results are put back among the others' (scatter).
+Stack rule: every function here keeps the stack contract (see stacks).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NotFinite, NotHermitian, NotInImage, NotPositive, Singular,
-                     _out, all_of, certify, first_failed, min_of, threshold)
+                     certify, threshold)
 from .scalars import Quaternion
+from .stacks import _norm, _out, _real, all_of, first_failed, min_of, power
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
     view.flags.writeable = False
     return view
-
-
-def per_member(s, axes: int = 2):
-    """One scalar per member of a stack as a factor that broadcasts over its
-    matrices (axes=2) or vectors (axes=1); a scalar stays as it is."""
-    return s[(...,) + (None,) * axes] if isinstance(s, np.ndarray) and s.ndim else s
-
-
-def member(X, i):
-    """Member i of a stack of matrices, or the members a mask over its
-    leading axes selects."""
-    return QMatrix._of(X.m[i]) if isinstance(X, QMatrix) else X[i]
-
-
-def select(x, mask):
-    """The members of x where mask holds: x is a stack of matrices, of cone
-    members or of generators (whatever has a member method), or one value
-    per member.  x itself where every member's mask holds or where it is
-    one value for all, so one matrix or value passes whole."""
-    if all_of(mask):
-        return x
-    if hasattr(x, "member"):
-        return x.member(mask)
-    if isinstance(x, QMatrix) or (isinstance(x, np.ndarray) and x.ndim):
-        return member(x, mask)
-    return x
-
-
-def scatter(mask, values, base):
-    """values, given for the members where mask holds, put among the others:
-    base is one value for every other member, or a stack of values or
-    matrices, which is written into.  values itself where every member's
-    mask holds.  With select, a step runs on just the members that need it."""
-    if all_of(mask):
-        return values
-    out = base if isinstance(base, (np.ndarray, QMatrix)) else np.full(np.shape(mask), base)
-    out[mask] = values
-    return out
 
 
 class QMatrix:
@@ -166,6 +116,9 @@ class QMatrix:
         m[..., :r, :c][key], m[..., :r, c:][key] = v[..., :vr, :vc], v[..., :vr, vc:]
         m[..., r:, :c][key], m[..., r:, c:][key] = v[..., vr:, :vc], v[..., vr:, vc:]
 
+    def member(self, i) -> "QMatrix":
+        return QMatrix._of(self.m[i])
+
     def reshape(self, *shape) -> "QMatrix":
         return QMatrix(self.a.reshape(*shape), self.b.reshape(*shape))
 
@@ -216,11 +169,6 @@ class QMatrix:
         return f"QMatrix(a={self.a!r}, b={self.b!r})"
 
 
-def _real(s):
-    """A real scalar as a float, or an array of them as a float array."""
-    return np.asarray(s, dtype=float) if isinstance(s, np.ndarray) and s.ndim else float(s)
-
-
 def field_of(X) -> str:
     if isinstance(X, QMatrix):
         return "H"
@@ -266,61 +214,6 @@ def adjoint(X):
     if isinstance(X, QMatrix):
         return X.H
     return np.asarray(X).conj().mT
-
-
-def _norm(M: np.ndarray):
-    """Frobenius norm of a matrix, or of each member of a stack, bit for bit
-    np.linalg.norm's: each member raveled as it would be alone (_raveled)
-    and its sum of squares taken by the BLAS dot (_row_norms)."""
-    return _row_norms(_raveled(np.asarray(M)))
-
-
-def _raveled(M: np.ndarray) -> np.ndarray:
-    """Each member of M (..., r, c) raveled as ravel(order="K") ravels it
-    alone: in memory order, with an axis of negative stride reversed.  The
-    members of one array share their strides, so one rule serves them all."""
-    if M.ndim == 2:
-        return M.ravel(order="K")   # the same rule, a microsecond cheaper than reshape
-    if M.strides[-2] < 0:
-        M = M[..., ::-1, :]
-    if M.strides[-1] < 0:
-        M = M[..., ::-1]
-    if M.strides[-2] < M.strides[-1]:
-        M = M.mT   # a member in column order ravels by columns
-    return M.reshape(M.shape[:-2] + (-1,))
-
-
-def _sum_of_squares(x: np.ndarray, dot):
-    # The real and imaginary parts apart, as np.linalg.norm takes them.
-    if x.dtype.kind == "c":
-        return dot(x.real, x.real) + dot(x.imag, x.imag)
-    return dot(x, x)
-
-
-def _row_norms(x: np.ndarray):
-    """The 2-norm of each row of x (..., m), a float for one row.  A row
-    whose sum of squares overflows is taken again as s ||x / s|| with s its
-    largest |entry|, so finite entries give a finite norm wherever the norm
-    itself is finite."""
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
-    if x.ndim > 1:
-        # np.vecdot takes each row's dot as np.vdot takes one row's, but
-        # warns when it overflows.
-        with np.errstate(over="ignore"):
-            nrm = np.sqrt(_sum_of_squares(x, np.vecdot))
-        if math.inf in nrm.tolist():
-            for i in zip(*np.nonzero(nrm == math.inf)):
-                nrm[i] = _row_norms(x[i])
-        return nrm
-    # One row takes np.vdot, which does not warn, rather than entering
-    # np.errstate, which costs about 2.3 us, half a 3 x 3 norm.
-    nrm = math.sqrt(_sum_of_squares(x, np.vdot))
-    if nrm == math.inf:
-        s = float(np.max(np.abs(x)))
-        if s < math.inf:
-            nrm = s * _row_norms(x / s)
-    return nrm
 
 
 def fnorm(X) -> float:
@@ -551,9 +444,10 @@ def eigvals_hermitian(X, tol: float = 1e-10) -> np.ndarray:
 
 
 def spectral_function(X, f, floor: float | None = None):
-    """f(X) and the descending eigenvalues of X from one eigh, with no structural
-    test; f sees those of _embed(X) ascending.  Given a floor, raises NotPositive
-    unless X is positive definite at tol = floor (_positivity)."""
+    """f(X) and f of the descending eigenvalues of X from one eigh, with no
+    structural test; f sees those of _embed(X) ascending, once, so a stack's
+    members and lone calls take the same numpy loop.  Given a floor, raises
+    NotPositive unless X is positive definite at tol = floor (_positivity)."""
     M = _embed(X)
     w, U = np.linalg.eigh(M)
     if floor is not None:
@@ -562,8 +456,9 @@ def spectral_function(X, f, floor: float | None = None):
         if not all_of(ok):
             raise NotPositive(f"smallest eigenvalue {first_failed(lam, ok):.3e} not above "
                               f"{first_failed(limit, ok):.3e}")
-    T = (_top(U, X) * f(w)[..., None, :]) @ U.conj().mT
-    return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(w, X)
+    fw = f(w)
+    T = (_top(U, X) * fw[..., None, :]) @ U.conj().mT
+    return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(fw, X)
 
 
 def matrix_function(X, f):
@@ -577,27 +472,6 @@ def mat_exp_h(X):
 
 def mat_log_pd(X):
     return spectral_function(_check_hermitian(X)[0], np.log, floor=1e-10)[0]
-
-
-def power(w: np.ndarray, t) -> np.ndarray:
-    """w ** t on eigenvalue vectors w (..., m), t a real exponent or an array
-    of them broadcasting against the stack.  One exponent raises the stack in
-    one call, and so is a grid row raised, by its scalar exponent: a row of a
-    stack of more than one axis along whose last axis t is one value by
-    broadcasting, as a (k, 1) grid of powers over k rows of trials is.  Any
-    other stack is raised member by member, each by its scalar exponent as a
-    lone call raises it: numpy rounds a scalar exponent of 2, -1 or 0.5, and
-    a 2-D strided array, by other loops.  The member loop costs a 3-vector
-    6.5 us against 1.5 us, and a stack of 3000 5.4 ms against 39 us."""
-    if not (isinstance(t, np.ndarray) and t.ndim):
-        return np.power(w, float(t))
-    stack = np.broadcast_shapes(w.shape[:-1], t.shape)
-    w, t = np.broadcast_to(w, stack + w.shape[-1:]), np.broadcast_to(t, stack)
-    rows = len(stack) > 1 and (stack[-1] == 1 or t.strides[-1] == 0)
-    out = np.empty(w.shape)
-    for i in np.ndindex(stack[:-1] if rows else stack):
-        out[i] = np.power(w[i], float(t[i][0] if rows else t[i]))
-    return out
 
 
 def mat_pow_pd(X, t):

@@ -26,14 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
-                     all_of, any_of, certify, first_failed, threshold)
+                     certify, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
 from .jstruct import (JPositive, _certify_image, certify_constructed, merged,
                       phi_J)
-from .matcore import (Pencil, _out, _real, block2x2, eigvals_unchecked, fnorm,
-                      identity, per_member, scatter, select)
+from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, _psd_verdict, j_leq
+from .stacks import (_out, _real, all_of, any_of, first_failed, per_member,
+                     scatter, select)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, SignatureMismatch, threshold
 from .jstruct import JPositive, Signature, _check_dim, _j_hermitian
-from .matcore import _check_hermitian, _out, eigvals_unchecked, fnorm
+from .matcore import _check_hermitian, eigvals_unchecked, fnorm
+from .stacks import _out
 
 
 @dataclass(frozen=True)

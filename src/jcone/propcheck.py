@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import UnknownSuite, max_of, min_of, threshold
+from .errors import UnknownSuite, threshold
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
 from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
@@ -38,12 +38,13 @@ from .jstruct import (JPositive, Signature, _holding, is_j_hermitian,
 from .matcore import (QMatrix, _embed, adjoint, fnorm, from_real_parts,
                       hermitian_eig, identity, is_matrix, mat_exp_h,
                       mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
-                      matrix_function, member, per_member, psi_matrix,
-                      psi_structural_residual, trd)
+                      matrix_function, psi_matrix, psi_structural_residual,
+                      trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
                     furuta_check, harmonic_mean_J, maximality_check,
                     weighted_mean)
 from .order import j_leq
+from .stacks import max_of, member, min_of, per_member
 
 SUITES = ("powers", "order", "geometry", "means", "inequalities", "quaternion")
 
@@ -99,16 +100,6 @@ def _payload(X):
     if isinstance(X, JPositive):
         X = X.matrix
     return matrix_to_payload(X) if is_matrix(X) else X
-
-
-def _member(value, i):
-    """Trial i's own witness value out of a block's: member i of a stack of
-    members, matrices or values, and dicts entry by entry."""
-    if isinstance(value, JPositive):
-        return value.member(i)
-    if isinstance(value, dict):
-        return {k: _member(v, i) for k, v in value.items()}
-    return member(value, i) if is_matrix(value) else value
 
 
 def _rel_err(X, Y):
@@ -651,8 +642,8 @@ def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> Pr
     counterexample = None
     if failing is not None:
         first, i, margin, outcome, stacked = failing
-        inputs = {name: _payload(_member(m, i) if stacked else m)
-                  for name, m in (outcome.witness or {}).items()}
+        witness = member(outcome.witness or {}, i) if stacked else outcome.witness or {}
+        inputs = {name: _payload(m) for name, m in witness.items()}
         counterexample = {"trial": int(first + i), "margin": float(margin), "inputs": inputs}
     return PropertyReport(spec.property_id, trials, failures, float(worst),
                           int(seed), counterexample)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import certify, threshold
+from .stacks import _norm
 
 FIELDS = ("R", "C", "H")
 
@@ -58,6 +59,7 @@ class Quaternion:
 
     @property
     def real(self) -> float:
+        """The reduced trace: the real part, (q + conj(q)) / 2."""
         return self.a
 
     def imag_norm(self) -> float:
@@ -89,23 +91,6 @@ def _as_quat(x) -> Quaternion:
     return Quaternion(float(x))
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return _as_quat(p) * _as_quat(q)
-
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return _as_quat(q).conj()
-
-
-def quat_norm(q: Quaternion) -> float:
-    return _as_quat(q).norm()
-
-
-def trd_scalar(q: Quaternion) -> float:
-    """Reduced trace of a quaternion: its real part, (q + conj(q)) / 2."""
-    return _as_quat(q).real
-
-
 def psi_scalar(q: Quaternion) -> np.ndarray:
     """Embed a quaternion z1 + z2*j as [[z1, z2], [-conj(z2), conj(z1)]]."""
     z1, z2 = _as_quat(q).as_complex_pair()
@@ -113,9 +98,6 @@ def psi_scalar(q: Quaternion) -> np.ndarray:
 
 
 def psi_scalar_inverse(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
-    # matcore imports this module: its norm, which rescales where the sum of
-    # squares overflows, is imported here at the call.
-    from .matcore import _norm
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 complex matrix")

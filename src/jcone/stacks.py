@@ -1,0 +1,186 @@
+"""The stack contract, stated once, and the helpers that keep it.  This
+module imports no other jcone module, so every one of them can import it.
+
+Every function of jcone takes a stack of matrices, shape (..., n, n) (over H
+a QMatrix whose embedding is (..., 2n, 2n)), as well as one matrix, and a
+one-matrix call is the stack of no leading axes, on the same code.  Each
+member of a stack gets, bit for bit, what a call on it alone gets: numpy's
+factorizations and products loop over the leading axes, a norm takes each
+member's dot products as for one matrix (_norm), and a power raises each
+member by its own scalar exponent, a grid row by its one (power).  A stack
+of 1 x 1 members is the exception: numpy may take a function of their
+reversed eigenvalue views by another loop, which rounds differently.
+
+A per-member value (a norm, a verdict, an eigenvalue bound) is an array over
+the leading axes, and a Python float or bool for one matrix (_out); the
+helpers here take either, and take a scalar by Python's own operations.  A
+per-member scalar operand broadcasts over the matrices through per_member.
+Tests fail a stack when one member fails them, naming the first
+(first_failed).  A step that a lone call takes only for some inputs runs on
+just those members (select), and its per-member results are put back among
+the others' (scatter).  member(x, i) is member i, or the members a mask
+selects, of whatever holds one value per member: a stack of matrices, of
+cone members or of generators (by a mask only), or a dict of them.
+"""
+
+import math
+
+import numpy as np
+
+
+def _out(x):
+    """A per-member value as returned: the array over a stack, a Python
+    scalar for one matrix."""
+    if type(x) is np.ndarray:
+        return x if x.ndim else x.item()
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _real(s):
+    """A real scalar as a float, or an array of them as a float array."""
+    return np.asarray(s, dtype=float) if isinstance(s, np.ndarray) and s.ndim else float(s)
+
+
+def per_member(s, axes: int = 2):
+    """One scalar per member of a stack as a factor that broadcasts over its
+    matrices (axes=2) or vectors (axes=1); a scalar stays as it is."""
+    return s[(...,) + (None,) * axes] if isinstance(s, np.ndarray) and s.ndim else s
+
+
+def min_of(a, b):
+    """min(a, b) for one value or one per member, taken as Python's min
+    takes it: b where b < a, else a, so a NaN b is passed over and a NaN a
+    kept."""
+    if type(a) is np.ndarray or type(b) is np.ndarray:
+        return np.where(b < a, b, a)
+    return b if b < a else a
+
+
+def max_of(a, b):
+    """max(a, b) as Python's max takes it: b where b > a, else a."""
+    if type(a) is np.ndarray or type(b) is np.ndarray:
+        return np.where(b > a, b, a)
+    return b if b > a else a
+
+
+def all_of(ok) -> bool:
+    """ok for one verdict, every member's ok for an array of them (np.all
+    would cost a Python bool an array)."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def any_of(ok) -> bool:
+    return ok.any() if isinstance(ok, np.ndarray) else ok
+
+
+def first_failed(value, ok) -> float:
+    """The value of the first member where ok is False."""
+    return float(np.broadcast_to(value, np.shape(ok))[np.logical_not(ok)].flat[0])
+
+
+def member(x, i):
+    """Member i of x, or the members a mask over its leading axes selects:
+    x.member(i) where x has that method (QMatrix, JPositive, and
+    GeneratorStack, which takes a mask), an array indexed, a dict entry by
+    entry; any other value, one for all members, as it is."""
+    if hasattr(x, "member"):
+        return x.member(i)
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x[i]
+    if isinstance(x, dict):
+        return {k: member(v, i) for k, v in x.items()}
+    return x
+
+
+def select(x, mask):
+    """The members of x where mask holds; x itself where every member's
+    mask holds, so one matrix or value passes whole."""
+    return x if all_of(mask) else member(x, mask)
+
+
+def scatter(mask, values, base):
+    """values, given for the members where mask holds, put among the others:
+    base is one value for every other member, or a stack of values or
+    matrices, which is written into.  values itself where every member's
+    mask holds.  With select, a step runs on just the members that need it."""
+    if all_of(mask):
+        return values
+    out = np.full(np.shape(mask), base) if np.isscalar(base) else base
+    out[mask] = values
+    return out
+
+
+def _norm(M: np.ndarray):
+    """Frobenius norm of a matrix, or of each member of a stack, bit for bit
+    np.linalg.norm's: each member raveled as it would be alone (_raveled)
+    and its sum of squares taken by the BLAS dot (_row_norms)."""
+    return _row_norms(_raveled(np.asarray(M)))
+
+
+def _raveled(M: np.ndarray) -> np.ndarray:
+    """Each member of M (..., r, c) raveled as ravel(order="K") ravels it
+    alone: in memory order, with an axis of negative stride reversed.  The
+    members of one array share their strides, so one rule serves them all."""
+    if M.ndim == 2:
+        return M.ravel(order="K")   # the same rule, a microsecond cheaper than reshape
+    if M.strides[-2] < 0:
+        M = M[..., ::-1, :]
+    if M.strides[-1] < 0:
+        M = M[..., ::-1]
+    if M.strides[-2] < M.strides[-1]:
+        M = M.mT   # a member in column order ravels by columns
+    return M.reshape(M.shape[:-2] + (-1,))
+
+
+def _sum_of_squares(x: np.ndarray, dot):
+    # The real and imaginary parts apart, as np.linalg.norm takes them.
+    if x.dtype.kind == "c":
+        return dot(x.real, x.real) + dot(x.imag, x.imag)
+    return dot(x, x)
+
+
+def _row_norms(x: np.ndarray):
+    """The 2-norm of each row of x (..., m), a float for one row.  A row
+    whose sum of squares overflows is taken again as s ||x / s|| with s its
+    largest |entry|, so finite entries give a finite norm wherever the norm
+    itself is finite."""
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    if x.ndim > 1:
+        # np.vecdot takes each row's dot as np.vdot takes one row's, but
+        # warns when it overflows.
+        with np.errstate(over="ignore"):
+            nrm = np.sqrt(_sum_of_squares(x, np.vecdot))
+        if math.inf in nrm.tolist():
+            for i in zip(*np.nonzero(nrm == math.inf)):
+                nrm[i] = _row_norms(x[i])
+        return nrm
+    # One row takes np.vdot, which does not warn, rather than entering
+    # np.errstate, which costs about 2.3 us, half a 3 x 3 norm.
+    nrm = math.sqrt(_sum_of_squares(x, np.vdot))
+    if nrm == math.inf:
+        s = float(np.max(np.abs(x)))
+        if s < math.inf:
+            nrm = s * _row_norms(x / s)
+    return nrm
+
+
+def power(w: np.ndarray, t) -> np.ndarray:
+    """w ** t on eigenvalue vectors w (..., m), t a real exponent or an array
+    of them broadcasting against the stack.  One exponent raises the stack in
+    one call, and so is a grid row raised, by its scalar exponent: a row of a
+    stack of more than one axis along whose last axis t is one value by
+    broadcasting, as a (k, 1) grid of powers over k rows of trials is.  Any
+    other stack is raised member by member, each by its scalar exponent as a
+    lone call raises it: numpy rounds a scalar exponent of 2, -1 or 0.5, and
+    a 2-D strided array, by other loops.  The member loop costs a 3-vector
+    6.5 us against 1.5 us, and a stack of 3000 5.4 ms against 39 us."""
+    if not (isinstance(t, np.ndarray) and t.ndim):
+        return np.power(w, float(t))
+    stack = np.broadcast_shapes(w.shape[:-1], t.shape)
+    w, t = np.broadcast_to(w, stack + w.shape[-1:]), np.broadcast_to(t, stack)
+    rows = len(stack) > 1 and (stack[-1] == 1 or t.strides[-1] == 0)
+    out = np.empty(w.shape)
+    for i in np.ndindex(stack[:-1] if rows else stack):
+        out[i] = np.power(w[i], float(t[i][0] if rows else t[i]))
+    return out

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm, solve_triangular
 
 from jcone.errors import NotHermitian, NotInImage, NotPositive, Singular
-from jcone.matcore import (_TRIL_BLOCK, QMatrix, _norm, adjoint, allclose,
+from jcone.matcore import (_TRIL_BLOCK, QMatrix, adjoint, allclose,
                            cholesky_factor, eigvals_hermitian, field_of, fnorm,
                            hermitian_eig, identity, is_positive_definite,
                            mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
@@ -11,6 +11,7 @@ from jcone.matcore import (_TRIL_BLOCK, QMatrix, _norm, adjoint, allclose,
                            psi_matrix, psi_structural_residual, trd,
                            tril_inverse)
 from jcone.scalars import QUAT_I, QUAT_J, QUAT_K, Quaternion
+from jcone.stacks import _norm
 
 
 def random_mat(n, field, rng):

@@ -2,7 +2,9 @@
 one-matrix call keeps its Python return types, and a stack's verdicts and
 residuals hold one value per member."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,16 @@ import pytest
 import jcone.propcheck
 from jcone.errors import NotJPositive, WeightOutOfRange
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
-from jcone.jcalc import (GeneratorStack, pow_J, random_invertible, random_pj,
-                         random_pj_bounded)
+from jcone.jcalc import (GeneratorStack, exp_J, pow_J, random_invertible,
+                         random_jhermitian, random_pj, random_pj_bounded)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
 from jcone.matcore import QMatrix, fnorm, from_real, is_positive_definite, trd
 from jcone.means import (ando_hiai_check, ando_hiai_normalize, furuta_check,
                          harmonic_mean_J, weighted_mean)
 from jcone.order import j_leq
 from jcone.propcheck import REGISTRY_BY_ID, Context
+from jcone.stacks import member, scatter, select
+from test_cli import _modules_loaded_by
 
 SIG = Signature(2, 1)
 FIELDS = ("R", "C", "H")
@@ -241,3 +245,112 @@ def test_a_grid_makes_the_linalg_calls_of_one_point(monkeypatch, property_id, fi
     one_point = jcone.propcheck._grid
     monkeypatch.setattr(jcone.propcheck, "_grid", lambda rng, *values: one_point(rng, values[0]))
     assert spec.grid == 9 and grid == run() and sum(grid.values()) > 0
+
+
+def _generators(count, first=0):
+    return GeneratorStack([np.random.default_rng(first + i) for i in range(count)])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 0), (0, 1)])
+def test_certificate_bounds_of_a_stack_are_its_members(p, q, field):
+    # A stacked exp_J or pow_J certifies each member from the eigenvalue
+    # images a lone call certifies it from, so lambda_min(JX) agrees bit
+    # for bit, not just the images JX.
+    sig, count = Signature(p, q), 300
+    X = random_pj(sig, field, _generators(count))
+    H = random_jhermitian(sig, field, _generators(count, count))
+    outputs = [(lambda Y, t=t: pow_J(Y, t), X, pow_J(X, t)) for t in (0.3, 2.0)]
+    outputs.append((lambda Y: exp_J(Y, sig), H, exp_J(H, sig)))
+    for call, inputs, stacked in outputs:
+        lone = [call(member(inputs, i)).lambda_min_of_jx for i in range(count)]
+        assert _bits(lone) == _bits(stacked.lambda_min_of_jx)
+
+
+# The helpers of the stack contract, each written once, in jcone.stacks.
+STACK_HELPERS = {"_out", "min_of", "max_of", "all_of", "any_of", "first_failed",
+                 "per_member", "_real", "member", "select", "scatter", "_norm",
+                 "_raveled", "_sum_of_squares", "_row_norms", "power"}
+SRC = Path(jcone.propcheck.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_stack_helpers_are_defined_in_stacks_alone():
+    defined = {(name, node.name) for name, tree in _trees().items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in STACK_HELPERS}
+    assert defined == {("stacks.py", helper) for helper in STACK_HELPERS}
+    # and imported from there, not through a module that imports them
+    through = [(name, node.module, alias.name) for name, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name in STACK_HELPERS]
+    assert {module for _, module, _ in through} == {"stacks"}
+
+
+def test_stacks_loads_no_other_jcone_module():
+    # The package is made by hand, so that its __init__, which imports every
+    # module, does not run: jcone.stacks then loads what it imports alone.
+    run = (f"p = types.ModuleType('jcone'); p.__path__ = [{str(SRC)!r}]; "
+           "sys.modules['jcone'] = p; import jcone.stacks")
+    assert _modules_loaded_by("types", "jcone", run) == "['jcone', 'jcone.stacks']"
+
+
+def test_no_import_inside_a_function_but_the_lazy_suites():
+    inside = [(name, func.name) for name, tree in _trees().items()
+              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == [("cli.py", "cmd_check")]
+
+
+MASK = np.array([True, False, True])
+
+
+def _kinds():
+    """For each kind that has members, a stack of three of that kind and a
+    function listing what tells its members apart."""
+    arrays = np.arange(12.0).reshape(3, 2, 2)
+    return [(arrays, lambda x: [m.tolist() for m in x]),
+            (QMatrix(arrays, -arrays), lambda x: [m.tolist() for m in x.m]),
+            (_stack("C", 1), lambda x: x.lambda_min_of_jx.tolist()),
+            (_generators(3), lambda x: x.generators)]
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_member_and_select_of_each_kind(kind):
+    x, parts = _kinds()[kind]
+    picked = member(x, MASK)
+    assert type(picked) is type(x) and parts(picked) == [parts(x)[0], parts(x)[2]]
+    assert parts(select(x, MASK)) == parts(picked)
+    assert select(x, np.ones(3, bool)) is x
+    if kind < 3:   # stacks of matrices and of cone members also take an index
+        assert parts(member(x, np.array([1]))) == [parts(x)[1]]
+        assert parts(member(x, slice(1, 2))) == [parts(x)[1]]
+
+
+def test_member_of_a_witness_dict_and_of_values_for_all():
+    X = np.arange(12.0).reshape(3, 2, 2)
+    witness = {"X": X, "inner": {"Y": -X}, "t": 0.5, "flag": True}
+    got = member(witness, 2)
+    assert np.array_equal(got["X"], X[2]) and np.array_equal(got["inner"]["Y"], -X[2])
+    assert got["t"] == 0.5 and got["flag"] is True
+    for value in (0.5, True, 3, np.float64(2.0)):
+        assert member(value, 1) is value and select(value, MASK) is value
+
+
+def test_scatter_into_each_base():
+    values = np.array([10.0, 30.0])
+    assert scatter(np.ones(2, bool), values, np.nan) is values
+    filled = scatter(MASK, values, np.nan)
+    assert np.array_equal(filled, [10.0, np.nan, 30.0], equal_nan=True)
+    verdicts = scatter(MASK, np.array([True, True]), False)
+    assert verdicts.dtype == bool and verdicts.tolist() == [True, False, True]
+    base = np.zeros((3, 2, 2))
+    assert scatter(MASK, np.ones((2, 2, 2)), base) is base
+    assert base[:, 0, 0].tolist() == [1.0, 0.0, 1.0]
+    quats = QMatrix(np.zeros((3, 2, 2)))
+    into = scatter(MASK, QMatrix(np.ones((2, 2, 2)), np.ones((2, 2, 2))), quats)
+    assert into is quats
+    assert [float(q.real) for q in (quats[i, 0, 0] for i in range(3))] == [1.0, 0.0, 1.0]
+    assert np.array_equal(quats.b[1], np.zeros((2, 2))) and np.array_equal(quats.b[0], np.ones((2, 2)))

@@ -9,9 +9,10 @@ import pytest
 
 import jcone
 from jcone.errors import (IndeterminateSchur, NotJPositive, NotPositive,
-                          certify, max_of, min_of, threshold)
+                          certify, threshold)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
 from jcone.matcore import from_real, is_positive_definite, mat_log_pd
+from jcone.stacks import max_of, min_of
 
 SRC = Path(jcone.__file__).parent
 FIELDS = ("R", "C", "H")
