@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import JConeError
@@ -31,6 +32,18 @@ def _parse_signature(text: str) -> Signature:
         return Signature(p, q)
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad --signature {text!r}: expected p,q") from exc
+
+
+def _finite_tol(text: str) -> float:
+    """--tol as a float, negative allowed: a NaN or infinite threshold would
+    pass or reject everything with no message naming it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _load_jpositive(args, sig: Signature, *names: str) -> list:
@@ -153,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out=True):
         p.add_argument("--signature", required=True, metavar="p,q")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_finite_tol, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         if out:
             p.add_argument("--out", default=None)

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared by all jcone modules, and the one tolerance
-rule: a value is compared with threshold(tol, *scales) = tol * max(1, *scales),
-and a residual certifies a structure only through certify, whose error names
-the invariant, the residual and the threshold.
+"""Exception hierarchy shared by all jcone modules, the one tolerance rule
+and the one failure rule.  A value is compared with threshold(tol, *scales)
+= tol * max(1, *scales); a test rejects only through require, whose error
+names the failing values, and a residual certifies a structure through
+certify, whose error names the invariant, the residual and the threshold.
 
-Both take one value per member of a stack of matrices as well as a scalar
+Each takes one value per member of a stack of matrices as well as a scalar
 (the stack contract: see stacks): threshold then returns one threshold per
-member, and certify certifies every member, naming the first that fails."""
+member, and require rejects a stack when one member fails, naming the first."""
 
 import math
 from functools import reduce
@@ -25,13 +26,18 @@ def threshold(tol: float, *scales):
     return tol * max(1.0, *scales)
 
 
+def require(ok, error: type, message: str, *values) -> None:
+    """Raise error unless ok holds for every member: message is formatted
+    with each of values taken at the first member that fails."""
+    if not all_of(ok):
+        raise error(message.format(*(first_failed(v, ok) for v in values)))
+
+
 def certify(residual, limit, error: type, invariant: str) -> None:
     """Raise error unless residual is finite and at most limit: a NaN or an
     overflowed residual certifies nothing, even against an overflowed limit."""
-    ok = (residual <= limit) & (residual < math.inf)
-    if not all_of(ok):
-        residual, limit = first_failed(residual, ok), first_failed(limit, ok)
-        raise error(f"{invariant} residual {residual:.3e} exceeds {limit:.3e}")
+    require((residual <= limit) & (residual < math.inf), error,
+            invariant + " residual {:.3e} exceeds {:.3e}", residual, limit)
 
 
 class JConeError(Exception):

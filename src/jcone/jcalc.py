@@ -113,11 +113,6 @@ class GeneratorStack:
             self._generators = [self._make(i) for i in range(self._count)]
         return self._generators
 
-    @property
-    def drawn(self) -> bool:
-        """Whether the generators were asked for a draw (or made)."""
-        return self._generators is not None
-
     def __len__(self) -> int:
         return self._count
 

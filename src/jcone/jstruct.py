@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive, NotPositive, threshold)
+                     NotJPositive, NotPositive, require, threshold)
 from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _positivity,
                       adjoint, block2x2, cholesky_factor, eigvals_unchecked,
                       field_of, fnorm, from_real, identity, mat_inverse,
                       negate_rows)
-from .stacks import (_out, all_of, any_of, first_failed, member, per_member,
-                     scatter, select)
+from .stacks import _out, all_of, any_of, member, per_member, scatter, select
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,9 @@ def schur_j_positive(blocks: JHermitianBlocks, tol: float = 1e-10) -> bool:
         lam_min, limit = _positivity(eigvals_unchecked(-D), tol)
         return lam_min > limit
     lam_min, limit = _positivity(eigvals_unchecked(A), tol)
-    singular = abs(lam_min) <= limit
-    if any_of(singular):
-        regular = np.logical_not(singular)
-        lam_min, limit = first_failed(lam_min, regular), first_failed(limit, regular)
-        raise IndeterminateSchur(f"leading block numerically singular: lambda_min = "
-                                 f"{lam_min:.3e}, |lambda_min| not above {limit:.3e}")
+    require(np.logical_not(abs(lam_min) <= limit), IndeterminateSchur,
+            "leading block numerically singular: lambda_min = {:.3e}, "
+            "|lambda_min| not above {:.3e}", lam_min, limit)
     leading = lam_min > limit
     if q == 0 or not any_of(leading):
         return leading
@@ -208,10 +204,8 @@ class JPositive:
                 lam = _out(eigvals_unchecked(self._jx)[..., -1])
             except np.linalg.LinAlgError:   # eigvalsh may fail on a NaN entry
                 lam = np.full(self._jx.shape[:-2], np.nan)
-            ok = (0.0 < lam) & (lam < np.inf)
-            if not all_of(ok):
-                raise NotJPositive(f"lambda_min(JX) = {first_failed(lam, ok):.3e} of a "
-                                   "Cholesky-certified member not finite and positive")
+            require((0.0 < lam) & (lam < np.inf), NotJPositive, "lambda_min(JX) = {:.3e} "
+                    "of a Cholesky-certified member not finite and positive", lam)
             self._lambda_min = lam
         return self._lambda_min
 
@@ -252,10 +246,8 @@ def _certify_image(jx, sig: Signature, tol: float) -> JPositive:
     """is_j_positive(X) taken on its image jx = JX, which the member holds."""
     _j_hermitian(jx, tol)
     lam_min, limit = _positivity(eigvals_unchecked(jx), tol)
-    ok = lam_min > limit
-    if not all_of(ok):
-        raise NotJPositive(f"lambda_min(JX) = {first_failed(lam_min, ok):.3e} not above "
-                           f"{first_failed(limit, ok):.3e}")
+    require(lam_min > limit, NotJPositive, "lambda_min(JX) = {:.3e} not above {:.3e}",
+            lam_min, limit)
     return _holding(jx, sig, lam_min)
 
 

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NotFinite, NotHermitian, NotInImage, NotPositive, Singular,
-                     certify, threshold)
+                     certify, require, threshold)
 from .scalars import Quaternion
-from .stacks import _norm, _out, _real, all_of, first_failed, min_of, power
+from .stacks import _norm, _out, _real, min_of, power
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -328,9 +328,7 @@ def mat_inverse(X):
     except np.linalg.LinAlgError as exc:
         raise Singular(f"inverse failed: {exc}") from None
     cond = np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
-    ok = cond < 1e13
-    if not all_of(ok):
-        raise Singular(f"1-norm condition number {first_failed(cond, ok):.3e} not below 1e13")
+    require(cond < 1e13, Singular, "1-norm condition number {:.3e} not below 1e13", cond)
     return _unembed(_top(inv, X), X)
 
 
@@ -452,10 +450,8 @@ def spectral_function(X, f, floor: float | None = None):
     w, U = np.linalg.eigh(M)
     if floor is not None:
         lam, limit = _positivity(w, floor)
-        ok = lam > limit
-        if not all_of(ok):
-            raise NotPositive(f"smallest eigenvalue {first_failed(lam, ok):.3e} not above "
-                              f"{first_failed(limit, ok):.3e}")
+        require(lam > limit, NotPositive, "smallest eigenvalue {:.3e} not above {:.3e}",
+                lam, limit)
     fw = f(w)
     T = (_top(U, X) * fw[..., None, :]) @ U.conj().mT
     return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(fw, X)
@@ -487,8 +483,7 @@ def mat_sqrt_pd(X):
 def _finite(M: np.ndarray, error: type = NotFinite) -> np.ndarray:
     """M itself once every entry is finite, else raises error: svd need not
     return on an infinite entry, and a factorization need not name it."""
-    if not np.isfinite(M).all():
-        raise error("an entry is not finite")
+    require(np.isfinite(M).all(), error, "an entry is not finite")
     return M
 
 
@@ -581,10 +576,8 @@ class Pencil:
     @staticmethod
     def _positive(w):
         low = _out(w[..., 0])
-        ok = low > 0.0
-        if not all_of(ok):
-            raise NotPositive(f"smallest eigenvalue {first_failed(low, ok):.3e} "
-                              "of P^-1 Q not positive")
+        require(low > 0.0, NotPositive,
+                "smallest eigenvalue {:.3e} of P^-1 Q not positive", low)
         return w
 
     def eigenvalues(self) -> np.ndarray:
@@ -645,10 +638,9 @@ def polar(X):
     so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
     """
     W, s, Vh = np.linalg.svd(_finite(_embed(X)))
-    ok = s[..., -1] > 1e-13 * s[..., 0]
-    if not all_of(ok):
-        ratio = s[..., -1] / np.maximum(s[..., 0], 1e-300)
-        raise Singular(f"singular-value ratio {first_failed(ratio, ok):.3e} not above 1e-13")
+    require(s[..., -1] > 1e-13 * s[..., 0], Singular,
+            "singular-value ratio {:.3e} not above 1e-13",
+            s[..., -1] / np.maximum(s[..., 0], 1e-300))
     R = (Vh.conj().mT * s[..., None, :]) @ Vh
     # Over H each singular value of X appears twice in Psi(X): keep one of each.
     return (_project_to_image(W @ Vh, X), _project_to_image((R + R.conj().mT) * 0.5, X),

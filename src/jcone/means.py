@@ -26,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
-                     certify, threshold)
+                     certify, require, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
 from .jstruct import (JPositive, _certify_image, certify_constructed, merged,
                       phi_J)
 from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, _psd_verdict, j_leq
-from .stacks import (_out, _real, all_of, any_of, first_failed, per_member,
-                     scatter, select)
+from .stacks import _out, _real, any_of, per_member, scatter, select
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,7 @@ def riccati_residual(X: JPositive, A: JPositive, B: JPositive) -> float:
 def _weight(t):
     """The weight t, or one per member, checked to lie in [0, 1]."""
     t = _real(t)
-    ok = (0.0 <= t) & (t <= 1.0)
-    if not all_of(ok):
-        raise WeightOutOfRange(f"weight {first_failed(t, ok)} outside [0, 1]")
+    require((0.0 <= t) & (t <= 1.0), WeightOutOfRange, "weight {} outside [0, 1]", t)
     return t
 
 
@@ -155,8 +152,7 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
     _check_pair(A, B)
     if any_of(r < 1.0):
         raise ValueError("need r >= 1")
-    if not all_of((0.0 < t) & (t < 1.0)):
-        raise ValueError("need t in (0, 1)")
+    require((0.0 < t) & (t < 1.0), ValueError, "need t in (0, 1)")
     j_elt = certify_constructed(identity(A.signature.n, A.field), A.signature, [1.0])
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
     # A member whose premise fails holds vacuously, with no conclusion margin;
@@ -180,8 +176,7 @@ def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
     if any_of((p_exp < 0.0) | (r < 1.0)):
         raise ValueError("need p >= 0 and r >= 1")
     premise = j_leq(B, A, tol=tol)
-    if not all_of(premise.holds):
-        raise PremiseViolated("need B <=_J A")
+    require(premise.holds, PremiseViolated, "need B <=_J A")
     half = pow_J(A, r / 2.0)
     inner = half.jx @ pow_J(B, p_exp).jx @ half.jx
     lhs = pow_J(certify_constructed(inner, A.signature), r / (r + p_exp))

@@ -15,12 +15,13 @@ generator alone, f(ctx, _trial_rng(seed, id, trial)), which is the one-trial
 case of the same code, and gets the same outcome bit for bit.  A parameter
 grid (PropertySpec.grid points) stacks on an axis in front of the trials, and
 a block holds at most _BLOCK_ENTRIES matrix entries per stacked n x n array.
-A property that draws nothing from its generators runs once, and that outcome
-counts for every trial.
+A property that draws nothing from its generators returns one outcome, with
+no witness, for a block, and it counts for each of the block's trials.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from functools import reduce
@@ -77,13 +78,17 @@ class PropertyReport:
     counterexample: dict | None = None
 
     def to_json_line(self) -> str:
+        # A margin that is not finite is written null: JSON has no such number.
+        example = self.counterexample
+        if example is not None and not math.isfinite(example["margin"]):
+            example = {**example, "margin": None}
         return canonical_dumps({
             "property_id": self.property_id,
             "trials": self.trials,
             "failures": self.failures,
-            "worst_margin": self.worst_margin,
+            "worst_margin": self.worst_margin if math.isfinite(self.worst_margin) else None,
             "seed": self.seed,
-            "counterexample": self.counterexample,
+            "counterexample": example,
         })
 
 
@@ -112,7 +117,7 @@ _scalar_pow = np.frompyfunc(pow, 2, 1)
 def _grid(rng, *values):
     """A parameter grid on an axis before the trial axis of rng's draws, (k, 1),
     or (k,) over one generator: a cone operation then runs once on them all,
-    and reduce(min_of, ..., np.inf) folds the axis in grid order, as a loop."""
+    and np.minimum.reduce folds the axis, a NaN margin kept to fail the trial."""
     grid = np.array(values)
     return grid[:, None] if isinstance(rng, GeneratorStack) else grid
 
@@ -191,7 +196,7 @@ def _prop_kj_congruence_powers(ctx, rng):
     t = _grid(rng, -1.0, 0.3, 0.5, 2.0)
     lhs = pow_J(is_j_positive(g @ X.matrix @ gs, ctx.sig), t)
     rhs = g @ pow_J(X, t).matrix @ gs
-    worst = reduce(min_of, ctx.tol - _rel_err(lhs.matrix, rhs), np.inf)
+    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs.matrix, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
 
 
@@ -203,7 +208,7 @@ def _prop_commuting_power_factorization(ctx, rng):
     t = _grid(rng, 0.5, 2.0, -1.0)
     lhs = pow_J(prod, t).matrix
     rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
-    worst = reduce(min_of, ctx.tol - _rel_err(lhs, rhs), np.inf)
+    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(S=S))
 
 
@@ -215,7 +220,7 @@ def _prop_power_monotone_unit(ctx, rng):
     scale = threshold(1.0, fnorm(X.matrix), fnorm(Y.matrix))
     t = _grid(rng, 0.25, 0.5, 0.75, 1.0)
     v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
-    worst = reduce(min_of, v.margin + ctx.tol * scale, np.inf)
+    worst = np.minimum.reduce(v.margin + ctx.tol * scale)
     return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
 
 
@@ -269,7 +274,7 @@ def _prop_pullback_geodesic(ctx, rng):
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
     t = _grid(rng, 0.1, 0.5, 0.9)
     err = _rel_err(geodesic(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
-    worst = reduce(min_of, ctx.tol - err, np.inf)
+    worst = np.minimum.reduce(ctx.tol - err)
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -346,7 +351,7 @@ def _prop_mean_scaling(ctx, rng):
     lhs = _mean(is_j_positive(per_member(alpha) * A.matrix, ctx.sig),
                 is_j_positive(per_member(beta) * B.matrix, ctx.sig), t).matrix
     rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
-    worst = reduce(min_of, ctx.tol - _rel_err(lhs, rhs), np.inf)
+    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -422,7 +427,7 @@ def _prop_mean_pullback_oracle(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = _grid(rng, 0.1, 0.5, 0.9)
     err = _rel_err(_mean(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
-    worst = reduce(min_of, ctx.tol - err, np.inf)
+    worst = np.minimum.reduce(ctx.tol - err)
     return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
 
 
@@ -547,7 +552,7 @@ def _prop_quat_functional_calculus(ctx, rng):
     for f in (np.exp, np.log, np.sqrt, lambda w: np.power(w, 0.7)):
         lhs = psi_matrix(matrix_function(P, f))
         rhs = matrix_function(psi_matrix(P), f)
-        worst = min_of(worst, 1e-9 - _rel_err(lhs, rhs))
+        worst = np.minimum(worst, 1e-9 - _rel_err(lhs, rhs))
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
@@ -558,7 +563,7 @@ def _prop_quat_image_structure(ctx, rng):
     for f in (np.exp, np.log, lambda w: 1.0 / w, lambda w: np.power(w, 0.3)):
         M = matrix_function(P, f)
         res = psi_structural_residual(M) / threshold(1.0, fnorm(M))
-        worst = min_of(worst, 1e-10 - res)
+        worst = np.minimum(worst, 1e-10 - res)
     return TrialOutcome(worst >= 0.0, worst, dict(H=H))
 
 
@@ -624,25 +629,19 @@ def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> Pr
         rngs = GeneratorStack.deferred(min(block, trials - first), lambda i, first=first:
                                        _trial_rng(seed, spec.property_id, first + i))
         outcome = spec.func(ctx, rngs)
-        if first == 0 and not rngs.drawn:
-            # A property that draws nothing depends on ctx alone, so its one
-            # outcome stands for every trial.
-            count, stacked = trials, False
-        else:
-            count, stacked = len(rngs), True
-        ok = np.broadcast_to(outcome.ok, (count,))
-        margin = np.broadcast_to(outcome.margin, (count,))
+        # An outcome of one value, from a property that draws nothing, stands
+        # for each trial of the block.
+        ok = np.broadcast_to(outcome.ok, (len(rngs),))
+        margin = np.broadcast_to(outcome.margin, (len(rngs),))
         worst = np.fmin(worst, np.fmin.reduce(margin))
         failed = np.flatnonzero(np.logical_not(ok))
         if failed.size:
             failures += failed.size
-            failing = (first, failed[-1], margin[failed[-1]], outcome, stacked)
-        if not stacked:
-            break
+            failing = (first, failed[-1], margin[failed[-1]], outcome)
     counterexample = None
     if failing is not None:
-        first, i, margin, outcome, stacked = failing
-        witness = member(outcome.witness or {}, i) if stacked else outcome.witness or {}
+        first, i, margin, outcome = failing
+        witness = member(outcome.witness or {}, i)
         inputs = {name: _payload(m) for name, m in witness.items()}
         counterexample = {"trial": int(first + i), "margin": float(margin), "inputs": inputs}
     return PropertyReport(spec.property_id, trials, failures, float(worst),

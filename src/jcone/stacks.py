@@ -16,7 +16,7 @@ the leading axes, and a Python float or bool for one matrix (_out); the
 helpers here take either, and take a scalar by Python's own operations.  A
 per-member scalar operand broadcasts over the matrices through per_member.
 Tests fail a stack when one member fails them, naming the first
-(first_failed).  A step that a lone call takes only for some inputs runs on
+(errors.require).  A step that a lone call takes only for some inputs runs on
 just those members (select), and its per-member results are put back among
 the others' (scatter).  member(x, i) is member i, or the members a mask
 selects, of whatever holds one value per member: a stack of matrices, of

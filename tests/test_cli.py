@@ -134,6 +134,14 @@ class TestPowOrderRiccati:
         np.testing.assert_allclose(np.array(json.loads(out.strip())["data"]),
                                    np.diag([1.0, -1.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_pow_rejects_a_non_finite_tol(self, fixtures, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["pow", "--x", fixtures["x"], "-t", "0.5", "--signature", "1,1",
+                  f"--tol={tol}"])
+        assert info.value.code == 2
+        assert f"argument --tol: not a finite number: '{tol}'" in capsys.readouterr().err
+
     def test_order_holds(self, fixtures, capsys):
         code, out, _ = run(capsys, "order", "--x", fixtures["ad"],
                            "--y", fixtures["x"], "--signature", "1,1")
@@ -175,6 +183,21 @@ class TestRandCheck:
         assert code == 0
         for line in out.strip().splitlines():
             assert json.loads(line)["failures"] == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_check_rejects_a_non_finite_tol(self, fixtures, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--suite", "means", "--signature", "1,1", "--trials", "1",
+                  f"--tol={tol}"])
+        assert info.value.code == 2
+        assert f"argument --tol: not a finite number: '{tol}'" in capsys.readouterr().err
+
+    def test_check_keeps_a_negative_tol(self, fixtures, capsys):
+        # A negative tol fails a margin taken against it: exit 1, with reports.
+        code, out, _ = run(capsys, "check", "--suite", "geometry", "--signature", "1,1",
+                           "--trials", "2", "--tol=-1")
+        reports = {r["property_id"]: r for r in map(json.loads, out.strip().splitlines())}
+        assert code == 1 and reports["geometry.pullback_geodesic"]["failures"] == 2
 
     def test_check_unknown_suite(self, fixtures, capsys):
         code, _, _ = run(capsys, "check", "--suite", "bogus",

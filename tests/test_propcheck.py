@@ -7,6 +7,7 @@ import pytest
 from jcone.errors import JConeError, UnknownSuite
 from jcone.jcalc import GeneratorStack
 from jcone.jstruct import Signature
+from jcone.order import OrderVerdict
 from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SUITES, Context,
                              PropertyReport, PropertySpec, TrialOutcome,
                              _payload, _trial_rng, run_property, run_suite)
@@ -111,6 +112,44 @@ class TestRunner:
             assert payload["property_id"] == r.property_id
             assert payload["failures"] == 0
             assert isinstance(payload["worst_margin"], float)
+
+
+def _nan_margin(monkeypatch, name):
+    """Make the named propcheck helper return NaN where it returned a value,
+    or, for j_leq, a verdict whose margins are NaN."""
+    import jcone.propcheck
+    original = getattr(jcone.propcheck, name)
+    if name == "j_leq":
+        def patched(*args, **kwargs):
+            v = original(*args, **kwargs)
+            return OrderVerdict(v.holds, v.margin * np.nan)
+    else:
+        def patched(*args):
+            return original(*args) * np.nan
+    monkeypatch.setattr(jcone.propcheck, name, patched)
+
+
+@pytest.mark.parametrize("property_id, helper", [
+    ("powers.kj_congruence", "_rel_err"),
+    ("powers.commuting_factorization", "_rel_err"),
+    ("order.power_monotone_unit", "j_leq"),
+    ("geometry.pullback_geodesic", "_rel_err"),
+    ("means.scaling", "_rel_err"),
+    ("means.pullback_oracle", "_rel_err"),
+    ("quat.functional_calculus", "_rel_err"),
+    ("quat.image_structure", "psi_structural_residual"),
+])
+def test_nan_margin_fails_every_trial(monkeypatch, property_id, helper):
+    # A NaN margin shows nothing: each trial fails, and the report, whose
+    # margins are then not finite, is written with null margins.
+    _nan_margin(monkeypatch, helper)
+    report = run_property(REGISTRY_BY_ID[property_id], Context(Signature(2, 1), "R", 1e-8),
+                          trials=4, seed=0)
+    assert report.failures == 4
+    payload = json.loads(report.to_json_line())
+    assert payload["worst_margin"] is None
+    assert payload["counterexample"]["trial"] == 3
+    assert payload["counterexample"]["margin"] is None
 
 
 class TestMutationSanity:
@@ -225,6 +264,23 @@ class TestBlocks:
         assert calls == [2, 2, 1]
         monkeypatch.undo()
         assert blocked == run_property(spec, ctx, 5, 3)
+
+    def test_property_drawing_nothing_counts_for_every_block(self, monkeypatch):
+        # Three blocks of a failing constant property: each block's one
+        # outcome stands for its trials, and the last trial is reported.
+        import jcone.propcheck
+        monkeypatch.setattr(jcone.propcheck, "_BLOCK_ENTRIES", 2 * 4)
+        calls = []
+
+        def constant(ctx, rng):
+            calls.append(len(rng))
+            return TrialOutcome(False, -0.5)
+
+        spec = PropertySpec("test.constant", ("powers",), constant)
+        report = run_property(spec, Context(SIG, "R", 1e-8), trials=5, seed=0)
+        assert calls == [2, 2, 1]
+        assert report.failures == report.trials == 5 and report.worst_margin == -0.5
+        assert report.counterexample == {"trial": 4, "margin": -0.5, "inputs": {}}
 
     def test_generator_stack_draws_from_each_generator(self):
         rngs = GeneratorStack([np.random.default_rng(s) for s in range(3)])
