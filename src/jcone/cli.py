@@ -46,6 +46,27 @@ def _finite_tol(text: str) -> float:
     return value
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """argv with each negative number after -t or --tol attached to it, as
+    '-t=-1e-1': argparse takes an argument that starts with '-' for an option
+    unless it reads as a plain decimal, so '-t -1e-1' would lose its value."""
+    out, rest = [], list(argv)
+    while rest and rest[0] != "--":
+        arg = rest.pop(0)
+        if arg in ("-t", "--tol") and rest and rest[0].startswith("-") and _is_number(rest[0]):
+            arg = f"{arg}={rest.pop(0)}"
+        out.append(arg)
+    return out + rest
+
+
 def _load_jpositive(args, sig: Signature, *names: str) -> list:
     """Read and certify the matrix file given by each named option, in order."""
     out = []
@@ -225,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

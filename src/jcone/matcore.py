@@ -33,6 +33,12 @@ Pencil rule: a pencil is one Cholesky factorization and the blocked
 triangular inverse of its factor (tril_inverse): one stacked inv of the
 factor's diagonal blocks, the rest matrix products.
 
+LAPACK rule: every eigh, eigvalsh, cholesky and inv here is a call to
+jcone.lapack, numpy.linalg's own gufuncs without its per-call wrapper, which
+costs more than the factorization at n = 3; polar's svd stays on
+numpy.linalg.  The calls go through the module (lapack.eigh), so a count or
+trace patched onto jcone.lapack sees each one.
+
 Stack rule: every function here keeps the stack contract (see stacks).
 """
 
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .errors import (NotFinite, NotHermitian, NotInImage, NotPositive, Singular,
                      certify, require, threshold)
 from .scalars import Quaternion
@@ -324,7 +331,7 @@ def mat_inverse(X):
     condition number ||X||_1 ||X^{-1}||_1 is not below 1e13."""
     M = _embed(X)
     try:
-        inv = np.linalg.inv(M)
+        inv = lapack.inv(M)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"inverse failed: {exc}") from None
     cond = np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
@@ -419,7 +426,7 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    w, V = np.linalg.eigh(_embed(_check_hermitian(X, tol)[0]))
+    w, V = lapack.eigh(_embed(_check_hermitian(X, tol)[0]))
     w, V = w[..., ::-1], V[..., ::-1]
     if isinstance(X, QMatrix):
         return _quaternionic_eig(w, V)
@@ -433,7 +440,7 @@ def _descending(w: np.ndarray, X) -> np.ndarray:
 
 def eigvals_unchecked(X) -> np.ndarray:
     """Descending eigenvalues of X, which is Hermitian by construction."""
-    return _descending(np.linalg.eigvalsh(_embed(X)), X)
+    return _descending(lapack.eigvalsh(_embed(X)), X)
 
 
 def eigvals_hermitian(X, tol: float = 1e-10) -> np.ndarray:
@@ -447,7 +454,7 @@ def spectral_function(X, f, floor: float | None = None):
     members and lone calls take the same numpy loop.  Given a floor, raises
     NotPositive unless X is positive definite at tol = floor (_positivity)."""
     M = _embed(X)
-    w, U = np.linalg.eigh(M)
+    w, U = lapack.eigh(M)
     if floor is not None:
         lam, limit = _positivity(w, floor)
         require(lam > limit, NotPositive, "smallest eigenvalue {:.3e} not above {:.3e}",
@@ -495,7 +502,7 @@ def cholesky_factor(X) -> np.ndarray:
     need not fail on such an entry."""
     M = _finite(_embed(X), NotPositive)
     try:
-        return np.linalg.cholesky(M)
+        return lapack.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NotPositive(str(exc)) from None
 
@@ -522,12 +529,12 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
     """
     n = L.shape[-1]
     if n <= _TRIL_BLOCK:
-        return np.linalg.inv(L)
+        return lapack.inv(L)
     k = -(-n // _TRIL_BLOCK)
     b = -(-n // k)
     starts = [i * b for i in range(k - 1)] + [n - b]
     adjoints = np.stack([L[..., s:s + b, s:s + b] for s in starts], axis=-3).conj().mT
-    inverses = np.linalg.inv(adjoints).conj().mT
+    inverses = lapack.inv(adjoints).conj().mT
     X = np.zeros_like(L)
     for i, s in enumerate(starts):
         rows, d = slice(s, s + b), inverses[..., i, :, :]
@@ -561,7 +568,7 @@ class Pencil:
         self._like = Q
         self._q = _embed(Q)
         try:
-            self._l = np.linalg.cholesky(_embed(P))
+            self._l = lapack.cholesky(_embed(P))
         except np.linalg.LinAlgError as exc:
             raise NotPositive(f"Cholesky factorization of P failed: {exc}") from None
         self._linv = tril_inverse(self._l)
@@ -582,7 +589,7 @@ class Pencil:
 
     def eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues of P^{-1} Q, each once over H."""
-        return _descending(self._positive(np.linalg.eigvalsh(self._mid)), self._like)
+        return _descending(self._positive(lapack.eigvalsh(self._mid)), self._like)
 
     def mean(self, t: float):
         """P #_t Q, Hermitian and positive definite by construction, from one
@@ -595,7 +602,7 @@ class Pencil:
         pair that eigh splits freely); building the mean from its top rows
         alone left Riccati residuals 2-4 times larger.
         """
-        w, U = np.linalg.eigh(self._mid)
+        w, U = lapack.eigh(self._mid)
         V = self._l @ U
         M = (V * power(self._positive(w), t)[..., None, :]) @ V.conj().mT
         return _project_to_image((M + M.conj().mT) * 0.5, self._like)

@@ -158,7 +158,7 @@ def _prop_exp_noninjectivity(ctx, rng):
     X = np.array([[0.0, two_pi * 1j], [two_pi * 1j, 0.0]])
     sig = Signature(1, 1)
     # X = iS with S real symmetric, so exp(X) = U diag(exp(iw)) U^T from S = U diag(w) U^T.
-    w, U = np.linalg.eigh(X.imag)
+    w, U = np.linalg.eigh(X.imag)   # independent oracle
     err = fnorm((U * np.exp(1j * w)) @ U.T - np.eye(2))
     ok = (err <= 1e-10 and is_j_hermitian(X, sig) and fnorm(X) > 1.0)
     return TrialOutcome(ok, 1e-10 - err)
@@ -507,7 +507,7 @@ def _prop_psi_homomorphism(ctx, rng):
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     e1 = fnorm(psi_matrix(X @ Y) - psi_matrix(X) @ psi_matrix(Y))
     e2 = fnorm(psi_matrix(X.H) - adjoint(psi_matrix(X)))
-    e3 = fnorm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))
+    e3 = fnorm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))  # independent oracle
     scale = threshold(1.0, fnorm(psi_matrix(X)) * fnorm(psi_matrix(Y)))
     err = max_of(max_of(e1, e2), e3) / scale
     return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))

@@ -142,6 +142,24 @@ class TestPowOrderRiccati:
         assert info.value.code == 2
         assert f"argument --tol: not a finite number: '{tol}'" in capsys.readouterr().err
 
+    def test_pow_takes_a_negative_t_in_exponent_form(self, fixtures, capsys):
+        # X^t_J = J (JX)^t with JX = diag(3, 4).
+        code, out, _ = run(capsys, "pow", "--x", fixtures["x"], "-t", "-1e-1",
+                           "--signature", "1,1")
+        assert code == 0
+        np.testing.assert_allclose(np.array(json.loads(out.strip())["data"]),
+                                   np.diag([3.0 ** -0.1, -(4.0 ** -0.1)]), rtol=1e-14)
+        assert run(capsys, "pow", "--x", fixtures["x"], "-t=-0.1",
+                   "--signature", "1,1")[1] == out
+
+    def test_tol_takes_a_negative_value_in_exponent_form(self, fixtures, capsys):
+        # The value reaches the library, whose J-Hermitian test fails against
+        # the negative threshold it makes, instead of argparse's usage error.
+        code, _, err = run(capsys, "pow", "--x", fixtures["x"], "-t", "0.5",
+                           "--signature", "1,1", "--tol", "-1e-9")
+        assert code == 2
+        assert "NotJHermitian" in err and "exceeds -5.000e-09" in err
+
     def test_order_holds(self, fixtures, capsys):
         code, out, _ = run(capsys, "order", "--x", fixtures["ad"],
                            "--y", fixtures["x"], "--signature", "1,1")

@@ -1,0 +1,98 @@
+"""jcone.lapack against numpy.linalg: the same bytes, dtypes and errors, and
+no other module of the library reaching the four routines around it."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.linalg import LinAlgError
+
+import jcone.lapack
+from jcone.matcore import QMatrix, psi_matrix
+
+ROUTINES = ("eigh", "eigvalsh", "cholesky", "inv")
+SRC = Path(jcone.lapack.__file__).parent
+
+
+def _positive_definite(field, shape, rng):
+    """Hermitian positive definite matrices of the given shape over R and C,
+    and over H their embeddings Psi, of twice the size."""
+    def part():
+        return rng.standard_normal(shape)
+    if field == "H":
+        a, b = part() + 1j * part(), part() + 1j * part()
+        G = psi_matrix(QMatrix(a, b))
+    else:
+        G = part() + 1j * part() if field == "C" else part()
+    return G @ G.conj().mT + np.eye(G.shape[-1])
+
+
+def _inputs():
+    rng = np.random.default_rng(7)
+    out = {f"{field}-{stack}": _positive_definite(field, shape, rng)
+           for field in ("R", "C", "H") for stack, shape in (("lone", (3, 3)),
+                                                             ("stacked", (4, 3, 3)))}
+    out["float32"] = out["R-lone"].astype(np.float32)
+    out["complex64"] = out["C-stacked"].astype(np.complex64)
+    out["int"] = np.array([[4, 1, 0], [1, 3, -1], [0, -1, 2]])
+    scale = 10.0 ** np.array([-150, 0, 150])
+    out["wide-scale"] = scale[:, None] * out["C-lone"] * scale
+    return out
+
+
+INPUTS = _inputs()
+
+
+def _parts(result):
+    return tuple(result) if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("routine", ROUTINES)
+def test_same_bytes_and_dtypes_as_numpy(routine, name):
+    a = INPUTS[name]
+    ours = _parts(getattr(jcone.lapack, routine)(a))
+    theirs = _parts(getattr(np.linalg, routine)(a))
+    assert [(x.dtype, x.shape) for x in ours] == [(y.dtype, y.shape) for y in theirs]
+    assert [x.tobytes() for x in ours] == [y.tobytes() for y in theirs]
+
+
+FAILURES = [("cholesky", np.array([[1.0, 2.0], [2.0, 1.0]])),
+            ("inv", np.zeros((2, 2))),
+            ("eigvalsh", np.full((3, 3), np.nan) + 0j)]
+FAILURES += [(routine, bad) for routine in ROUTINES
+             for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2), dtype=np.float16))]
+
+
+@pytest.mark.parametrize("routine, a", FAILURES)
+def test_same_error_as_numpy(routine, a):
+    with pytest.raises((LinAlgError, TypeError)) as theirs:
+        getattr(np.linalg, routine)(a)
+    with pytest.raises(theirs.type, match=f"^{re.escape(str(theirs.value))}$"):
+        getattr(jcone.lapack, routine)(a)
+
+
+# The calls the source may make on numpy.linalg itself for the four routines:
+# propcheck's two oracles, which check the library against numpy.
+ORACLE = "# independent oracle"
+
+
+def test_only_lapack_calls_numpy_linalg_for_its_routines():
+    # Every other module reaches them through jcone.lapack, so the count
+    # pins of the tests and the bench's lapack.* counts see every call.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lapack.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+                names = {alias.name for alias in node.names}
+                assert not names & {"linalg", *ROUTINES}, (path.name, node.lineno)
+            if (isinstance(node, ast.Attribute) and node.attr in ROUTINES
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append((path.name, node.attr, lines[node.lineno - 1].endswith(ORACLE)))
+    assert sorted(found) == [("propcheck.py", "eigh", True), ("propcheck.py", "inv", True)]

@@ -177,19 +177,12 @@ class TestCholeskyCertificate:
         assert X == JPositive(X.matrix, X.signature, X.lambda_min_of_jx + 1.0)
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_lambda_min_computed_once_on_read(self, field, monkeypatch):
+    def test_lambda_min_computed_once_on_read(self, field, lapack_calls):
         A = random_pj_bounded(self.SIG, field, np.random.default_rng(1))
         X = arithmetic_mean_J(A, pow_J(A, 2.0), 0.3)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(M):
-            calls.append(M.shape)
-            return eigvalsh(M)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        lapack_calls.clear()
         first = X.lambda_min_of_jx
-        assert X.lambda_min_of_jx == first and len(calls) == 1
+        assert X.lambda_min_of_jx == first and lapack_calls.count("eigvalsh") == 1
         assert first == pytest.approx(_lambda_min(X), rel=1e-12)
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -234,11 +227,8 @@ class TestCholeskyCertificate:
             JPositive(self.SIG.matrix(), self.SIG)
 
     @pytest.mark.parametrize("field", FIELDS)
-    def test_is_j_positive_fills_lambda_min(self, field, monkeypatch):
+    def test_is_j_positive_fills_lambda_min(self, field, lapack_calls):
         X = is_j_positive(from_real(np.diag([2.0, 3.0, -0.5]), field), self.SIG)
-
-        def forbidden(M):
-            raise AssertionError("lambda_min of a boundary certificate recomputed")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        lapack_calls.clear()
         assert X.lambda_min_of_jx == pytest.approx(0.5, rel=1e-14)
+        assert "eigvalsh" not in lapack_calls   # not recomputed from the boundary's JX
