@@ -74,4 +74,7 @@ def geodesic_ode_residual(A: JPositive, B: JPositive, t: float, h: float = 1e-4)
 def geodesic_distance(A: JPositive, B: JPositive) -> float:
     """Length of the geodesic segment: ||log((JA)^{-1/2} JB (JA)^{-1/2})||_F,
     that is (sum_i log^2 w_i)^{1/2} over the eigenvalues w of (JA)^{-1} JB."""
-    return _out(np.sqrt(np.sum(np.log(_pencil(A, B).eigenvalues()) ** 2, axis=-1)))
+    # The log of a contiguous copy: numpy picks its loop for a reversed view
+    # by the view's shape, and would round a stack unlike its lone calls.
+    w = _pencil(A, B).eigenvalues().copy()
+    return _out(np.sqrt(np.sum(np.log(w) ** 2, axis=-1)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Singular
+from .errors import Singular, require
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
 from .matcore import (adjoint, block2x2, eigvals_hermitian, fnorm,
@@ -64,8 +64,8 @@ def log_J(X: JPositive):
 def pow_J(X: JPositive, t) -> JPositive:
     """Fractional J-power X^t_J = J (JX)^t; t may be one power per member."""
     t = _real(t)
-    if any_of(abs(t) > MAX_POWER):
-        raise ValueError(f"|t| > {MAX_POWER} rejected to avoid eigenvalue overflow")
+    require(abs(t) <= MAX_POWER, ValueError,
+            "|t| > {} rejected to avoid eigenvalue overflow", MAX_POWER)
     out, lam = spectral_function(X.jx, lambda w: power(w, t), floor=0.0)
     return certify_constructed(out, X.signature, lam)
 

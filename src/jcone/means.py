@@ -93,7 +93,7 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
 
 def arithmetic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
     _check_pair(A, B)
-    t = per_member(_real(t))
+    t = per_member(_weight(t))
     return certify_constructed(A.jx * (1.0 - t) + B.jx * t, A.signature)
 
 
@@ -101,7 +101,7 @@ def harmonic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
     """[(1-t) A^{-1}_J + t B^{-1}_J]^{-1}_J with J-power inverses throughout;
     A itself at weight 0 and B itself at weight 1, member by member."""
     _check_pair(A, B)
-    t = _real(t)
+    t = _weight(t)
     at_b, inner = t == 1.0, (t != 0.0) & (t != 1.0)
     mean = merged(A, at_b, select(B, at_b)) if any_of(at_b) else A
     if any_of(inner):
@@ -150,8 +150,7 @@ def ando_hiai_check(A: JPositive, B: JPositive, t: float, r: float,
     """A #_t B <=_J J implies A^r_J #_t B^r_J <=_J J, for r >= 1, t in (0, 1);
     t and r may be one per member, broadcasting against the stack."""
     _check_pair(A, B)
-    if any_of(r < 1.0):
-        raise ValueError("need r >= 1")
+    require(r >= 1.0, ValueError, "need r >= 1")
     require((0.0 < t) & (t < 1.0), ValueError, "need t in (0, 1)")
     j_elt = certify_constructed(identity(A.signature.n, A.field), A.signature, [1.0])
     premise = j_leq(weighted_mean(A, B, t).mean, j_elt, tol=tol)
@@ -173,8 +172,7 @@ def furuta_check(A: JPositive, B: JPositive, p_exp: float, r: float,
     """(A^{r/2}_J . B^p_J . A^{r/2}_J)^{r/(r+p)}_J <=_J A^r_J for 0 <_J B <=_J A;
     p and r may be one per member, or a grid (k, 1) over a stack of pairs."""
     _check_pair(A, B)
-    if any_of((p_exp < 0.0) | (r < 1.0)):
-        raise ValueError("need p >= 0 and r >= 1")
+    require((p_exp >= 0.0) & (r >= 1.0), ValueError, "need p >= 0 and r >= 1")
     premise = j_leq(B, A, tol=tol)
     require(premise.holds, PremiseViolated, "need B <=_J A")
     half = pow_J(A, r / 2.0)

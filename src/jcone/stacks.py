@@ -7,9 +7,9 @@ one-matrix call is the stack of no leading axes, on the same code.  Each
 member of a stack gets, bit for bit, what a call on it alone gets: numpy's
 factorizations and products loop over the leading axes, a norm takes each
 member's dot products as for one matrix (_norm), and a power raises each
-member by its own scalar exponent, a grid row by its one (power).  A stack
-of 1 x 1 members is the exception: numpy may take a function of their
-reversed eigenvalue views by another loop, which rounds differently.
+member by its own scalar exponent, a grid row by its one (power), and a
+function of eigenvalues takes them contiguous, never as a reversed view,
+whose loop numpy picks by its shape.
 
 A per-member value (a norm, a verdict, an eigenvalue bound) is an array over
 the leading axes, and a Python float or bool for one matrix (_out); the

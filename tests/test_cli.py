@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from jcone.cli import main
+from jcone.cli import build_parser, main
 from jcone.fileio import canonical_dumps, write_matrix
 from jcone.jcalc import random_pj
 from jcone.jstruct import Signature
@@ -222,11 +223,6 @@ class TestRandCheck:
                          "--signature", "1,1")
         assert code == 2
 
-    def test_dim_signature_disagreement(self, fixtures, capsys):
-        code, _, _ = run(capsys, "check", "--suite", "order",
-                         "--signature", "1,1", "--dim", "3", "--trials", "1")
-        assert code == 2
-
     def test_bad_signature_flag(self, fixtures, capsys):
         code, _, _ = run(capsys, "rand", "--signature", "banana")
         assert code == 2
@@ -268,6 +264,44 @@ class TestQuaternionicFiles:
         mean, residual = self._canonical(out)
         assert mean["field"] == "H" and mean["rows"] == 3
         assert 0.0 <= next(iter(residual.values())) <= 1e-9
+
+
+OPTIONS = {
+    "mean": ["--a", "--b", "-t", "--emit-diff", "--signature", "--tol", "--out"],
+    "geodesic": ["--a", "--b", "--samples", "--signature", "--tol", "--out"],
+    "pow": ["--x", "-t", "--signature", "--tol", "--out"],
+    "order": ["--x", "--y", "--signature", "--tol", "--out"],
+    "riccati": ["--a", "--b", "--signature", "--tol", "--out"],
+    "rand": ["--field", "--signature", "--seed", "--out"],
+    "check": ["--suite", "--field", "--trials", "--signature", "--tol", "--seed", "--out"],
+}
+
+
+def test_each_command_takes_the_options_it_reads():
+    # An option that no command reads would be taken and ignored without a word.
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS and sum(map(len, got.values())) == 39
+
+
+@pytest.mark.parametrize("argv", [
+    "mean --a A --b B --signature 1,1 --seed 1",
+    "geodesic --a A --b B --signature 1,1 --seed 1",
+    "pow --x X -t 0.5 --signature 1,1 --seed 1",
+    "order --x X --y Y --signature 1,1 --seed 1",
+    "riccati --a A --b B --signature 1,1 --seed 1",
+    "rand --signature 1,1 --tol 1e-9",
+    "rand --signature 1,1 --dim 2",
+    "check --suite order --signature 1,1 --trials 1 --dim 3",
+])
+def test_a_removed_option_exits_2(capsys, argv):
+    # n comes from --signature alone, and --seed belongs to rand and check.
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    option = argv.split()[-2]
+    assert info.value.code == 2
+    assert f"error: unrecognized arguments: {option} " in capsys.readouterr().err
 
 
 def _modules_loaded_by(module: str, wanted: str, run: str = "pass") -> str:

@@ -141,6 +141,15 @@ class TestExpLog:
 
 
 class TestPowers:
+    @pytest.mark.parametrize("t", [np.nan, 32.5, -32.5, np.array([0.5, np.nan])])
+    def test_power_outside_its_range_is_named(self, t):
+        # Checked before the eigendecomposition: a NaN power would otherwise
+        # surface as a NaN eigenvalue of the result.
+        X = random_pj(Signature(2, 1), "R", 3)
+        with pytest.raises(ValueError, match=r"^\|t\| > 32.0 rejected"):
+            pow_J(X, t)
+        pow_J(X, 32.0), pow_J(X, -32.0)   # the bounds themselves are in range
+
     def test_power_zero_and_one(self):
         rng = np.random.default_rng(7)
         X = random_pj(SIG, "C", rng)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from jcone.errors import (NotBulletCommuting, PremiseViolated,
                           SignatureMismatch, WeightOutOfRange)
-from jcone.jcalc import bullet, pow_J, random_invertible, random_kj, random_pj_bounded
+from jcone.jcalc import (bullet, pow_J, random_invertible, random_kj, random_pj,
+                         random_pj_bounded)
 from jcone.jstruct import Signature, is_j_positive, phi_J, phi_J_inv, sharp
 from jcone.matcore import (adjoint, allclose, fnorm, mat_inverse, mat_pow_pd,
                            mat_sqrt_pd, psi_matrix)
@@ -274,6 +277,39 @@ class TestFuruta:
             for p_exp in (0.0, 1.0, 2.0):
                 for r in (1.0, 2.0, 3.0):
                     assert furuta_check(A, B, p_exp, r, tol=1e-8).holds
+
+
+class TestParameterRanges:
+    """A parameter outside its range, NaN included, is rejected before
+    anything is computed, whether or not a premise holds."""
+
+    @staticmethod
+    def pair():
+        return random_pj(Signature(2, 1), "R", 3), random_pj(Signature(2, 1), "R", 13)
+
+    @pytest.mark.parametrize("r", [math.nan, 0.5])
+    def test_ando_hiai_r(self, r):
+        A, B = self.pair()
+        for (X, Y), vacuous in (((A, B), True), (ando_hiai_normalize(A, B, 0.5), False)):
+            assert ando_hiai_check(X, Y, 0.5, 1.0).vacuous is vacuous
+            with pytest.raises(ValueError, match="^need r >= 1$"):
+                ando_hiai_check(X, Y, 0.5, r)
+
+    @pytest.mark.parametrize("p_exp, r", [(math.nan, 1.0), (-0.5, 1.0), (1.0, math.nan),
+                                          (1.0, 0.5), (np.array([0.0, math.nan]), 1.0)])
+    def test_furuta_p_and_r(self, p_exp, r):
+        A, _ = self.pair()
+        assert furuta_check(A, A, 0.0, 1.0).holds
+        with pytest.raises(ValueError, match="^need p >= 0 and r >= 1$"):
+            furuta_check(A, A, p_exp, r)
+
+    @pytest.mark.parametrize("mean", [arithmetic_mean_J, harmonic_mean_J])
+    @pytest.mark.parametrize("t", [math.nan, -0.05, 1.05])
+    def test_companion_mean_weight(self, mean, t):
+        A, B = self.pair()
+        assert mean(A, B, 0.0) == A and mean(A, B, 1.0) == B
+        with pytest.raises(WeightOutOfRange, match=rf"^weight {t} outside \[0, 1\]$"):
+            mean(A, B, t)
 
 
 class TestMeanProperties:

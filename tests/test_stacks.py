@@ -262,6 +262,23 @@ def test_certificate_bounds_of_a_stack_are_its_members(p, q, field):
         assert _bits(lone) == _bits(stacked.lambda_min_of_jx)
 
 
+# Per field, generators (1, i) and (2, i) draw a pair whose stacked distance
+# took other bits than its lone call while the log ran on reversed views:
+# one seed for n = 1, (1, 1), n = 3 and (2, 2), at every signature of that n.
+DISTANCE_SEEDS = {"R": (649, 7061, 897, 8289), "C": (10, 322, 7080, 1469),
+                  "H": (188, 4184, 395, 4501)}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (2, 2), (0, 3)])
+def test_stacked_distances_are_their_lone_calls(p, q, field):
+    sig, seeds = Signature(p, q), DISTANCE_SEEDS[field]
+    A, B = (random_pj(sig, field, GeneratorStack([np.random.default_rng((k, i)) for i in seeds]))
+            for k in (1, 2))
+    lone = [geodesic_distance(A.member(i), B.member(i)) for i in range(len(seeds))]
+    assert _bits(lone) == _bits(geodesic_distance(A, B))
+
+
 # The helpers of the stack contract, each written once, in jcone.stacks.
 STACK_HELPERS = {"_out", "min_of", "max_of", "all_of", "any_of", "first_failed",
                  "per_member", "_real", "member", "select", "scatter", "_norm",
