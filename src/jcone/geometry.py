@@ -57,7 +57,7 @@ def curve_ode_residual(curve, t: float, h: float = 1e-4) -> float:
     The curve argument maps t in [0, 1] to a plain matrix.
     """
     h = float(h)
-    if h < MIN_STEP:
+    if not h >= MIN_STEP:   # a NaN step fails here, not at the test of t
         raise StepTooSmall(f"step {h} below {MIN_STEP}")
     if not (h < t < 1.0 - h):
         raise ValueError("need t in (h, 1-h)")

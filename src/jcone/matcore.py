@@ -31,7 +31,9 @@ not a spectrum.
 
 Pencil rule: a pencil is one Cholesky factorization and the blocked
 triangular inverse of its factor (tril_inverse): one stacked inv of the
-factor's diagonal blocks, the rest matrix products.
+factor's diagonal blocks, the rest matrix products.  Every product with the
+factor or its inverse is a triangular one (tril_product): the plain product
+up to 40 rows, and wider one that skips the zero blocks above the diagonal.
 
 LAPACK rule: every eigh, eigvalsh, cholesky and inv here is a call to
 jcone.lapack, numpy.linalg's own gufuncs without its per-call wrapper, which
@@ -45,6 +47,7 @@ Stack rule: every function here keeps the stack contract (see stacks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -513,26 +516,31 @@ def cholesky_factor(X) -> np.ndarray:
 _TRIL_BLOCK = 40
 
 
+def _tril_blocks(n: int):
+    """(starts, b): k = ceil(n / _TRIL_BLOCK) diagonal blocks of b = ceil(n / k)
+    rows, the last one ending at row n (it overlaps the one before)."""
+    k = -(-n // _TRIL_BLOCK)
+    b = -(-n // k)
+    return [i * b for i in range(k - 1)] + [n - b], b
+
+
 def tril_inverse(L: np.ndarray) -> np.ndarray:
     """The inverse of the lower-triangular L from one inv, at every size.
 
-    Up to _TRIL_BLOCK rows it is inv(L) itself.  Wider, L is cut into
-    k = ceil(n / _TRIL_BLOCK) diagonal blocks of b = ceil(n / k) rows, the
-    last one ending at row n (it overlaps the one before: a trailing block of
-    L^{-1} is the inverse of L's, so rows met twice get the same values).  One
-    stacked inv inverts the adjoints of all k blocks, which are upper
-    triangular: their LU exchanges no rows, so the inverses are exactly
-    triangular.  Each block row below the diagonal is then
-    X[i, :i] = -D_i^{-1} (L[i, :i] X[:i, :i]): blocked triangular inversion
-    by products alone (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992),
-    about a third of the flops of a general inverse.
+    Up to _TRIL_BLOCK rows it is inv(L) itself.  Wider, L is cut into the
+    diagonal blocks of _tril_blocks (a trailing block of L^{-1} is the
+    inverse of L's, so rows met twice get the same values).  One stacked inv
+    inverts the adjoints of all the blocks, which are upper triangular: their
+    LU exchanges no rows, so the inverses are exactly triangular.  Each block
+    row below the diagonal is then X[i, :i] = -D_i^{-1} (L[i, :i] X[:i, :i]):
+    blocked triangular inversion by products alone (Du Croz and Higham, IMA
+    J. Numer. Anal. 12, 1992), about a third of the flops of a general
+    inverse.
     """
     n = L.shape[-1]
     if n <= _TRIL_BLOCK:
         return lapack.inv(L)
-    k = -(-n // _TRIL_BLOCK)
-    b = -(-n // k)
-    starts = [i * b for i in range(k - 1)] + [n - b]
+    starts, b = _tril_blocks(n)
     adjoints = np.stack([L[..., s:s + b, s:s + b] for s in starts], axis=-3).conj().mT
     inverses = lapack.inv(adjoints).conj().mT
     X = np.zeros_like(L)
@@ -542,6 +550,27 @@ def tril_inverse(L: np.ndarray) -> np.ndarray:
         if s:
             X[..., rows, :s] = -(d @ (L[..., rows, :s] @ X[..., :s, :s]))
     return X
+
+
+def tril_product(L: np.ndarray, M: np.ndarray, right: bool = False) -> np.ndarray:
+    """L @ M, or M @ L* = (L M*)* if right, for the lower-triangular L.
+
+    Up to _TRIL_BLOCK rows it is that plain product, which reads all of L:
+    inv(L) may carry rounding above its diagonal there.  Wider, L is zero
+    above it, and each block row of _tril_blocks meets only the first rows
+    of M, about half the flops; rows in two blocks take the last one's.
+    """
+    n = L.shape[-1]
+    if n <= _TRIL_BLOCK:
+        return M @ L.conj().mT if right else L @ M
+    if right:
+        return tril_product(L, M.conj().mT).conj().mT
+    starts, b = _tril_blocks(n)
+    out = np.empty(np.broadcast_shapes(L.shape[:-2], M.shape[:-2]) + M.shape[-2:],
+                   dtype=np.result_type(L, M))
+    for s in starts:
+        out[..., s:s + b, :] = L[..., s:s + b, :s + b] @ M[..., :s + b, :]
+    return out
 
 
 def is_positive_definite(X, tol: float = 1e-10):
@@ -554,7 +583,8 @@ class Pencil:
 
     P = L L* by Cholesky, L^{-1} is the blocked triangular inverse of L (one
     stacked inv of its diagonal blocks, see tril_inverse), and
-    mid = L^{-1} Q L^{-*} has the eigenvalues w of P^{-1} Q.  With
+    mid = L^{-1} Q L^{-*} has the eigenvalues w of P^{-1} Q.  Every product
+    with L or L^{-1} is a tril_product.  With
     mid = U diag(w) U*, the weighted mean is
 
         P #_t Q = P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2} = (L U) diag(w^t) (L U)*,
@@ -566,18 +596,17 @@ class Pencil:
 
     def __init__(self, P, Q):
         self._like = Q
-        self._q = _embed(Q)
         try:
             self._l = lapack.cholesky(_embed(P))
         except np.linalg.LinAlgError as exc:
             raise NotPositive(f"Cholesky factorization of P failed: {exc}") from None
         self._linv = tril_inverse(self._l)
-        self._mid = self._congruence(self._q)
+        self._mid = self._congruence(_embed(Q))
 
     def _congruence(self, M):
         # Symmetrized: the products accumulate rounding, and eigh reads one
         # triangle only.
-        C = self._linv @ M @ self._linv.conj().mT
+        C = tril_product(self._linv, tril_product(self._linv, M), right=True)
         return (C + C.conj().mT) * 0.5
 
     @staticmethod
@@ -603,15 +632,15 @@ class Pencil:
         alone left Riccati residuals 2-4 times larger.
         """
         w, U = lapack.eigh(self._mid)
-        V = self._l @ U
+        V = tril_product(self._l, U)
         M = (V * power(self._positive(w), t)[..., None, :]) @ V.conj().mT
         return _project_to_image((M + M.conj().mT) * 0.5, self._like)
 
-    def riccati_residual(self, Y) -> float:
-        """||Y P^{-1} Y - Q||_F for Hermitian Y, from the factor in hand: over H
-        on the top rows of the embedded difference, which hold A and B once."""
-        Z = self._linv @ _embed(Y)
-        return _norm(_top(Z.conj().mT, self._like) @ Z - _top(self._q, self._like))
+    def riccati_residual(self, Y):
+        """The function of no arguments that returns ||Y P^{-1} Y - Q||_F for
+        Hermitian Y.  It holds L^{-1}, Y and Q, not the pencil, so it may be
+        kept and called later."""
+        return partial(_riccati_residual, self._linv, Y, self._like)
 
     def inner(self, V):
         """trd(P^{-1} Q P^{-1} V) = trd(mid L^{-1} V L^{-*}) for Hermitian V."""
@@ -619,6 +648,13 @@ class Pencil:
         tr = np.sum(self._mid * C, axis=(-2, -1)).real
         # Over H the trace of the embedding counts each diagonal entry twice.
         return _out(tr / 2.0 if isinstance(V, QMatrix) else tr)
+
+
+def _riccati_residual(linv: np.ndarray, Y, Q) -> float:
+    """||Y P^{-1} Y - Q||_F with linv = L^{-1}, P = L L*: over H on the top rows
+    of the embedded difference, which hold A and B once."""
+    Z = tril_product(linv, _embed(Y))
+    return _norm(_top(Z.conj().mT, Q) @ Z - _top(_embed(Q), Q))
 
 
 def _project_to_image(M: np.ndarray, X):

@@ -9,7 +9,8 @@ With JA = L L* and L^{-1} JB L^{-*} = U diag(w) U* (matcore.Pencil),
 
 At weight 1/2 it is the unique P_J solution of the Riccati equation
 X A^{-1} X = B, whose residual reuses A^{-1} = L^{-*} L^{-1} J and the mean's
-image as the pencil returned it, and it is the maximum of
+image as the pencil returned it; weighted_mean takes it on the first read of
+MeanResult.riccati_residual, not before.  The mean is the maximum of
 {X J-Hermitian : [[JA, JX], [JX, JB]] >= 0}.  The module also
 provides the arithmetic and harmonic companions with the AGM sandwich, the
 closed form for bullet-commuting pairs, and the Ando-Hiai and Furuta
@@ -22,6 +23,7 @@ and residuals then hold one value per member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,10 +38,34 @@ from .order import OrderVerdict, _psd_verdict, j_leq
 from .stacks import _out, _real, any_of, per_member, scatter, select
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given as a function of no arguments:
+    the function is called on the field's first read and its value kept."""
+
+    def __set_name__(self, owner, name):
+        self._key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:   # so the dataclass field has no default
+            raise AttributeError(self._key)
+        value = obj.__dict__[self._key]
+        if callable(value):
+            value = obj.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._key] = value
+
+
 @dataclass(frozen=True)
 class MeanResult:
+    """A weighted mean, its weight and its Riccati residual, one per member of
+    a stack (NaN where the weight is not 1/2).  weighted_mean defers the
+    residual's two products and norm to its first read, which keeps it, with
+    the bits an immediate computation would have."""
+
     mean: JPositive
-    riccati_residual: float
+    riccati_residual: float = _OnFirstRead()
     weight: float
 
 
@@ -48,7 +74,8 @@ def riccati_residual(X: JPositive, A: JPositive, B: JPositive) -> float:
 
     Equal to ||JX (JA)^{-1} JX - JB||_F, since X A^{-1} X = J JX (JA)^{-1} JX.
     """
-    return _pencil(A, B).riccati_residual(X.jx)
+    _check_pair(A, X)
+    return _pencil(A, B).riccati_residual(X.jx)()
 
 
 def _weight(t):
@@ -65,11 +92,17 @@ def weighted_mean(A: JPositive, B: JPositive, t=0.5) -> MeanResult:
     t = _weight(t)
     pencil = Pencil(A.jx, B.jx)
     jmean = pencil.mean(t)
+    # Away from weight 1/2 the result holds no L^{-1}.
     half = t == 0.5
-    residual = pencil.riccati_residual(jmean) if any_of(half) else float("nan")
-    if isinstance(half, np.ndarray):
-        residual = np.where(half, residual, np.nan)
-    return MeanResult(certify_constructed(jmean, A.signature), residual, t)
+    residual = pencil.riccati_residual(jmean) if any_of(half) else (lambda: float("nan"))
+    return MeanResult(certify_constructed(jmean, A.signature),
+                      partial(_at_half, half, residual), t)
+
+
+def _at_half(half, residual):
+    """residual() where half, NaN elsewhere."""
+    value = residual()
+    return np.where(half, value, np.nan) if isinstance(half, np.ndarray) else value
 
 
 def riccati_solve(A: JPositive, B: JPositive) -> JPositive:

@@ -56,10 +56,10 @@ OPERATIONS = {
 }
 
 
-def _stacked_pair(field, k=4):
+def _stacked_pair(field, k=4, sig=SIG):
     """k pairs of random_pj members as two stacks of k members."""
     def stack(first):
-        return random_pj(SIG, field, GeneratorStack([np.random.default_rng(first + 2 * i)
+        return random_pj(sig, field, GeneratorStack([np.random.default_rng(first + 2 * i)
                                                      for i in range(k)]))
     return stack(1), stack(2)
 
@@ -169,15 +169,20 @@ def test_members_from_x_and_from_jx_agree_bit_for_bit(op, field):
 
 
 # Wider than matcore's block (40) the pencil inverts its factor by blocks,
-# all of them in the one inv call.  (20, 20) is at the block over R and C and
-# above it over H, whose embedding is 80 wide.
+# all of them in the one inv call, and multiplies by the factor and its
+# inverse block row by block row.  (20, 20) is at the block over R and C and
+# above it over H, whose embedding is 80 wide.  (21, 20) is cut into blocks
+# whose last one overlaps the one before (41 rows as 2 of 21, 82 as 3 of 28),
+# and (45, 45) into exact blocks (90 rows as 3 of 30, 180 as 5 of 36).
 PENCIL_OPERATIONS = ("weighted_mean_t0.5", "weighted_mean_t0.3", "geodesic_distance",
-                     "riccati_residual")
+                     "riccati_residual", "geodesic_t0.3", "metric_omega")
+WIDE_PAST_THE_BLOCK = [(Signature(p, q), field) for p, q in ((21, 20), (45, 45))
+                       for field in ("R", "C", "H")]
 
 
 @pytest.mark.parametrize("sig, field", [(Signature(20, 20), "R"), (Signature(20, 20), "C"),
                                         (Signature(20, 20), "H"), (Signature(40, 40), "R"),
-                                        (Signature(40, 40), "C")])
+                                        (Signature(40, 40), "C")] + WIDE_PAST_THE_BLOCK)
 @pytest.mark.parametrize("op", PENCIL_OPERATIONS)
 def test_factorization_count_of_wide_pencils(lapack_calls, op, sig, field):
     A, B = random_pj(sig, field, 1), random_pj(sig, field, 2)
@@ -185,6 +190,19 @@ def test_factorization_count_of_wide_pencils(lapack_calls, op, sig, field):
     lapack_calls.clear()
     call(A, B)
     assert Counter(lapack_calls) == Counter(expected), lapack_calls
+
+
+@pytest.mark.parametrize("sig, field", WIDE_PAST_THE_BLOCK)
+@pytest.mark.parametrize("op", PENCIL_OPERATIONS)
+def test_factorization_count_of_wide_pencil_stacks(lapack_calls, op, sig, field):
+    # As test_factorization_count_per_stack, past the block.
+    A, B = _stacked_pair(field, 3, sig)
+    call, expected = OPERATIONS[op]
+    lapack_calls.clear()
+    out = call(A, B)
+    assert Counter(lapack_calls) == Counter(expected), lapack_calls
+    for i in range(3):
+        assert _bits(_member_of(out, i)) == _bits(call(A.member(i), B.member(i)))
 
 
 @pytest.mark.parametrize("op", sorted(OPERATIONS))

@@ -166,6 +166,13 @@ class TestOdeResidual:
         with pytest.raises(StepTooSmall):
             geodesic_ode_residual(A, B, 0.5, 1e-8)
 
+    def test_nan_step_is_named(self):
+        rng = np.random.default_rng(11)
+        A = random_pj_bounded(SIG, "R", rng)
+        B = random_pj_bounded(SIG, "R", rng)
+        with pytest.raises(StepTooSmall, match="step nan"):
+            geodesic_ode_residual(A, B, 0.5, float("nan"))
+
 
 class TestDistance:
     def test_self_distance_zero(self):

@@ -3,13 +3,13 @@ import pytest
 from scipy.linalg import expm, solve_triangular
 
 from jcone.errors import NotHermitian, NotInImage, NotPositive, Singular
-from jcone.matcore import (_TRIL_BLOCK, QMatrix, adjoint, allclose,
+from jcone.matcore import (_TRIL_BLOCK, QMatrix, _tril_blocks, adjoint, allclose,
                            cholesky_factor, eigvals_hermitian, field_of, fnorm,
                            hermitian_eig, identity, is_positive_definite,
                            mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
                            mat_sqrt_pd, matrix_function, psi_inverse,
                            psi_matrix, psi_structural_residual, trd,
-                           tril_inverse)
+                           tril_inverse, tril_product)
 from jcone.scalars import QUAT_I, QUAT_J, QUAT_K, Quaternion
 from jcone.stacks import _norm
 
@@ -403,3 +403,79 @@ class TestTrilInverse:
         ref = solve_triangular(L, np.eye(n), lower=True)
         assert np.linalg.norm(X - ref) <= 1e-14 * np.linalg.norm(ref)
         assert not np.triu(X, 1).any()
+
+
+class TestTrilProduct:
+    """tril_product(L, M) = L @ M and tril_product(L, M, right=True) = M @ L*
+    for the lower-triangular factors and inverses the pencil multiplies by."""
+
+    @staticmethod
+    def operands(n, field):
+        L = TestTrilInverse.factor(n, field)
+        M = np.random.default_rng(n + 1).standard_normal((len(L), len(L) + 3))
+        return L, M + 1j * M[::-1] if field != "R" else M
+
+    @pytest.mark.parametrize("n, field", [(n, f) for f in FIELDS for n in (1, 3, 20, 31, 40)
+                                          if (2 * n if f == "H" else n) <= _TRIL_BLOCK])
+    def test_plain_product_up_to_the_block(self, n, field):
+        # tril_inverse's output there may carry rounding above its diagonal,
+        # which the product still reads.
+        L, M = self.operands(n, field)
+        for X in (L, tril_inverse(L)):
+            assert tril_product(X, M).tobytes() == (X @ M).tobytes()
+            N = M[:, :len(L)].T.copy()
+            assert tril_product(X, N, right=True).tobytes() == (N @ X.conj().T).tobytes()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [41, 64, 90, 130])
+    def test_agrees_with_the_full_product_past_the_block(self, n, field):
+        # Each entry is a sum of the same products in another grouping: both
+        # lie within gamma_n |L| |M| of the exact one, with
+        # gamma_n = n u / (1 - n u); a complex product adds a few u.
+        L, M = self.operands(n, field)
+        u, m = np.finfo(float).eps / 2, len(L)
+        for X in (L, tril_inverse(L)):
+            bound = 2 * (m + 4) * u * (np.abs(np.tril(X)) @ np.abs(M))
+            assert (np.abs(tril_product(X, M) - np.tril(X) @ M) <= bound).all()
+            N = M[:, :m].T.copy()
+            bound = 2 * (m + 4) * u * (np.abs(N) @ np.abs(np.tril(X)).T)
+            assert (np.abs(tril_product(X, N, right=True) - N @ np.tril(X).conj().T)
+                    <= bound).all()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [64, 130])
+    def test_reads_nothing_above_its_diagonal_blocks(self, n, field):
+        L, M = self.operands(n, field)
+        m = len(L)
+        # Row r is taken from the last block that holds it, which reads its
+        # columns up to that block's end.
+        above = np.zeros((m, m), dtype=bool)
+        starts, b = _tril_blocks(m)
+        for s in starts:
+            above[s:s + b] = np.arange(m) >= s + b
+        poisoned = np.where(above, np.nan, L)
+        assert above.sum() >= m * m // 4
+        assert tril_product(poisoned, M).tobytes() == tril_product(L, M).tobytes()
+        N = M[:, :m].T.copy()
+        assert (tril_product(poisoned, N, right=True).tobytes()
+                == tril_product(L, N, right=True).tobytes())
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", [3, 64, 90])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_broadcasts_over_stacks(self, m, dtype, right):
+        # Each member of a stack, of L, of M or of both, is its lone product.
+        rng = np.random.default_rng(m)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        Ls, Ms = np.tril(draw((3, m, m))), draw((3, m, m))
+        for L, M, pick in ((Ls, Ms, lambda i: (Ls[i], Ms[i])),
+                           (Ls, Ms[0], lambda i: (Ls[i], Ms[0])),
+                           (Ls[0], Ms, lambda i: (Ls[0], Ms[i]))):
+            out = tril_product(L, M, right)
+            assert out.shape == (3, m, m)
+            for i in range(3):
+                assert out[i].tobytes() == tril_product(*pick(i), right).tobytes()

@@ -1,13 +1,17 @@
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import jcone.matcore
 from jcone.errors import (NotBulletCommuting, PremiseViolated,
                           SignatureMismatch, WeightOutOfRange)
-from jcone.jcalc import (bullet, pow_J, random_invertible, random_kj, random_pj,
-                         random_pj_bounded)
+from jcone.jcalc import (GeneratorStack, bullet, pow_J, random_invertible, random_kj,
+                         random_pj, random_pj_bounded)
 from jcone.jstruct import Signature, is_j_positive, phi_J, phi_J_inv, sharp
 from jcone.matcore import (adjoint, allclose, fnorm, mat_inverse, mat_pow_pd,
                            mat_sqrt_pd, psi_matrix)
@@ -46,14 +50,17 @@ class TestWeightedMean:
         assert result.riccati_residual <= 1e-12
 
     def test_residual_is_the_public_residual(self):
-        # One formula for ||X A^{-1} X - B||: the result's field and the
-        # public function give the same float.
+        # One formula for ||X A^{-1} X - B||: the result's field, read after
+        # the call, and the public function give the same float, bit for bit,
+        # also past matcore's block of 40 rows.
         rng = np.random.default_rng(5)
-        for field in FIELDS:
-            sig = Signature(2, 1)
+        for sig, field in itertools.product((Signature(2, 1), Signature(21, 20)), FIELDS):
             A, B = random_pj_bounded(sig, field, rng), random_pj_bounded(sig, field, rng)
             result = weighted_mean(A, B, 0.5)
-            assert result.riccati_residual == riccati_residual(result.mean, A, B)
+            public = riccati_residual(result.mean, A, B)
+            assert type(result.riccati_residual) is float
+            assert np.float64(result.riccati_residual).tobytes() == np.float64(public).tobytes()
+
 
     def test_noncommuting_difference_matrix(self):
         A = is_j_positive(PAPER_A, SIG)
@@ -80,6 +87,76 @@ class TestWeightedMean:
                 classical = rt @ mat_pow_pd(rti @ (j @ B.matrix) @ rti, t) @ rt
                 lhs = phi_J(weighted_mean(A, B, t).mean.matrix, sig)
                 assert allclose(lhs, classical, tol=1e-9)
+
+
+class TestResidualOnFirstRead:
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+        residual = jcone.matcore._riccati_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(jcone.matcore, "_riccati_residual", counted)
+        return calls
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_computed_once_on_first_read(self, residual_calls, field):
+        A, B = random_pj(Signature(2, 1), field, 3), random_pj(Signature(2, 1), field, 13)
+        result = weighted_mean(A, B, 0.5)
+        assert residual_calls == []
+        first = result.riccati_residual
+        assert type(first) is float and len(residual_calls) == 1
+        assert result.riccati_residual is first and repr(result) and result == result
+        assert len(residual_calls) == 1
+
+    def test_not_computed_away_from_half(self, residual_calls):
+        A, B = random_pj(Signature(2, 1), "C", 3), random_pj(Signature(2, 1), "C", 13)
+        assert math.isnan(weighted_mean(A, B, 0.3).riccati_residual)
+        pair = [random_pj(Signature(2, 1), "C", GeneratorStack([np.random.default_rng(s)
+                                                                for s in seeds]))
+                for seeds in ((3, 4), (13, 14))]
+        stacked = weighted_mean(*pair, np.array([0.3, 0.7])).riccati_residual
+        assert stacked.shape == (2,) and np.isnan(stacked).all()
+        assert residual_calls == []
+
+    def test_the_pencil_is_not_kept(self, monkeypatch):
+        # The deferred residual holds L^{-1} and the operands' images, so the
+        # pencil (its factor and eigenproblem) is freed when the call returns.
+        made = []
+        init = jcone.matcore.Pencil.__init__
+
+        def recorded(self, P, Q):
+            init(self, P, Q)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(jcone.matcore.Pencil, "__init__", recorded)
+        A, B = random_pj(Signature(2, 1), "R", 3), random_pj(Signature(2, 1), "R", 13)
+        result = weighted_mean(A, B, 0.5)
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert result.riccati_residual == riccati_residual(result.mean, A, B)
+
+    @pytest.mark.parametrize("t", [0.5, 0.3])
+    def test_l_inverse_is_held_until_the_first_read(self, monkeypatch, t):
+        inverses = []
+        tril_inverse = jcone.matcore.tril_inverse
+
+        def recorded(L):
+            X = tril_inverse(L)
+            inverses.append(weakref.ref(X))
+            return X
+
+        monkeypatch.setattr(jcone.matcore, "tril_inverse", recorded)
+        A, B = random_pj(Signature(2, 1), "C", 3), random_pj(Signature(2, 1), "C", 13)
+        result = weighted_mean(A, B, t)
+        gc.collect()
+        assert len(inverses) == 1 and (inverses[0]() is not None) == (t == 0.5)
+        result.riccati_residual
+        gc.collect()
+        assert inverses[0]() is None
 
 
 class TestRiccati:
@@ -127,6 +204,13 @@ class TestMaximality:
         v = maximality_check(M.matrix, A, B)
         assert v.holds and abs(v.margin) <= 1e-8
         assert maximality_check(M, A, B) == v   # a member is read by its JX
+
+    @pytest.mark.parametrize("sig, field", [(Signature(1, 2), "R"), (Signature(2, 1), "C"),
+                                            (Signature(2, 2), "R")])
+    def test_riccati_residual_rejects_a_member_unlike_a(self, sig, field):
+        A, B = random_pj(Signature(2, 1), "R", 3), random_pj(Signature(2, 1), "R", 13)
+        with pytest.raises(SignatureMismatch):
+            riccati_residual(random_pj(sig, field, 5), A, B)
 
     def test_member_of_another_signature_rejected(self):
         rng = np.random.default_rng(4)
