@@ -45,6 +45,14 @@ def _float(text: str) -> float | None:
         return None
 
 
+def _count(text: str) -> int:
+    """--seed and --trials: numpy takes no negative seed, and a negative trial
+    count would report a run of no trial."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _finite_tol(text: str) -> float:
     """--tol as a float, negative allowed: a NaN or infinite threshold would
     pass or reject everything with no message naming it."""
@@ -139,7 +147,7 @@ def cmd_check(args):
 
 SIGNATURE = ("--signature", dict(required=True, metavar="p,q"))
 TOL = ("--tol", dict(type=_finite_tol, default=1e-9))
-SEED = ("--seed", dict(type=int, default=0))
+SEED = ("--seed", dict(type=_count, default=0))
 OUT = ("--out", dict(default=None))
 FIELD = ("--field", dict(default="R"))
 
@@ -160,7 +168,7 @@ COMMANDS = (
     ("rand", "draw a random cone element", (), [FIELD, SIGNATURE, SEED, OUT], cmd_rand),
     ("check", "run a randomized property suite (the quat.* properties, also in "
      "--suite all, run over H whatever --field)", (),
-     [("--suite", dict(required=True)), FIELD, ("--trials", dict(type=int, default=200)),
+     [("--suite", dict(required=True)), FIELD, ("--trials", dict(type=_count, default=200)),
       SIGNATURE, TOL, SEED, OUT], cmd_check),
 )
 

@@ -8,6 +8,10 @@ log_J(X) = J log(JX) and real powers X^t_J = J (JX)^t.
 Every operation takes stacks of matrices and members, and a power or weight
 may be one per member.  The random draws take a GeneratorStack, which draws
 one result per member, each from its member's own generator.
+
+A sampler tests nothing its own formula makes J-Hermitian or Hermitian:
+random_pj_bounded certifies its member by the eigenvalues alone.  random_pj's
+g J g#, Hermitian only up to rounding, goes through is_j_positive.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import numpy as np
 from .errors import Singular, require
 from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (adjoint, block2x2, eigvals_hermitian, fnorm,
-                      from_real_parts, mat_inverse, polar, spectral_function,
-                      unitary_from_columns, zeros)
+from .matcore import (adjoint, block2x2, eigvals_unchecked, fnorm, from_real_parts,
+                      mat_inverse, polar, spectral_function, unitary_from_columns,
+                      zeros)
 from .stacks import _real, all_of, any_of, per_member, power, scatter, select
 
 MAX_POWER = 32.0
@@ -83,7 +87,7 @@ def polar_decompose_bullet(g, sig: Signature):
 
 
 def _min_over_max_eig(H):
-    lam = eigvals_hermitian(H)
+    lam = eigvals_unchecked(H)
     top = np.maximum(np.maximum(abs(lam[..., 0]), abs(lam[..., -1])), 1e-300)
     return lam[..., -1] / top
 
@@ -127,9 +131,11 @@ class GeneratorStack:
         return GeneratorStack(g for g, keep in zip(self.generators, mask) if keep)
 
 
-def _random_matrix(n: int, field: str, rng):
-    """Gaussian matrix: every real component standard normal."""
-    return from_real_parts(lambda: rng.standard_normal((n, n)), field)
+def _random_matrix(n: int, field: str, rng, stack: tuple = ()):
+    """Gaussian matrix, or a stack of shape stack of them: its real parts from
+    one draw per generator, the stream of one (n, n) draw per part."""
+    parts = {"R": 1, "C": 2, "H": 4}[field]
+    return from_real_parts(rng.standard_normal(stack + (parts, n, n)), field)
 
 
 def _as_rng(seed):
@@ -167,12 +173,17 @@ def random_jhermitian(sig: Signature, field: str, seed):
 
 
 def random_pj_bounded(sig: Signature, field: str, seed, radius: float = 2.0) -> JPositive:
-    """Random cone element with ||log_J|| bounded by the given radius."""
-    x = random_jhermitian(sig, field, seed)
-    nrm = fnorm(x)
+    """Random cone element exp_J(X), ||log_J|| = ||X||_F <= radius, X the
+    random_jhermitian draw rescaled: exp of JX = (Jy + (Jy)*)/2, untested, and
+    certified by its eigenvalues alone.  JX is J (y + y#)/2 bit for bit but
+    for the sign of a zero, as negation is exact."""
+    jy = sig.flip(_random_matrix(sig.n, field, _as_rng(seed)))
+    P = (jy + adjoint(jy)) * 0.5
+    nrm = fnorm(P)
     if any_of(nrm > radius):
-        x = x * per_member(np.where(nrm > radius, radius / nrm, 1.0))
-    return exp_J(x, sig)
+        P = P * per_member(np.where(nrm > radius, radius / nrm, 1.0))
+    out, lam = spectral_function(P, np.exp)
+    return certify_constructed(out, sig, lam)
 
 
 def _random_unitary_block(n: int, field: str, rng):

@@ -197,19 +197,16 @@ def from_real(M: np.ndarray, field: str):
     return M.astype(complex) if field == "C" else M
 
 
-def from_real_parts(part, field: str):
-    """X0 over R, X0 + X1 i over C, X0 + X1 i + X2 j + X3 k over H.
-
-    Each real matrix Xk = part() is taken in that order, so a random draw
-    consumes its generator the same way whatever the storage of H.
-    """
-    x = part()
+def from_real_parts(parts: np.ndarray, field: str):
+    """X0 over R, X0 + X1 i over C, X0 + X1 i + X2 j + X3 k over H, from the
+    real matrices Xk = parts[..., k, :, :], whatever the storage of H."""
+    x = parts[..., 0, :, :]
     if field == "R":
         return x
-    z = x + 1j * part()
+    z = x + 1j * parts[..., 1, :, :]
     if field == "C":
         return z
-    return QMatrix(z, part() + 1j * part())
+    return QMatrix(z, parts[..., 2, :, :] + 1j * parts[..., 3, :, :])
 
 
 def identity(n: int, field: str):

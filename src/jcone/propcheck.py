@@ -28,19 +28,18 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import UnknownSuite, threshold
+from .errors import UnknownSuite, require, threshold
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
 from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
                     random_invertible, random_jhermitian, random_kj,
                     random_pj_bounded)
 from .jstruct import (JPositive, Signature, _holding, is_j_hermitian,
-                      is_j_positive, phi_J_inv, sharp)
-from .matcore import (QMatrix, _embed, adjoint, fnorm, from_real_parts,
-                      hermitian_eig, identity, is_matrix, mat_exp_h,
-                      mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
-                      matrix_function, psi_matrix, psi_structural_residual,
-                      trd)
+                      is_j_positive, sharp)
+from .matcore import (QMatrix, _embed, adjoint, fnorm, hermitian_eig, identity,
+                      is_matrix, mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
+                      mat_sqrt_pd, matrix_function, psi_matrix,
+                      psi_structural_residual, trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
                     furuta_check, harmonic_mean_J, maximality_check,
                     weighted_mean)
@@ -136,17 +135,18 @@ def _pow(x, y):
     return x ** y
 
 
-def _psd_bump(sig: Signature, fld: str, rng, scale: float):
+def _j_bump(sig: Signature, fld: str, rng, scale: float):
+    """J g g* scaled to norm scale: X + bump lies J-above X, and its image
+    g g* is positive semidefinite by construction, so it takes no test."""
     g = random_invertible(sig, fld, rng)
     bump = g @ adjoint(g)
-    return bump * per_member(scale / threshold(1.0, fnorm(bump)))
+    return sig.flip(bump * per_member(scale / threshold(1.0, fnorm(bump))))
 
 
 def _comparable_pair(ctx: Context, rng):
     """X in P_J and Y = X + J (PSD bump), so that X <=_J Y."""
     X = random_pj_bounded(ctx.sig, ctx.field, rng)
-    bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
-    Y = is_j_positive(X.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
+    Y = is_j_positive(X.matrix + _j_bump(ctx.sig, ctx.field, rng, 1.0), ctx.sig)
     return X, Y
 
 
@@ -176,13 +176,9 @@ def _prop_inverse_exponential_law(ctx, rng):
 
 def _prop_inverse_generic_gap(ctx, rng):
     # exp_J(X)^{-1} differs from exp_J(-X) on at least 9 of 10 generic draws.
-    # random_jhermitian's 10 draws of 1 or 2 real 2 x 2 parts each, as one
-    # draw that takes the stream in their order, stacked before the matrix axes.
+    # random_jhermitian's 10 draws, stacked before the matrix axes.
     sig = Signature(1, 1)
-    field = "R" if ctx.field == "R" else "C"
-    parts = rng.standard_normal((10, 1 if field == "R" else 2, 2, 2))
-    parts = iter(np.moveaxis(parts, -3, 0))
-    y = from_real_parts(lambda: next(parts), field)
+    y = _random_matrix(2, "R" if ctx.field == "R" else "C", rng, (10,))
     X = (y + sharp(y, sig)) * 0.5
     gap = fnorm(mat_inverse(exp_J(X, sig).matrix) - exp_J(-X, sig).matrix)
     hits = np.count_nonzero(gap > 1e-6, axis=-1)
@@ -335,7 +331,7 @@ def _prop_mean_idempotence(ctx, rng):
     A = random_pj_bounded(ctx.sig, ctx.field, rng)
     t = rng.uniform(0.2, 0.8)
     same_err = _rel_err(_mean(A, A, t).matrix, A.matrix)
-    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, 1.0), ctx.sig)
+    bump = _j_bump(ctx.sig, ctx.field, rng, 1.0)
     B = is_j_positive(A.matrix + bump, ctx.sig)
     moved = fnorm(_mean(A, B, t).matrix - A.matrix)
     ok = (same_err <= ctx.tol) & (moved > 1e-8)
@@ -461,8 +457,7 @@ def _prop_ando_hiai(ctx, rng):
 
 def _prop_furuta(ctx, rng):
     B = random_pj_bounded(ctx.sig, ctx.field, rng)
-    bump = _psd_bump(ctx.sig, ctx.field, rng, 1.0)
-    A = is_j_positive(B.matrix + phi_J_inv(bump, ctx.sig), ctx.sig)
+    A = is_j_positive(B.matrix + _j_bump(ctx.sig, ctx.field, rng, 1.0), ctx.sig)
     size = fnorm(A.matrix)
     # Every (p, r) of {0, 1, 2} x {1, 2, 3}, p the outer loop as alpha is in
     # means.scaling: the grid order is the order NaN margins are met in.
@@ -479,7 +474,7 @@ def _prop_maximality(ctx, rng):
     # and nothing strictly above it is feasible.
     A, B = _random_pair(ctx, rng)
     M = _mean(A, B, 0.5)
-    bump = phi_J_inv(_psd_bump(ctx.sig, ctx.field, rng, 0.1), ctx.sig)
+    bump = _j_bump(ctx.sig, ctx.field, rng, 0.1)
     at_max = maximality_check(M.matrix, A, B, tol=ctx.tol)
     above = maximality_check(M.matrix + bump, A, B, tol=1e-12)
     above_order = j_leq(M.matrix + bump, M.matrix, ctx.sig, tol=1e-12)
@@ -621,6 +616,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> PropertyReport:
+    require(trials >= 0, ValueError, "need trials >= 0, got {:.0f}", trials)
     block = max(1, _BLOCK_ENTRIES // (spec.grid * ctx.sig.n ** 2))
     failures = 0
     worst = np.inf if trials else 0.0

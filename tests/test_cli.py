@@ -218,6 +218,21 @@ class TestRandCheck:
         reports = {r["property_id"]: r for r in map(json.loads, out.strip().splitlines())}
         assert code == 1 and reports["geometry.pullback_geodesic"]["failures"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        "rand --signature 1,1 --seed -1",
+        "check --suite order --signature 1,1 --trials 1 --seed -5",
+        "check --suite order --signature 1,1 --trials -3",
+    ])
+    def test_a_negative_seed_or_trial_count_exits_2(self, capsys, argv):
+        # numpy takes no negative seed, and a negative trial count would
+        # report a run of no trial: each is named at parse time.
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        option, value = argv.split()[-2:]
+        assert info.value.code == 2
+        assert (f"argument {option}: not a non-negative integer: '{value}'"
+                in capsys.readouterr().err)
+
     def test_check_unknown_suite(self, fixtures, capsys):
         code, _, _ = run(capsys, "check", "--suite", "bogus",
                          "--signature", "1,1")
@@ -302,6 +317,23 @@ def test_a_removed_option_exits_2(capsys, argv):
     option = argv.split()[-2]
     assert info.value.code == 2
     assert f"error: unrecognized arguments: {option} " in capsys.readouterr().err
+
+
+def test_mean_bytes_hold_per_blas_thread_count(tmp_path):
+    # README's contract: the bytes of a command hold for one BLAS build and
+    # thread count.  At n = 64 over C, one and two OpenBLAS threads may
+    # round a product differently, so each count is compared with itself,
+    # the count set only on the child process.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for name, seed in (("a", 41), ("b", 42)):
+        write_matrix(str(tmp_path / f"{name}.json"), random_pj(Signature(32, 32), "C", seed).matrix)
+    argv = [sys.executable, "-m", "jcone.cli", "mean", "--a", str(tmp_path / "a.json"),
+            "--b", str(tmp_path / "b.json"), "--signature", "32,32", "-t", "0.3"]
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        runs = [subprocess.run(argv, capture_output=True, env=env, timeout=60) for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout.startswith(b'{"cols":64,')
 
 
 def _modules_loaded_by(module: str, wanted: str, run: str = "pass") -> str:

@@ -6,15 +6,19 @@ import sys
 import numpy as np
 import pytest
 
+import jcone.jcalc
 from jcone.errors import DimensionMismatch, NotJHermitian, Singular
-from jcone.jcalc import (bullet, bullet_commutator, bullet_inverse, exp_J,
-                         log_J, polar_decompose_bullet, pow_J,
-                         random_invertible, random_jhermitian, random_kj,
-                         random_pj, random_pj_bounded)
-from jcone.jstruct import (Signature, in_pj, is_in_K_J, is_j_hermitian,
-                           is_j_positive, sharp)
-from jcone.matcore import (_embed, adjoint, allclose, fnorm, from_real,
-                           identity, mat_inverse)
+from jcone.jcalc import (GeneratorStack, _random_matrix, bullet,
+                         bullet_commutator, bullet_inverse, exp_J, log_J,
+                         polar_decompose_bullet, pow_J, random_invertible,
+                         random_jhermitian, random_kj, random_pj,
+                         random_pj_bounded)
+from jcone.jstruct import (JPositive, Signature, in_pj, is_in_K_J,
+                           is_j_hermitian, is_j_positive, sharp)
+from jcone.matcore import (QMatrix, _embed, adjoint, allclose,
+                           eigvals_hermitian, fnorm, from_real, identity,
+                           mat_inverse)
+from jcone.stacks import member, per_member
 
 SIG = Signature(1, 1)
 FIELDS = ("R", "C", "H")
@@ -332,3 +336,145 @@ class TestRandomGenerators:
         for field in FIELDS:
             X = random_pj_bounded(Signature(2, 1), field, rng, radius=2.0)
             assert fnorm(log_J(X)) <= 2.0 + 1e-9
+
+
+def _drawn_part_by_part(n, field, rng):
+    """A Gaussian matrix from one (n, n) draw per real part, in the order 1,
+    i, j, k: the composition the samplers' one draw per generator replaces."""
+    x = rng.standard_normal((n, n))
+    if field == "R":
+        return x
+    z = x + 1j * rng.standard_normal((n, n))
+    if field == "C":
+        return z
+    return QMatrix(z, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def _jhermitian_part(sig, field, rng):
+    y = _drawn_part_by_part(sig.n, field, rng)
+    return (y + sharp(y, sig)) * 0.5
+
+
+def _exp_of_bounded(sig, field, rng, radius):
+    # exp_J of the J-Hermitian draw, rescaled to ||X||_F <= radius, through
+    # the public exp_J with its J-Hermitian test.
+    x = _jhermitian_part(sig, field, rng)
+    nrm = fnorm(x)
+    if np.any(nrm > radius):
+        x = x * per_member(np.where(nrm > radius, radius / nrm, 1.0))
+    return exp_J(x, sig)
+
+
+def _min_over_max_eig_tested(H):
+    lam = eigvals_hermitian(H)
+    top = np.maximum(np.maximum(abs(lam[..., 0]), abs(lam[..., -1])), 1e-300)
+    return lam[..., -1] / top
+
+
+def _generators(stacked, seed):
+    if stacked:
+        return GeneratorStack([np.random.default_rng((seed, i)) for i in range(3)])
+    return np.random.default_rng(seed)
+
+
+def _state(rng):
+    gens = rng.generators if isinstance(rng, GeneratorStack) else [rng]
+    return [g.bit_generator.state for g in gens]
+
+
+def _bits(X) -> bytes:
+    """Every bit of a matrix, a stack of them or a cone member, the sign of
+    a zero included, and a member's lambda_min(JX)."""
+    if isinstance(X, JPositive):
+        return _bits(X.jx) + np.asarray(X.lambda_min_of_jx, dtype=float).tobytes()
+    return np.ascontiguousarray(_embed(X)).tobytes()
+
+
+SAMPLER_SIGS = [Signature(2, 1), Signature(1, 0), Signature(0, 1), Signature(3, 2)]
+SAMPLERS = ["random_pj_bounded", "random_jhermitian", "random_invertible", "random_pj",
+            "random_kj"]
+
+
+class TestSamplersByConstruction:
+    """The samplers build their members by construction, untested but for
+    the eigenvalues of a cone member, and keep every bit and every stream of
+    the compositions they replace: the J-Hermitian part (y + y#)/2 of a draw
+    of y made part by part, exp_J of it rescaled, and a conditioning test
+    through the Hermitian test of g* g."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_bits_of_the_composition_replaced(self, monkeypatch, name, field, stacked):
+        sampler = getattr(jcone.jcalc, name)
+        for sig in SAMPLER_SIGS:
+            for seed in range(4):
+                want_rng, got_rng = _generators(stacked, seed), _generators(stacked, seed)
+                if name == "random_pj_bounded":
+                    radius = (2.0, 1.0)[seed % 2]
+                    want = _exp_of_bounded(sig, field, want_rng, radius)
+                    got = sampler(sig, field, got_rng, radius=radius)
+                elif name == "random_jhermitian":
+                    want = _jhermitian_part(sig, field, want_rng)
+                    got = sampler(sig, field, got_rng)
+                else:
+                    with monkeypatch.context() as m:
+                        m.setattr(jcone.jcalc, "_random_matrix", _drawn_part_by_part)
+                        m.setattr(jcone.jcalc, "_min_over_max_eig", _min_over_max_eig_tested)
+                        want = sampler(sig, field, want_rng)
+                    got = sampler(sig, field, got_rng)
+                assert _bits(got) == _bits(want), (sig, seed)
+                assert _state(got_rng) == _state(want_rng)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_draw_takes_the_stream_of_one_draw_per_part(self, field):
+        for stacked in (False, True):
+            for stack in ((), (10,)):
+                got_rng, want_rng = _generators(stacked, 5), _generators(stacked, 5)
+                got = _random_matrix(3, field, got_rng, stack)
+                want = [_drawn_part_by_part(3, field, want_rng) for _ in range(10 if stack else 1)]
+                if not stack:
+                    assert _bits(got) == _bits(want[0])
+                elif stacked:
+                    # (generators, 10, n, n): each generator's 10 draws in turn.
+                    for i in range(3):
+                        for k in range(10):
+                            assert _bits(member(member(got, i), k)) == _bits(member(want[k], i))
+                else:
+                    assert all(_bits(member(got, k)) == _bits(want[k]) for k in range(10))
+                assert _state(got_rng) == _state(want_rng)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_one_draw_on_the_members_a_mask_selects(self, field):
+        # random_invertible redraws its rejected members on rng.member(mask):
+        # each selected generator draws as it would alone, the others not at all.
+        mask = np.array([True, False, True, False, True])
+        rngs = GeneratorStack([np.random.default_rng(s) for s in range(5)])
+        got = _random_matrix(2, field, rngs.member(mask))
+        for i, s in enumerate(np.flatnonzero(mask)):
+            alone = np.random.default_rng(int(s))
+            assert _bits(member(got, i)) == _bits(_drawn_part_by_part(2, field, alone))
+            assert rngs.generators[s].bit_generator.state == alone.bit_generator.state
+        for s in np.flatnonzero(np.logical_not(mask)):
+            fresh = np.random.default_rng(int(s)).bit_generator.state
+            assert rngs.generators[s].bit_generator.state == fresh
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_bounded_draw_takes_one_eigh_and_no_hermitian_test(
+            self, lapack_calls, hermitian_tests, field, stacked):
+        sig = Signature(2, 1)
+        lapack_calls.clear()
+        random_pj_bounded(sig, field, _generators(stacked, 3))
+        assert lapack_calls == ["eigh"] and hermitian_tests == []
+        # The public exp_J keeps its one J-Hermitian test.
+        exp_J(random_jhermitian(sig, field, _generators(stacked, 3)), sig)
+        assert hermitian_tests == [sig.n]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_conditioning_test_takes_one_eigvalsh_and_no_hermitian_test(
+            self, lapack_calls, hermitian_tests, field, stacked):
+        lapack_calls.clear()
+        random_invertible(Signature(2, 1), field, _generators(stacked, 3))
+        assert lapack_calls == ["eigvalsh"] and hermitian_tests == []

@@ -40,6 +40,13 @@ class TestRunner:
         assert reports and all(r.failures == 0 for r in reports)
         assert all(r.counterexample is None for r in reports)
 
+    @pytest.mark.parametrize("trials", [-1, -2])
+    def test_negative_trials_are_named(self, trials):
+        # A negative count would otherwise report a run of no trial with a
+        # worst margin of inf.
+        with pytest.raises(ValueError, match=f"need trials >= 0, got {trials}"):
+            run_suite("powers", SIG, "R", trials=trials, seed=0)
+
     def test_determinism(self):
         a = run_suite("order", SIG, "C", trials=5, seed=42)
         b = run_suite("order", SIG, "C", trials=5, seed=42)
