@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
                      NotJPositive, NotPositive, require, threshold)
-from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _positivity,
+from .matcore import (_check_hermitian, _embed, _finite, _positivity,
                       adjoint, block2x2, cholesky_factor, eigvals_unchecked,
                       field_of, fnorm, from_real, identity, mat_inverse,
                       negate_rows)
@@ -285,13 +285,10 @@ def merged(X: JPositive, mask, Y: JPositive) -> JPositive:
     the members that had it yet to compute."""
     if all_of(mask):
         return Y
-    jx = _embed(X.jx).copy()
-    jx[mask] = _embed(Y.jx)
-    lam = np.empty(np.shape(mask))
-    lam[mask] = Y.lambda_min_of_jx
+    lam = scatter(mask, Y.lambda_min_of_jx, 0.0)
     keep = np.logical_not(mask)
     lam[keep] = X.member(keep).lambda_min_of_jx
-    return _holding(QMatrix._of(jx) if isinstance(X.jx, QMatrix) else jx, X.signature, lam)
+    return _holding(scatter(mask, Y.jx, X.jx.copy()), X.signature, lam)
 
 
 def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:

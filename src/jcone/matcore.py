@@ -2,8 +2,8 @@
 
 Real and complex matrices are plain numpy arrays (real dtype means R, complex
 dtype means C).  Quaternionic matrices are QMatrix objects: 2-D indexing,
-slicing, slice assignment, reshape, +, -, real scaling, @ and .H behave as
-they do for arrays, and X[i, j] is a Quaternion.
+slicing, slice assignment, reshape, copy, +, -, real scaling, @ and .H behave
+as they do for arrays, and X[i, j] is a Quaternion.
 
 Storage rule: how H is stored is private to this module.  A QMatrix holds
 one complex array m = Psi(A + B*j) = [[A, B], [-conj(B), conj(A)]], 2r x 2c,
@@ -129,6 +129,9 @@ class QMatrix:
     def member(self, i) -> "QMatrix":
         return QMatrix._of(self.m[i])
 
+    def copy(self) -> "QMatrix":
+        return QMatrix._of(self.m.copy())
+
     def reshape(self, *shape) -> "QMatrix":
         return QMatrix(self.a.reshape(*shape), self.b.reshape(*shape))
 
@@ -165,15 +168,6 @@ class QMatrix:
         a = np.array([[complex(q.a, q.b) for q in row] for row in rows])
         b = np.array([[complex(q.c, q.d) for q in row] for row in rows])
         return QMatrix(a, b)
-
-    @staticmethod
-    def eye(n: int) -> "QMatrix":
-        return QMatrix._of(np.eye(2 * n, dtype=complex))
-
-    @staticmethod
-    def zeros(shape) -> "QMatrix":
-        r, c = shape
-        return QMatrix._of(np.zeros((2 * r, 2 * c), dtype=complex))
 
     def __repr__(self):
         return f"QMatrix(a={self.a!r}, b={self.b!r})"
@@ -215,6 +209,12 @@ def identity(n: int, field: str):
 
 def zeros(n: int, field: str):
     return from_real(np.zeros((n, n)), field)
+
+
+def tiled(X, k: int):
+    """k copies of X on a new leading axis, as a read-only view of X."""
+    view = np.broadcast_to(_embed(X), (k,) + _embed(X).shape)
+    return QMatrix._of(view) if isinstance(X, QMatrix) else view
 
 
 def adjoint(X):
@@ -465,8 +465,14 @@ def spectral_function(X, f, floor: float | None = None):
 
 
 def matrix_function(X, f):
-    """Apply a real function to a Hermitian matrix through its eigenvalues."""
-    return spectral_function(_check_hermitian(X)[0], f)[0]
+    """Apply a real function to a Hermitian matrix through its eigenvalues.
+    Raises NotFinite, naming the value, where f of an eigenvalue is not
+    finite: the product with the eigenvectors would spread it as NaNs."""
+    X = _check_hermitian(X)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out, fw = spectral_function(X, f)
+    require(np.isfinite(fw), NotFinite, "f of an eigenvalue is {}, not finite", fw)
+    return out
 
 
 def mat_exp_h(X):

@@ -31,15 +31,15 @@ import numpy as np
 from .errors import UnknownSuite, require, threshold
 from .fileio import canonical_dumps, matrix_to_payload
 from .geometry import geodesic, geodesic_distance, metric_omega
-from .jcalc import (GeneratorStack, _random_matrix, bullet, exp_J, pow_J,
+from .jcalc import (GeneratorStack, _mat, _random_matrix, bullet, exp_J, pow_J,
                     random_invertible, random_jhermitian, random_kj,
                     random_pj_bounded)
 from .jstruct import (JPositive, Signature, _holding, is_j_hermitian,
                       is_j_positive, sharp)
-from .matcore import (QMatrix, _embed, adjoint, fnorm, hermitian_eig, identity,
-                      is_matrix, mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
-                      mat_sqrt_pd, matrix_function, psi_matrix,
-                      psi_structural_residual, trd)
+from .matcore import (adjoint, fnorm, hermitian_eig, identity, is_matrix,
+                      mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd, mat_sqrt_pd,
+                      matrix_function, psi_matrix, psi_structural_residual, tiled,
+                      trd)
 from .means import (ando_hiai_check, ando_hiai_normalize, arithmetic_mean_J,
                     furuta_check, harmonic_mean_J, maximality_check,
                     weighted_mean)
@@ -110,21 +110,34 @@ def _rel_err(X, Y):
     return fnorm(X - Y) / threshold(1.0, fnorm(X), fnorm(Y))
 
 
+def _within(tol, err, witness=None) -> TrialOutcome:
+    """err <= tol, with margin tol - err: a NaN error fails, its margin NaN."""
+    return TrialOutcome(err <= tol, tol - err, witness)
+
+
+def _leq(ctx: Context, X, Y, witness) -> TrialOutcome:
+    """X <=_J Y at ctx.tol, its margin eased by the order's own slack
+    ctx.tol * max(1, ||X||, ||Y||), so that it is >= 0 where the order holds."""
+    v = j_leq(X, Y, ctx.sig, tol=ctx.tol)
+    scale = threshold(1.0, fnorm(_mat(X)), fnorm(_mat(Y)))
+    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, witness)
+
+
 _scalar_pow = np.frompyfunc(pow, 2, 1)
 
 
 def _grid(rng, *values):
     """A parameter grid on an axis before the trial axis of rng's draws, (k, 1),
     or (k,) over one generator: a cone operation then runs once on them all,
-    and np.minimum.reduce folds the axis, a NaN margin kept to fail the trial."""
+    and np.maximum.reduce folds the errors on the axis, a NaN kept to fail the
+    trial."""
     grid = np.array(values)
     return grid[:, None] if isinstance(rng, GeneratorStack) else grid
 
 
 def _tiled(X: JPositive, k: int) -> JPositive:
     """k copies of X on a new leading axis, as a read-only view of its images."""
-    jx = np.broadcast_to(_embed(X.jx), (k,) + _embed(X.jx).shape)
-    return _holding(QMatrix._of(jx) if X.field == "H" else jx, X.signature, None)
+    return _holding(tiled(X.jx, k), X.signature, None)
 
 
 def _pow(x, y):
@@ -141,6 +154,11 @@ def _j_bump(sig: Signature, fld: str, rng, scale: float):
     g = random_invertible(sig, fld, rng)
     bump = g @ adjoint(g)
     return sig.flip(bump * per_member(scale / threshold(1.0, fnorm(bump))))
+
+
+def _random_pair(ctx: Context, rng):
+    return (random_pj_bounded(ctx.sig, ctx.field, rng),
+            random_pj_bounded(ctx.sig, ctx.field, rng))
 
 
 def _comparable_pair(ctx: Context, rng):
@@ -170,8 +188,7 @@ def _prop_inverse_exponential_law(ctx, rng):
     E = exp_J(X, ctx.sig)
     j = ctx.sig.matrix_for(X)
     rhs = mat_exp_h(-(j @ X)) @ j
-    err = _rel_err(mat_inverse(E.matrix), rhs)
-    return TrialOutcome(err <= 1e-10, 1e-10 - err, dict(X=X))
+    return _within(1e-10, _rel_err(mat_inverse(E.matrix), rhs), dict(X=X))
 
 
 def _prop_inverse_generic_gap(ctx, rng):
@@ -192,8 +209,7 @@ def _prop_kj_congruence_powers(ctx, rng):
     t = _grid(rng, -1.0, 0.3, 0.5, 2.0)
     lhs = pow_J(is_j_positive(g @ X.matrix @ gs, ctx.sig), t)
     rhs = g @ pow_J(X, t).matrix @ gs
-    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs.matrix, rhs))
-    return TrialOutcome(worst >= 0.0, worst, dict(X=X, g=g))
+    return _within(ctx.tol, np.maximum.reduce(_rel_err(lhs.matrix, rhs)), dict(X=X, g=g))
 
 
 def _prop_commuting_power_factorization(ctx, rng):
@@ -204,8 +220,7 @@ def _prop_commuting_power_factorization(ctx, rng):
     t = _grid(rng, 0.5, 2.0, -1.0)
     lhs = pow_J(prod, t).matrix
     rhs = bullet(pow_J(X, t), pow_J(Y, t), ctx.sig)
-    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, dict(S=S))
+    return _within(ctx.tol, np.maximum.reduce(_rel_err(lhs, rhs)), dict(S=S))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +231,7 @@ def _prop_power_monotone_unit(ctx, rng):
     scale = threshold(1.0, fnorm(X.matrix), fnorm(Y.matrix))
     t = _grid(rng, 0.25, 0.5, 0.75, 1.0)
     v = j_leq(pow_J(X, t), pow_J(Y, t), tol=ctx.tol)
-    worst = np.minimum.reduce(v.margin + ctx.tol * scale)
-    return TrialOutcome(worst >= 0.0, worst, dict(X=X, Y=Y))
+    return _within(ctx.tol * scale, np.maximum.reduce(-v.margin), dict(X=X, Y=Y))
 
 
 def _prop_power_monotone_breaks_t2(ctx, rng):
@@ -242,18 +256,14 @@ def _prop_order_congruence(ctx, rng):
     C = random_invertible(ctx.sig, ctx.field, rng)
     lhs = sharp(C, ctx.sig) @ X.matrix @ C
     rhs = sharp(C, ctx.sig) @ Y.matrix @ C
-    v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = threshold(1.0, fnorm(lhs), fnorm(rhs))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y, C=C))
+    return _leq(ctx, lhs, rhs, dict(X=X, Y=Y, C=C))
 
 
 def _prop_inverse_antimonotone(ctx, rng):
     X, Y = _comparable_pair(ctx, rng)
     xi = is_j_positive(mat_inverse(X.matrix), ctx.sig)
     yi = is_j_positive(mat_inverse(Y.matrix), ctx.sig)
-    v = j_leq(yi, xi, tol=ctx.tol)
-    scale = threshold(1.0, fnorm(xi.matrix), fnorm(yi.matrix))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale, dict(X=X, Y=Y))
+    return _leq(ctx, yi, xi, dict(X=X, Y=Y))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +276,10 @@ def _classical_geodesic(P, Q, t):
 
 
 def _prop_pullback_geodesic(ctx, rng):
-    A = random_pj_bounded(ctx.sig, ctx.field, rng)
-    B = random_pj_bounded(ctx.sig, ctx.field, rng)
+    A, B = _random_pair(ctx, rng)
     t = _grid(rng, 0.1, 0.5, 0.9)
     err = _rel_err(geodesic(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
-    worst = np.minimum.reduce(ctx.tol - err)
-    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
+    return _within(ctx.tol, np.maximum.reduce(err), dict(A=A, B=B))
 
 
 def _prop_metric_invariance(ctx, rng):
@@ -290,23 +298,16 @@ def _prop_metric_invariance(ctx, rng):
 
 
 def _prop_segment_additivity(ctx, rng):
-    A = random_pj_bounded(ctx.sig, ctx.field, rng)
-    B = random_pj_bounded(ctx.sig, ctx.field, rng)
+    A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
     G = geodesic(A, B, t)
     total = geodesic_distance(A, B)
     err = abs(geodesic_distance(A, G) + geodesic_distance(G, B) - total)
-    err = err / threshold(1.0, total)
-    return TrialOutcome(err <= 1e-8, 1e-8 - err, dict(A=A, B=B))
+    return _within(1e-8, err / threshold(1.0, total), dict(A=A, B=B))
 
 
 # ---------------------------------------------------------------------------
 # means suite
-
-def _random_pair(ctx, rng):
-    return (random_pj_bounded(ctx.sig, ctx.field, rng),
-            random_pj_bounded(ctx.sig, ctx.field, rng))
-
 
 def _mean(A, B, t):
     return weighted_mean(A, B, t).mean
@@ -315,7 +316,7 @@ def _mean(A, B, t):
 def _prop_mean_symmetry(ctx, rng):
     A, B = _random_pair(ctx, rng)
     err = _rel_err(_mean(A, B, 0.5).matrix, _mean(B, A, 0.5).matrix)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
+    return _within(ctx.tol, err, dict(A=A, B=B))
 
 
 def _prop_mean_inversion(ctx, rng):
@@ -323,8 +324,7 @@ def _prop_mean_inversion(ctx, rng):
     lhs = mat_inverse(_mean(A, B, 0.5).matrix)
     rhs = _mean(is_j_positive(mat_inverse(A.matrix), ctx.sig),
                 is_j_positive(mat_inverse(B.matrix), ctx.sig), 0.5).matrix
-    err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
+    return _within(ctx.tol, _rel_err(lhs, rhs), dict(A=A, B=B))
 
 
 def _prop_mean_idempotence(ctx, rng):
@@ -347,27 +347,21 @@ def _prop_mean_scaling(ctx, rng):
     lhs = _mean(is_j_positive(per_member(alpha) * A.matrix, ctx.sig),
                 is_j_positive(per_member(beta) * B.matrix, ctx.sig), t).matrix
     rhs = base * per_member(_pow(alpha, 1.0 - t) * _pow(beta, t))
-    worst = np.minimum.reduce(ctx.tol - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
+    return _within(ctx.tol, np.maximum.reduce(_rel_err(lhs, rhs)), dict(A=A, B=B))
 
 
 def _prop_mean_time_reversal(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = rng.uniform(0.0, 1.0)
     err = _rel_err(_mean(A, B, t).matrix, _mean(B, A, 1.0 - t).matrix)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
+    return _within(ctx.tol, err, dict(A=A, B=B))
 
 
 def _prop_mean_monotonicity(ctx, rng):
     A, C = _comparable_pair(ctx, rng)
     B, D = _comparable_pair(ctx, rng)
     t = rng.uniform(0.1, 0.9)
-    lhs = _mean(A, B, t)
-    rhs = _mean(C, D, t)
-    v = j_leq(lhs, rhs, tol=ctx.tol)
-    scale = threshold(1.0, fnorm(lhs.matrix), fnorm(rhs.matrix))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
-                        dict(A=A, B=B, C=C, D=D))
+    return _leq(ctx, _mean(A, B, t), _mean(C, D, t), dict(A=A, B=B, C=C, D=D))
 
 
 def _prop_mean_kj_congruence(ctx, rng):
@@ -378,8 +372,7 @@ def _prop_mean_kj_congruence(ctx, rng):
     lhs = _mean(is_j_positive(g @ A.matrix @ gs, ctx.sig),
                 is_j_positive(g @ B.matrix @ gs, ctx.sig), t).matrix
     rhs = g @ _mean(A, B, t).matrix @ gs
-    err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B, g=g))
+    return _within(ctx.tol, _rel_err(lhs, rhs), dict(A=A, B=B, g=g))
 
 
 def _prop_mean_joint_concavity(ctx, rng):
@@ -391,10 +384,7 @@ def _prop_mean_joint_concavity(ctx, rng):
     mixed1 = is_j_positive(A.matrix * (1.0 - s) + B.matrix * s, ctx.sig)
     mixed2 = is_j_positive(C.matrix * (1.0 - s) + D.matrix * s, ctx.sig)
     rhs = _mean(mixed1, mixed2, t).matrix
-    v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
-    scale = threshold(1.0, fnorm(lhs), fnorm(rhs))
-    return TrialOutcome(v.holds, v.margin + ctx.tol * scale,
-                        dict(A=A, B=B, C=C, D=D))
+    return _leq(ctx, lhs, rhs, dict(A=A, B=B, C=C, D=D))
 
 
 def _prop_mean_composition(ctx, rng):
@@ -402,8 +392,7 @@ def _prop_mean_composition(ctx, rng):
     t, s, u = np.moveaxis(rng.uniform(0.1, 0.9, size=3), -1, 0)
     lhs = _mean(_mean(A, B, t), _mean(A, B, s), u).matrix
     rhs = _mean(A, B, (1.0 - u) * t + u * s).matrix
-    err = _rel_err(lhs, rhs)
-    return TrialOutcome(err <= ctx.tol, ctx.tol - err, dict(A=A, B=B))
+    return _within(ctx.tol, _rel_err(lhs, rhs), dict(A=A, B=B))
 
 
 def _prop_mean_agm_sandwich(ctx, rng):
@@ -423,8 +412,7 @@ def _prop_mean_pullback_oracle(ctx, rng):
     A, B = _random_pair(ctx, rng)
     t = _grid(rng, 0.1, 0.5, 0.9)
     err = _rel_err(_mean(A, B, t).jx, _classical_geodesic(A.jx, B.jx, t))
-    worst = np.minimum.reduce(ctx.tol - err)
-    return TrialOutcome(worst >= 0.0, worst, dict(A=A, B=B))
+    return _within(ctx.tol, np.maximum.reduce(err), dict(A=A, B=B))
 
 
 NONCOMMUTING_DIFF = np.array([[0.263207, 0.768429], [-0.857469, -2.50336]])
@@ -435,8 +423,7 @@ def _prop_noncommuting_witness(ctx, rng):
     A = is_j_positive(np.array([[2.0, 1.0], [-1.0, -2.0]]), sig)
     B = is_j_positive(np.array([[3.0, 1.0], [-1.0, -1.0]]), sig)
     diff = _mean(A, B, 0.5).matrix - pow_J(A, 0.5).matrix @ pow_J(B, 0.5).matrix
-    err = float(np.max(np.abs(diff - NONCOMMUTING_DIFF)))
-    return TrialOutcome(err <= 5e-4, 5e-4 - err)
+    return _within(5e-4, float(np.max(np.abs(diff - NONCOMMUTING_DIFF))))
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +491,14 @@ def _prop_psi_homomorphism(ctx, rng):
     e2 = fnorm(psi_matrix(X.H) - adjoint(psi_matrix(X)))
     e3 = fnorm(psi_matrix(mat_inverse(X)) - np.linalg.inv(psi_matrix(X)))  # independent oracle
     scale = threshold(1.0, fnorm(psi_matrix(X)) * fnorm(psi_matrix(Y)))
-    err = max_of(max_of(e1, e2), e3) / scale
-    return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(X=X, Y=Y))
+    return _within(1e-9, max_of(max_of(e1, e2), e3) / scale, dict(X=X, Y=Y))
 
 
 def _prop_trd_cyclicity(ctx, rng):
     n = ctx.sig.n
     X, Y = _random_matrix(n, "H", rng), _random_matrix(n, "H", rng)
     err = abs(trd(X @ Y) - trd(Y @ X)) / threshold(1.0, fnorm(X) * fnorm(Y))
-    return TrialOutcome(err <= 1e-12, 1e-12 - err, dict(X=X, Y=Y))
+    return _within(1e-12, err, dict(X=X, Y=Y))
 
 
 def _prop_quat_spectral(ctx, rng):
@@ -536,30 +522,24 @@ def _unit_hermitian(n, rng, size):
 
 def _prop_quat_exp_log(ctx, rng):
     H = _unit_hermitian(ctx.sig.n, rng, 3.0)
-    err = _rel_err(mat_log_pd(mat_exp_h(H)), H)
-    return TrialOutcome(err <= 1e-9, 1e-9 - err, dict(H=H))
+    return _within(1e-9, _rel_err(mat_log_pd(mat_exp_h(H)), H), dict(H=H))
 
 
 def _prop_quat_functional_calculus(ctx, rng):
     H = _unit_hermitian(ctx.sig.n, rng, 2.0)
-    worst = np.inf
     P = mat_exp_h(H)
-    for f in (np.exp, np.log, np.sqrt, lambda w: np.power(w, 0.7)):
-        lhs = psi_matrix(matrix_function(P, f))
-        rhs = matrix_function(psi_matrix(P), f)
-        worst = np.minimum(worst, 1e-9 - _rel_err(lhs, rhs))
-    return TrialOutcome(worst >= 0.0, worst, dict(H=H))
+    err = [_rel_err(psi_matrix(matrix_function(P, f)), matrix_function(psi_matrix(P), f))
+           for f in (np.exp, np.log, np.sqrt, lambda w: np.power(w, 0.7))]
+    return _within(1e-9, np.maximum.reduce(err), dict(H=H))
 
 
 def _prop_quat_image_structure(ctx, rng):
     H = _unit_hermitian(ctx.sig.n, rng, 2.0)
     P = psi_matrix(mat_exp_h(H))
-    worst = np.inf
-    for f in (np.exp, np.log, lambda w: 1.0 / w, lambda w: np.power(w, 0.3)):
-        M = matrix_function(P, f)
-        res = psi_structural_residual(M) / threshold(1.0, fnorm(M))
-        worst = np.minimum(worst, 1e-10 - res)
-    return TrialOutcome(worst >= 0.0, worst, dict(H=H))
+    fs = (np.exp, np.log, lambda w: 1.0 / w, lambda w: np.power(w, 0.3))
+    res = [psi_structural_residual(M) / threshold(1.0, fnorm(M))
+           for M in (matrix_function(P, f) for f in fs)]
+    return _within(1e-10, np.maximum.reduce(res), dict(H=H))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,10 @@ def _real(s):
     return np.asarray(s, dtype=float) if isinstance(s, np.ndarray) and s.ndim else float(s)
 
 
-def per_member(s, axes: int = 2):
+def per_member(s):
     """One scalar per member of a stack as a factor that broadcasts over its
-    matrices (axes=2) or vectors (axes=1); a scalar stays as it is."""
-    return s[(...,) + (None,) * axes] if isinstance(s, np.ndarray) and s.ndim else s
+    matrices; a scalar stays as it is."""
+    return s[..., None, None] if isinstance(s, np.ndarray) and s.ndim else s
 
 
 def min_of(a, b):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import jcone.jcalc
-from jcone.errors import DimensionMismatch, NotJHermitian, Singular
+from jcone.errors import DimensionMismatch, NotJHermitian, NotJPositive, Singular
 from jcone.jcalc import (GeneratorStack, _random_matrix, bullet,
                          bullet_commutator, bullet_inverse, exp_J, log_J,
                          polar_decompose_bullet, pow_J, random_invertible,
@@ -116,6 +116,15 @@ class TestExpLog:
             assert allclose(exp_J(log_J(X), sig).matrix, X.matrix, tol=1e-9)
             H = random_jhermitian(sig, field, rng)
             assert allclose(log_J(exp_J(H, sig)), H, tol=1e-9)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("rows", [[800.0, 0.0, 0.0], [[0.0, 0.0, 0.0], [800.0, 0.0, 0.0]]])
+    def test_overflow_is_named_without_a_warning(self, rows, field):
+        # exp(800) overflows: the member is rejected by name, and the product
+        # with the eigenvectors, which meets inf * 0, warns nothing.
+        X = from_real(np.asarray(rows)[..., :, None] * np.eye(3), field)
+        with pytest.raises(NotJPositive, match="computed eigenvalue inf of JX not finite"):
+            exp_J(X, Signature(2, 1))
 
     def test_exp_requires_j_hermitian(self):
         with pytest.raises(NotJHermitian):

@@ -1,17 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_triangular
 
-from jcone.errors import NotHermitian, NotInImage, NotPositive, Singular
-from jcone.matcore import (_TRIL_BLOCK, QMatrix, _tril_blocks, adjoint, allclose,
+from jcone.errors import NotFinite, NotHermitian, NotInImage, NotPositive, Singular
+from jcone.matcore import (_TRIL_BLOCK, QMatrix, _embed, _tril_blocks, adjoint, allclose,
                            cholesky_factor, eigvals_hermitian, field_of, fnorm,
-                           hermitian_eig, identity, is_positive_definite,
+                           from_real, hermitian_eig, identity, is_positive_definite,
                            mat_exp_h, mat_inverse, mat_log_pd, mat_pow_pd,
                            mat_sqrt_pd, matrix_function, psi_inverse,
-                           psi_matrix, psi_structural_residual, trd,
-                           tril_inverse, tril_product)
+                           psi_matrix, psi_structural_residual, tiled, trd,
+                           tril_inverse, tril_product, zeros)
 from jcone.scalars import QUAT_I, QUAT_J, QUAT_K, Quaternion
-from jcone.stacks import _norm
+from jcone.stacks import _norm, member
 
 
 def random_mat(n, field, rng):
@@ -40,7 +43,7 @@ class TestBasics:
     def test_field_of(self):
         assert field_of(np.eye(2)) == "R"
         assert field_of(np.eye(2, dtype=complex)) == "C"
-        assert field_of(QMatrix.eye(2)) == "H"
+        assert field_of(identity(2, "H")) == "H"
 
     def test_adjoint_example(self):
         X = np.array([[0, 1j], [1j, 0]])
@@ -116,7 +119,7 @@ class TestQMatrixIndexing:
                                                    self.X[1, 0], QUAT_K]
 
     def test_slice_assignment(self):
-        Y = QMatrix.zeros((2, 2))
+        Y = zeros(2, "H")
         Y[:, 0:1] = self.X[:, 1:2]
         assert Y[0, 0] == QUAT_J and Y[1, 0] == QUAT_K
         assert Y[0, 1] == Quaternion(0.0)
@@ -124,7 +127,7 @@ class TestQMatrixIndexing:
 
 class TestPsi:
     def test_psi_identity(self):
-        np.testing.assert_allclose(psi_matrix(QMatrix.eye(3)), np.eye(6))
+        np.testing.assert_allclose(psi_matrix(identity(3, "H")), np.eye(6))
 
     def test_psi_of_scalar_j(self):
         X = QMatrix.from_quaternions([[QUAT_J]])
@@ -236,7 +239,7 @@ class TestEig:
         X = random_hermitian(4, "H", rng)
         dec = hermitian_eig(X)
         U = dec.unitary
-        assert fnorm(U.H @ U - QMatrix.eye(4)) <= 1e-10
+        assert fnorm(U.H @ U - identity(4, "H")) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -342,6 +345,64 @@ class TestNonFiniteRejected:
         X = np.array([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(NotHermitian, match="residual inf exceeds inf"):
             hermitian_eig(X)
+
+
+def _diag(rows, field):
+    """The diagonal matrix of each row over the field, a stack of them for
+    more than one row."""
+    rows = np.asarray(rows, dtype=float)
+    return from_real(rows[..., :, None] * np.eye(rows.shape[-1]), field)
+
+
+class TestNonFiniteFunctionNamed:
+    """f of an eigenvalue that is not finite raises NotFinite naming it, with
+    no numpy warning (pyproject.toml makes every warning an error), where the
+    product with the eigenvectors would spread it as NaNs."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("rows", [[800.0, 1.0, 2.0], [[1.0, 1.0, 2.0], [800.0, 1.0, 2.0]]])
+    def test_exp_overflow(self, rows, field):
+        with pytest.raises(NotFinite, match="f of an eigenvalue is inf, not finite"):
+            mat_exp_h(_diag(rows, field))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("f, named", [(np.log, "-inf"), (lambda w: 1.0 / w, "inf"),
+                                          (np.sqrt, "nan")])
+    def test_pole_or_invalid_value(self, f, named, field):
+        # Eigenvalues 0 and -1: log and 1/w meet the pole at 0, sqrt is NaN at -1.
+        rows = [[1.0, 2.0, 3.0], [2.0, 0.0, -1.0]] if named != "nan" else [2.0, -1.0, 3.0]
+        with pytest.raises(NotFinite, match=f"f of an eigenvalue is {named}, not finite"):
+            matrix_function(_diag(rows, field), f)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_finite_values_pass(self, field):
+        X = _diag([[700.0, 1.0, 2.0], [0.5, 1.0, 2.0]], field)
+        assert np.isfinite(_embed(mat_exp_h(X))).all()
+
+
+def test_only_matcore_builds_a_qmatrix_from_its_storage():
+    # The storage of H is private to matcore: no other module wraps an array
+    # as a QMatrix embedding.
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "jcone").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_of", "_from_top"):
+                found.append(path.name)
+    assert found and set(found) == {"matcore.py"}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("stack", [(), (2,)])
+def test_tiled_is_a_read_only_view_of_copies(field, stack):
+    rng = np.random.default_rng(8)
+    X = random_mat(3, field, rng)
+    if stack:
+        X = from_real(np.stack([np.eye(3), 2.0 * np.eye(3)]), field) + X
+    T = tiled(X, 4)
+    assert field_of(T) == field and T.shape == (4,) + X.shape
+    assert not _embed(T).flags.writeable and np.shares_memory(_embed(T), _embed(X))
+    for i in range(4):
+        assert _embed(member(T, i)).tobytes() == _embed(X).tobytes()
 
 
 class TestPositivity:

@@ -1,16 +1,19 @@
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
 
-from jcone.errors import JConeError, UnknownSuite
+from jcone.errors import JConeError, UnknownSuite, threshold
 from jcone.jcalc import GeneratorStack
 from jcone.jstruct import Signature
-from jcone.order import OrderVerdict
+from jcone.matcore import fnorm
+from jcone.order import OrderVerdict, j_leq
 from jcone.propcheck import (REGISTRY, REGISTRY_BY_ID, SUITES, Context,
                              PropertyReport, PropertySpec, TrialOutcome,
-                             _payload, _trial_rng, run_property, run_suite)
+                             _comparable_pair, _leq, _payload, _trial_rng,
+                             _within, run_property, run_suite)
 
 SIG = Signature(1, 1)
 
@@ -157,6 +160,61 @@ def test_nan_margin_fails_every_trial(monkeypatch, property_id, helper):
     assert payload["worst_margin"] is None
     assert payload["counterexample"]["trial"] == 3
     assert payload["counterexample"]["margin"] is None
+
+
+class TestPassRules:
+    """_within is the pass rule of an error and _leq that of an order; each
+    equals, bit for bit, the expression it stands for written out in full."""
+
+    def test_a_nan_error_fails_with_a_nan_margin(self):
+        out = _within(1e-8, np.float64(np.nan), {"x": 1})
+        assert not out.ok and math.isnan(out.margin) and out.witness == {"x": 1}
+
+    def test_an_error_at_the_tolerance_passes_with_margin_plus_zero(self):
+        out = _within(1e-8, 1e-8)
+        assert out.ok and out.margin == 0.0 and math.copysign(1.0, out.margin) == 1.0
+
+    def test_a_grid_folds_as_the_minimum_of_the_margins(self):
+        # Rows are grid points, columns trials: ties, a member at the
+        # tolerance and a NaN member.
+        tol = 1e-8
+        err = np.random.default_rng(3).uniform(0.0, 2e-8, (4, 5))
+        err[1] = err[0]
+        err[2, 1] = tol
+        err[3, 4] = np.nan
+        old = np.minimum.reduce(tol - err)
+        out = _within(tol, np.maximum.reduce(err))
+        assert _bits(out.margin) == _bits(old)
+        assert out.ok.tolist() == (old >= 0.0).tolist()
+        assert out.ok.tolist().count(False) >= 2   # both verdicts are met
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("nan_norm", [False, True])
+    def test_leq_is_the_old_three_lines(self, monkeypatch, field, raw, nan_norm):
+        import jcone.propcheck
+        if nan_norm:   # the first norm each rule takes is NaN
+            calls = []
+
+            def first_nan(X):
+                calls.append(X)
+                return fnorm(X) * (np.nan if len(calls) % 2 else 1.0)
+
+            monkeypatch.setattr(jcone.propcheck, "fnorm", first_nan)
+        ctx = Context(Signature(2, 1), field, 1e-8)
+        rngs = GeneratorStack([np.random.default_rng(s) for s in range(3)])
+        X, Y = _comparable_pair(ctx, rngs)
+        if raw:
+            X, Y = X.matrix, Y.matrix
+        for lhs, rhs in ((X, Y), (Y, X)):
+            norm = jcone.propcheck.fnorm
+            v = j_leq(lhs, rhs, ctx.sig, tol=ctx.tol)
+            ml, mr = (lhs, rhs) if raw else (lhs.matrix, rhs.matrix)
+            scale = threshold(1.0, norm(ml), norm(mr))
+            out = _leq(ctx, lhs, rhs, {"X": X})
+            assert out.ok.tolist() == v.holds.tolist()
+            assert _bits(out.margin) == _bits(v.margin + ctx.tol * scale)
+            assert out.witness["X"] is X
 
 
 class TestMutationSanity:

@@ -15,7 +15,7 @@ from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (GeneratorStack, exp_J, pow_J, random_invertible,
                          random_jhermitian, random_pj, random_pj_bounded)
 from jcone.jstruct import Signature, block_decompose, is_j_positive, schur_j_positive
-from jcone.matcore import QMatrix, fnorm, from_real, is_positive_definite, trd
+from jcone.matcore import QMatrix, _embed, fnorm, from_real, is_positive_definite, trd
 from jcone.means import (ando_hiai_check, ando_hiai_normalize, furuta_check,
                          harmonic_mean_J, weighted_mean)
 from jcone.order import j_leq
@@ -174,6 +174,24 @@ def test_harmonic_mean_endpoints_are_the_members_themselves(field):
     for i in range(4):
         alone = harmonic_mean_J(A.member(i), B.member(i), t[i])
         assert alone.lambda_min_of_jx == mean.lambda_min_of_jx[i]
+
+
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_harmonic_mean_keeps_the_bits_of_the_members_it_passes_through(field):
+    # JA has diagonal entries 3 - 0i: the member kept at weight 0 keeps the
+    # sign of each zero, which a product with 1.0 over C would drop.
+    P = np.diag([3.0, 4.0, 5.0]) + 0.1 * (1 + 1j) * np.triu(np.ones((3, 3)), 1)
+    P = P + np.triu(P, 1).conj().T
+    P.imag[np.diag_indices(3)] = -0.0
+    P = np.stack([P, 2.0 * P])
+    skew = np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1)
+    jx = P if field == "C" else QMatrix(P, 0.1 * np.stack([skew, skew]))
+    A = is_j_positive(SIG.flip(jx), SIG)
+    B = _stack(field, 10, 2)
+    mean = harmonic_mean_J(A, B, np.array([0.0, 0.5]))
+    assert _embed(mean.member(0).jx).tobytes() == _embed(A.member(0).jx).tobytes()
+    alone = harmonic_mean_J(A.member(1), B.member(1), 0.5)
+    assert _embed(mean.member(1).jx).tobytes() == _embed(alone.jx).tobytes()
 
 
 def _bits(x):
