@@ -57,9 +57,7 @@ def bullet_commutator(X, Y, sig: Signature):
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """exp_J(X) = J exp(JX); maps the J-Hermitian space onto P_J.  An
     eigenvalue of JX whose exp overflows raises NotJPositive, naming it."""
-    jx = phi_J(X, sig, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, lam = spectral_function(jx, np.exp)
+    out, lam = spectral_function(phi_J(X, sig, tol), np.exp)
     return certify_constructed(out, sig, lam)
 
 

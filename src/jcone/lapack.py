@@ -1,12 +1,13 @@
 """The four LAPACK routines jcone factors with, called as numpy.linalg's own
 gufuncs without numpy.linalg's per-call wrapper.
 
-At n = 3 that wrapper (array and type checks, result casts) costs more than
-the factorization it wraps.  Here each routine calls the gufunc numpy.linalg
-calls, with the signature and the error state it uses, so results are
-bit-identical and a failure raises LinAlgError with numpy's message.  Input
-that is not a stack of square matrices raises numpy's LinAlgError, and
-float32 and complex64 input gets numpy's result dtypes.
+At n = 3 that wrapper (array and type checks, result casts, an error state
+built on each call) costs more than the factorization it wraps.  Here each
+routine calls the gufunc numpy.linalg calls, bound once to its signature,
+under its error state, built once (stacks._under), so results are
+bit-identical and a failure raises LinAlgError with numpy's message whatever
+the caller's state.  Input that is not a stack of square matrices raises
+numpy's LinAlgError, and float32 and complex64 input gets numpy's result dtypes.
 
 bench/tracing.py keys a jcone function by module and name, so this module
 and its public names make the per-layer counts lapack.eigh, lapack.eigvalsh,
@@ -15,19 +16,33 @@ lapack.cholesky and lapack.inv.  matcore calls them as lapack.<name>.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+from numpy._core.umath import _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
+from .stacks import _under
 
-def _errstate(message: str):
+
+def _raising(message: str):
+    """numpy.linalg's error state: LAPACK's failure, an invalid value, raises."""
     def fail(err, flag):
         raise LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+    return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
 
+
+_NOT_CONVERGED = _raising("Eigenvalues did not converge")
+_NOT_POSITIVE = _raising("Matrix is not positive definite")
+_SINGULAR = _raising("Singular matrix")
 
 # numpy.linalg computes single precision in double and narrows the results.
 _WIDE = {"d": "d", "D": "D", "f": "d", "F": "D"}
+_EIGH = {t: partial(_umath_linalg.eigh_lo, signature=f"{t}->d{t}") for t in "dD"}
+_EIGVALSH = {t: partial(_umath_linalg.eigvalsh_lo, signature=f"{t}->d") for t in "dD"}
+_CHOLESKY = {t: partial(_umath_linalg.cholesky_lo, signature=f"{t}->{t}") for t in "dD"}
+_INV = {t: partial(_umath_linalg.inv, signature=f"{t}->{t}") for t in "dD"}
 
 
 def _square(a):
@@ -54,29 +69,25 @@ def _narrow(r, a, real=False):
     return r.astype(np.float32 if real else a.dtype)
 
 
-@_errstate("Eigenvalues did not converge")
 def eigh(a):
     """(ascending eigenvalues, eigenvectors) from the lower triangle of a."""
     a, t = _square(a)
-    w, v = _umath_linalg.eigh_lo(a, signature=f"{t}->d{t}")
+    w, v = _under(_NOT_CONVERGED, _EIGH[t], a)
     return _narrow(w, a, real=True), _narrow(v, a)
 
 
-@_errstate("Eigenvalues did not converge")
 def eigvalsh(a):
     """Ascending eigenvalues from the lower triangle of a."""
     a, t = _square(a)
-    return _narrow(_umath_linalg.eigvalsh_lo(a, signature=f"{t}->d"), a, real=True)
+    return _narrow(_under(_NOT_CONVERGED, _EIGVALSH[t], a), a, real=True)
 
 
-@_errstate("Matrix is not positive definite")
 def cholesky(a):
     """Lower Cholesky factor of a, read from its lower triangle."""
     a, t = _square(a)
-    return _narrow(_umath_linalg.cholesky_lo(a, signature=f"{t}->{t}"), a)
+    return _narrow(_under(_NOT_POSITIVE, _CHOLESKY[t], a), a)
 
 
-@_errstate("Singular matrix")
 def inv(a):
     a, t = _square(a)
-    return _narrow(_umath_linalg.inv(a, signature=f"{t}->{t}"), a)
+    return _narrow(_under(_SINGULAR, _INV[t], a), a)

@@ -37,9 +37,9 @@ up to 40 rows, and wider one that skips the zero blocks above the diagonal.
 
 LAPACK rule: every eigh, eigvalsh, cholesky and inv here is a call to
 jcone.lapack, numpy.linalg's own gufuncs without its per-call wrapper, which
-costs more than the factorization at n = 3; polar's svd stays on
-numpy.linalg.  The calls go through the module (lapack.eigh), so a count or
-trace patched onto jcone.lapack sees each one.
+costs more than the factorization at n = 3, or its error state built on each
+call; polar's svd stays on numpy.linalg.  The calls go through the module
+(lapack.eigh), so a count or trace patched onto jcone.lapack sees each one.
 
 Stack rule: every function here keeps the stack contract (see stacks).
 """
@@ -55,7 +55,7 @@ from . import lapack
 from .errors import (NotFinite, NotHermitian, NotInImage, NotPositive, Singular,
                      certify, require, threshold)
 from .scalars import Quaternion
-from .stacks import _norm, _out, _real, min_of, power
+from .stacks import _IGNORED, _norm, _out, _real, _under, min_of, power
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -452,25 +452,34 @@ def spectral_function(X, f, floor: float | None = None):
     """f(X) and f of the descending eigenvalues of X from one eigh, with no
     structural test; f sees those of _embed(X) ascending, once, so a stack's
     members and lone calls take the same numpy loop.  Given a floor, raises
-    NotPositive unless X is positive definite at tol = floor (_positivity)."""
+    NotPositive unless X is positive definite at tol = floor (_positivity).
+    f and its product ignore floating-point errors; callers reject f(w) not finite."""
     M = _embed(X)
     w, U = lapack.eigh(M)
     if floor is not None:
         lam, limit = _positivity(w, floor)
         require(lam > limit, NotPositive, "smallest eigenvalue {:.3e} not above {:.3e}",
                 lam, limit)
-    fw = f(w)
-    T = (_top(U, X) * fw[..., None, :]) @ U.conj().mT
+    fw, T = _under(_IGNORED, _weighted, f, w, U, X)
     return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(fw, X)
+
+
+def _weighted(f, w, U, X):
+    """(f(w), the top rows of U diag(f(w)) U*)."""
+    fw = f(w)
+    return fw, (_top(U, X) * fw[..., None, :]) @ U.conj().mT
 
 
 def matrix_function(X, f):
     """Apply a real function to a Hermitian matrix through its eigenvalues.
     Raises NotFinite, naming the value, where f of an eigenvalue is not
     finite: the product with the eigenvectors would spread it as NaNs."""
-    X = _check_hermitian(X)[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, fw = spectral_function(X, f)
+    return _finite_function(X, f)
+
+
+def _finite_function(X, f, floor: float | None = None):
+    """matrix_function, given a floor on X's positivity (spectral_function)."""
+    out, fw = spectral_function(_check_hermitian(X)[0], f, floor)
     require(np.isfinite(fw), NotFinite, "f of an eigenvalue is {}, not finite", fw)
     return out
 
@@ -480,13 +489,12 @@ def mat_exp_h(X):
 
 
 def mat_log_pd(X):
-    return spectral_function(_check_hermitian(X)[0], np.log, floor=1e-10)[0]
+    return _finite_function(X, np.log, floor=1e-10)
 
 
 def mat_pow_pd(X, t):
     t = _real(t)
-    return spectral_function(_check_hermitian(X)[0], lambda w: power(w, t),
-                             floor=1e-10)[0]
+    return _finite_function(X, lambda w: power(w, t), floor=1e-10)
 
 
 def mat_sqrt_pd(X):

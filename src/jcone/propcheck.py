@@ -607,8 +607,9 @@ def run_property(spec: PropertySpec, ctx: Context, trials: int, seed: int) -> Pr
         outcome = spec.func(ctx, rngs)
         # An outcome of one value, from a property that draws nothing, stands
         # for each trial of the block.
-        ok = np.broadcast_to(outcome.ok, (len(rngs),))
-        margin = np.broadcast_to(outcome.margin, (len(rngs),))
+        shape = (len(rngs),)
+        ok, margin = (x if type(x) is np.ndarray and x.shape == shape
+                      else np.broadcast_to(x, shape) for x in (outcome.ok, outcome.margin))
         worst = np.fmin(worst, np.fmin.reduce(margin))
         failed = np.flatnonzero(np.logical_not(ok))
         if failed.size:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import certify, threshold
-from .stacks import _norm
+from .stacks import _IGNORED, _norm, _under
 
 FIELDS = ("R", "C", "H")
 
@@ -102,7 +102,7 @@ def psi_scalar_inverse(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 complex matrix")
     candidate = Quaternion.from_complex_pair(complex(m[0, 0]), complex(m[0, 1]))
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf: certify rejects it
-        difference = psi_scalar(candidate) - m
+    # An entry NaN or inf makes the residual NaN or inf, which certify rejects.
+    difference = _under(_IGNORED, np.subtract, psi_scalar(candidate), m)
     certify(_norm(difference), threshold(tol, _norm(m)), ValueError, "quaternion-embedding")
     return candidate

@@ -24,8 +24,23 @@ cone members or of generators (by a mask only), or a dict of them.
 """
 
 import math
+from itertools import product
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
+
+# Each of the four floating-point errors ignored, whatever the caller's state.
+_IGNORED = _make_extobj(all="ignore")
+
+
+def _under(state, f, *args):
+    """f(*args) under a numpy error state built once by _make_extobj, entered
+    as numpy's errstate enters the one it builds: per thread, undone after f."""
+    token = _extobj_contextvar.set(state)
+    try:
+        return f(*args)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _out(x):
@@ -149,19 +164,17 @@ def _row_norms(x: np.ndarray):
     if x.ndim > 1:
         # np.vecdot takes each row's dot as np.vdot takes one row's, but
         # warns when it overflows.
-        with np.errstate(over="ignore"):
-            nrm = np.sqrt(_sum_of_squares(x, np.vecdot))
+        nrm = np.sqrt(_under(_IGNORED, _sum_of_squares, x, np.vecdot))
         if math.inf in nrm.tolist():
             for i in zip(*np.nonzero(nrm == math.inf)):
                 nrm[i] = _row_norms(x[i])
         return nrm
-    # One row takes np.vdot, which does not warn, rather than entering
-    # np.errstate, which costs about 2.3 us, half a 3 x 3 norm.
+    # One row takes np.vdot, which does not warn, so it needs no error state.
     nrm = math.sqrt(_sum_of_squares(x, np.vdot))
     if nrm == math.inf:
         s = float(np.max(np.abs(x)))
-        if s < math.inf:
-            nrm = s * _row_norms(x / s)
+        if s < math.inf:   # an entry far below s underflows in x / s
+            nrm = s * _row_norms(_under(_IGNORED, np.divide, x, s))
     return nrm
 
 
@@ -173,14 +186,17 @@ def power(w: np.ndarray, t) -> np.ndarray:
     broadcasting, as a (k, 1) grid of powers over k rows of trials is.  Any
     other stack is raised member by member, each by its scalar exponent as a
     lone call raises it: numpy rounds a scalar exponent of 2, -1 or 0.5, and
-    a 2-D strided array, by other loops.  The member loop costs a 3-vector
-    6.5 us against 1.5 us, and a stack of 3000 5.4 ms against 39 us."""
+    a 2-D strided array, by other loops.  Only a t not of the stack's shape
+    is broadcast.  The member loop costs a 3-vector 2.8 us against 0.8 us for
+    one exponent, and a stack of 3000 3.0 ms against 25 us (2-vCPU x86 VM)."""
     if not (isinstance(t, np.ndarray) and t.ndim):
         return np.power(w, float(t))
-    stack = np.broadcast_shapes(w.shape[:-1], t.shape)
-    w, t = np.broadcast_to(w, stack + w.shape[-1:]), np.broadcast_to(t, stack)
-    rows = len(stack) > 1 and (stack[-1] == 1 or t.strides[-1] == 0)
+    if t.shape != w.shape[:-1]:
+        stack = np.broadcast_shapes(w.shape[:-1], t.shape)
+        w, t = np.broadcast_to(w, stack + w.shape[-1:]), np.broadcast_to(t, stack)
+    if t.ndim > 1 and (t.shape[-1] == 1 or t.strides[-1] == 0):
+        t = t[..., 0]
     out = np.empty(w.shape)
-    for i in np.ndindex(stack[:-1] if rows else stack):
-        out[i] = np.power(w[i], float(t[i][0] if rows else t[i]))
+    for i, e in zip(product(*map(range, t.shape)), t.ravel().tolist()):
+        out[i] = np.power(w[i], e)
     return out

@@ -126,6 +126,17 @@ class TestExpLog:
         with pytest.raises(NotJPositive, match="computed eigenvalue inf of JX not finite"):
             exp_J(X, Signature(2, 1))
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("rows", [[1e11, 2e11, 3e11], [[1, 2, 3], [1e11, 2e11, 3e11]]])
+    def test_power_overflow_is_named_without_a_warning(self, rows, field):
+        # JX = diag(rows): (1e11)**32 overflows, and the product with the
+        # eigenvectors, which meets inf * 0, warns nothing.
+        sig = Signature(2, 1)
+        X = is_j_positive(sig.flip(from_real(np.asarray(rows)[..., :, None] * np.eye(3),
+                                             field)), sig)
+        with pytest.raises(NotJPositive, match="computed eigenvalue inf of JX not finite"):
+            pow_J(X, 32.0)
+
     def test_exp_requires_j_hermitian(self):
         with pytest.raises(NotJHermitian):
             exp_J(np.array([[0.0, 1.0], [1.0, 0.0]]), SIG)

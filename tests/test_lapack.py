@@ -1,8 +1,11 @@
-"""jcone.lapack against numpy.linalg: the same bytes, dtypes and errors, and
-no other module of the library reaching the four routines around it."""
+"""jcone.lapack against numpy.linalg: the same bytes, dtypes and errors,
+whatever the caller's error state, and no other module of the library
+reaching the four routines around it, nor entering numpy's errstate."""
 
 import ast
 import re
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +69,57 @@ FAILURES += [(routine, bad) for routine in ROUTINES
              for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2), dtype=np.float16))]
 
 
-@pytest.mark.parametrize("routine, a", FAILURES)
-def test_same_error_as_numpy(routine, a):
+def _numpy_error(routine, a):
+    """The type and message of the error numpy.linalg raises on a."""
     with pytest.raises((LinAlgError, TypeError)) as theirs:
         getattr(np.linalg, routine)(a)
-    with pytest.raises(theirs.type, match=f"^{re.escape(str(theirs.value))}$"):
+    return theirs.type, str(theirs.value)
+
+
+def _raises(error, routine, a):
+    with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
         getattr(jcone.lapack, routine)(a)
+
+
+@pytest.mark.parametrize("routine, a", FAILURES)
+def test_same_error_as_numpy(routine, a):
+    _raises(_numpy_error(routine, a), routine, a)
+
+
+def _keeps_the_callers_state(routine, a, error):
+    """Under a caller's state that raises on every error: the routine
+    succeeds on a good input and raises numpy's error on a, with no warning,
+    and the caller's state is the same after each."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            caller = np.geterr()
+            getattr(jcone.lapack, routine)(INPUTS["C-stacked"])
+            assert np.geterr() == caller
+            _raises(error, routine, a)
+            assert np.geterr() == caller
+
+
+@pytest.mark.parametrize("routine, a", FAILURES)
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_errors_keep_a_callers_error_state(routine, a, in_worker):
+    # numpy keeps an error state per thread (a context variable).
+    error = _numpy_error(routine, a)
+    if in_worker:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(_keeps_the_callers_state, routine, a, error).result()
+    else:
+        _keeps_the_callers_state(routine, a, error)
+
+
+def test_no_errstate_in_the_library():
+    # Each error state is built once, at import, and entered by
+    # stacks._under: numpy's errstate builds one on every entry.
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "errstate"
+             or isinstance(node, ast.alias) and node.name == "errstate"]
+    assert found == []
 
 
 # The calls the source may make on numpy.linalg itself for the four routines:

@@ -375,6 +375,14 @@ class TestNonFiniteFunctionNamed:
             matrix_function(_diag(rows, field), f)
 
     @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("rows", [[1e11, 2e11, 3e11], [[1, 2, 3], [1e11, 2e11, 3e11]]])
+    def test_power_overflow(self, rows, field):
+        # (1e11)**32 overflows, and the product with the eigenvectors meets
+        # inf * 0: the positive-definite functions take matrix_function's rule.
+        with pytest.raises(NotFinite, match="f of an eigenvalue is inf, not finite"):
+            mat_pow_pd(_diag(rows, field), 32.0)
+
+    @pytest.mark.parametrize("field", FIELDS)
     def test_finite_values_pass(self, field):
         X = _diag([[700.0, 1.0, 2.0], [0.5, 1.0, 2.0]], field)
         assert np.isfinite(_embed(mat_exp_h(X))).all()

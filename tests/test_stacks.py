@@ -20,7 +20,7 @@ from jcone.means import (ando_hiai_check, ando_hiai_normalize, furuta_check,
                          harmonic_mean_J, weighted_mean)
 from jcone.order import j_leq
 from jcone.propcheck import REGISTRY_BY_ID, Context
-from jcone.stacks import member, scatter, select
+from jcone.stacks import member, power, scatter, select
 from test_cli import _modules_loaded_by
 
 SIG = Signature(2, 1)
@@ -67,12 +67,54 @@ def test_stack_verdicts_hold_one_value_per_member(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_per_member_powers(field):
+@pytest.mark.parametrize("t", [[-1.0, 0.3, 2.0], [0.5, 0.0, 2.0]])
+def test_per_member_powers(field, t):
     A = _stack(field, 1)
-    t = np.array([-1.0, 0.3, 2.0])
+    t = np.array(t)
     powered = pow_J(A, t)
     for i in range(3):
         assert pow_J(A.member(i), t[i]) == powered.member(i)
+
+
+# Exponents numpy takes by their own loops (2, 0.5, -1, 0) and one it does not.
+EXPONENTS = np.array([2.0, 0.5, -1.0, 0.0, 0.3])
+
+
+def _eigenvalues(*shape):
+    return np.random.default_rng(3).uniform(0.1, 10.0, shape)
+
+
+def _power_cases():
+    k = 2000   # enough rows that a vectorized power differs in some bits
+    t = np.resize(EXPONENTS, k)
+    w, grid, lone = _eigenvalues(k, 3), _eigenvalues(5, 400, 3), _eigenvalues(400, 3)
+    return {"per member": (w, t, [np.power(w[i], float(t[i])) for i in range(k)]),
+            "grid": (grid, EXPONENTS[:, None],
+                     [np.power(grid[i], float(e)) for i, e in enumerate(EXPONENTS)]),
+            "grid of a stack": (lone, EXPONENTS[:, None],
+                                [np.power(lone, float(e)) for e in EXPONENTS]),
+            "0-d": (w, np.array(0.5), np.power(w, 0.5))}
+
+
+POWER_CASES = _power_cases()
+
+
+@pytest.mark.parametrize("case", sorted(POWER_CASES))
+def test_power_has_the_bits_of_a_loop_of_scalar_powers(case):
+    w, t, expected = POWER_CASES[case]
+    assert power(w, t).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_stacked_norm_of_huge_entries_under_a_raising_state():
+    # The stacked sum of squares overflows to inf, and each row taken again
+    # scaled by its largest entry underflows at 1e-200: under a caller's state
+    # that raises on every error, the norms are those of the default state.
+    M = np.full((2, 3, 3), 1e200)
+    M[:, 0, 0] = 1e-200
+    expected = [fnorm(m) for m in M]
+    with np.errstate(all="raise"):
+        norms = fnorm(M)
+    assert norms.tolist() == expected and np.isfinite(expected).all()
 
 
 def test_one_failing_member_rejects_the_stack():
@@ -300,7 +342,7 @@ def test_stacked_distances_are_their_lone_calls(p, q, field):
 # The helpers of the stack contract, each written once, in jcone.stacks.
 STACK_HELPERS = {"_out", "min_of", "max_of", "all_of", "any_of", "first_failed",
                  "per_member", "_real", "member", "select", "scatter", "_norm",
-                 "_raveled", "_sum_of_squares", "_row_norms", "power"}
+                 "_raveled", "_sum_of_squares", "_row_norms", "power", "_under"}
 SRC = Path(jcone.propcheck.__file__).parent
 
 
