@@ -7,7 +7,9 @@ routine calls the gufunc numpy.linalg calls, bound once to its signature,
 under its error state, built once (stacks._under), so results are
 bit-identical and a failure raises LinAlgError with numpy's message whatever
 the caller's state.  Input that is not a stack of square matrices raises
-numpy's LinAlgError, and float32 and complex64 input gets numpy's result dtypes.
+numpy's LinAlgError, and float16 and long double its TypeError.  Every call
+takes a double signature: float32 and complex64 input is widened exactly on
+entry and its results returned in double, where numpy.linalg narrows them.
 
 bench/tracing.py keys a jcone function by module and name, so this module
 and its public names make the per-layer counts lapack.eigh, lapack.eigvalsh,
@@ -37,8 +39,6 @@ _NOT_CONVERGED = _raising("Eigenvalues did not converge")
 _NOT_POSITIVE = _raising("Matrix is not positive definite")
 _SINGULAR = _raising("Singular matrix")
 
-# numpy.linalg computes single precision in double and narrows the results.
-_WIDE = {"d": "d", "D": "D", "f": "d", "F": "D"}
 _EIGH = {t: partial(_umath_linalg.eigh_lo, signature=f"{t}->d{t}") for t in "dD"}
 _EIGVALSH = {t: partial(_umath_linalg.eigvalsh_lo, signature=f"{t}->d") for t in "dD"}
 _CHOLESKY = {t: partial(_umath_linalg.cholesky_lo, signature=f"{t}->{t}") for t in "dD"}
@@ -53,41 +53,29 @@ def _square(a):
                           "two-dimensional")
     if a.shape[-2] != a.shape[-1]:
         raise LinAlgError("Last 2 dimensions of the array must be square")
-    t = _WIDE.get(a.dtype.char)
-    if t is None:
-        if a.dtype.kind in "fc":
-            raise TypeError(f"array type {a.dtype.name} is unsupported in linalg")
-        t = "d"
-    return a, t
-
-
-def _narrow(r, a, real=False):
-    """r as numpy.linalg returns it for input a: single precision for float32
-    and complex64 input, real for eigenvalues."""
-    if a.dtype.char not in "fF":
-        return r
-    return r.astype(np.float32 if real else a.dtype)
+    if a.dtype.char in "eGg":
+        raise TypeError(f"array type {a.dtype.name} is unsupported in linalg")
+    return a, "D" if a.dtype.kind == "c" else "d"
 
 
 def eigh(a):
     """(ascending eigenvalues, eigenvectors) from the lower triangle of a."""
     a, t = _square(a)
-    w, v = _under(_NOT_CONVERGED, _EIGH[t], a)
-    return _narrow(w, a, real=True), _narrow(v, a)
+    return _under(_NOT_CONVERGED, _EIGH[t], a)
 
 
 def eigvalsh(a):
     """Ascending eigenvalues from the lower triangle of a."""
     a, t = _square(a)
-    return _narrow(_under(_NOT_CONVERGED, _EIGVALSH[t], a), a, real=True)
+    return _under(_NOT_CONVERGED, _EIGVALSH[t], a)
 
 
 def cholesky(a):
     """Lower Cholesky factor of a, read from its lower triangle."""
     a, t = _square(a)
-    return _narrow(_under(_NOT_POSITIVE, _CHOLESKY[t], a), a)
+    return _under(_NOT_POSITIVE, _CHOLESKY[t], a)
 
 
 def inv(a):
     a, t = _square(a)
-    return _narrow(_under(_SINGULAR, _INV[t], a), a)
+    return _under(_SINGULAR, _INV[t], a)

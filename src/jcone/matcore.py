@@ -38,7 +38,8 @@ up to 40 rows, and wider one that skips the zero blocks above the diagonal.
 LAPACK rule: every eigh, eigvalsh, cholesky and inv here is a call to
 jcone.lapack, numpy.linalg's own gufuncs without its per-call wrapper, which
 costs more than the factorization at n = 3, or its error state built on each
-call; polar's svd stays on numpy.linalg.  The calls go through the module
+call; polar's svd stays on numpy.linalg.  Each factorization is taken in
+double, single precision widened on entry.  The calls go through the module
 (lapack.eigh), so a count or trace patched onto jcone.lapack sees each one.
 
 Stack rule: every function here keeps the stack contract (see stacks).
@@ -461,7 +462,7 @@ def spectral_function(X, f, floor: float | None = None):
         require(lam > limit, NotPositive, "smallest eigenvalue {:.3e} not above {:.3e}",
                 lam, limit)
     fw, T = _under(_IGNORED, _weighted, f, w, U, X)
-    return _unembed(T if np.iscomplexobj(M) else T.real, X), _descending(fw, X)
+    return _unembed(T, X), _descending(fw, X)
 
 
 def _weighted(f, w, U, X):
@@ -685,13 +686,14 @@ def _project_to_image(M: np.ndarray, X):
 def polar(X):
     """Polar factors X = K R, K unitary and R = (X* X)^{1/2}, with the descending
     singular values of X, from one svd X = W diag(s) V*: K = W V* and
-    R = V diag(s) V*.  Raises Singular unless the smallest singular value
-    exceeds 1e-13 times the largest, and NotFinite if an entry is not finite.
+    R = V diag(s) V*, in double.  Raises Singular unless the smallest singular
+    value exceeds 1e-13 times the largest, and NotFinite if an entry is not finite.
 
     Over H the svd of Psi(X) leaves K off the image of Psi by eps / s_min,
     so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
     """
-    W, s, Vh = np.linalg.svd(_finite(_embed(X)))
+    M = _embed(X)
+    W, s, Vh = np.linalg.svd(_finite(M.astype(np.result_type(M.dtype, np.float64), copy=False)))
     require(s[..., -1] > 1e-13 * s[..., 0], Singular,
             "singular-value ratio {:.3e} not above 1e-13",
             s[..., -1] / np.maximum(s[..., 0], 1e-300))

@@ -143,9 +143,7 @@ def _tiled(X: JPositive, k: int) -> JPositive:
 def _pow(x, y):
     """x ** y per trial by the C library's pow, as a Python float power takes
     it: numpy's vectorized power may differ from it in the last bit."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return _scalar_pow(x, y).astype(float)
-    return x ** y
+    return _scalar_pow(x, y).astype(float)
 
 
 def _j_bump(sig: Signature, fld: str, rng, scale: float):

@@ -127,24 +127,17 @@ def scatter(mask, values, base):
 
 def _norm(M: np.ndarray):
     """Frobenius norm of a matrix, or of each member of a stack, bit for bit
-    np.linalg.norm's: each member raveled as it would be alone (_raveled)
-    and its sum of squares taken by the BLAS dot (_row_norms)."""
-    return _row_norms(_raveled(np.asarray(M)))
-
-
-def _raveled(M: np.ndarray) -> np.ndarray:
-    """Each member of M (..., r, c) raveled as ravel(order="K") ravels it
-    alone: in memory order, with an axis of negative stride reversed.  The
-    members of one array share their strides, so one rule serves them all."""
+    np.linalg.norm's: a matrix raveled as ravel(order="K") ravels it and its
+    sum of squares taken by the BLAS dot (_row_norms).  A stack of C-ordered
+    members (every stack the cone operations build) is raveled in one
+    reshape; any other stack is taken member by member, each alone."""
+    M = np.asarray(M)
     if M.ndim == 2:
-        return M.ravel(order="K")   # the same rule, a microsecond cheaper than reshape
-    if M.strides[-2] < 0:
-        M = M[..., ::-1, :]
-    if M.strides[-1] < 0:
-        M = M[..., ::-1]
-    if M.strides[-2] < M.strides[-1]:
-        M = M.mT   # a member in column order ravels by columns
-    return M.reshape(M.shape[:-2] + (-1,))
+        return _row_norms(M.ravel(order="K"))
+    (r, c), size = M.shape[-2:], M.itemsize
+    if (r < 2 or M.strides[-2] == c * size) and (c < 2 or M.strides[-1] == size):
+        return _row_norms(M.reshape(M.shape[:-2] + (-1,)))
+    return np.array([_norm(m) for m in M]).reshape(M.shape[:-2])
 
 
 def _sum_of_squares(x: np.ndarray, dot):
@@ -159,8 +152,8 @@ def _row_norms(x: np.ndarray):
     whose sum of squares overflows is taken again as s ||x / s|| with s its
     largest |entry|, so finite entries give a finite norm wherever the norm
     itself is finite."""
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
+    if x.dtype.char not in "dD":   # integers and single precision, widened
+        x = x.astype(np.result_type(x.dtype, np.float64))
     if x.ndim > 1:
         # np.vecdot takes each row's dot as np.vdot takes one row's, but
         # warns when it overflows.

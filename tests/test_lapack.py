@@ -1,6 +1,8 @@
 """jcone.lapack against numpy.linalg: the same bytes, dtypes and errors,
 whatever the caller's error state, and no other module of the library
-reaching the four routines around it, nor entering numpy's errstate."""
+reaching the four routines around it, nor entering numpy's errstate.
+Single precision is computed and returned in double, so float32 and
+complex64 input gets the bytes numpy.linalg gives its widening."""
 
 import ast
 import re
@@ -13,7 +15,11 @@ import pytest
 from numpy.linalg import LinAlgError
 
 import jcone.lapack
-from jcone.matcore import QMatrix, psi_matrix
+from jcone.geometry import geodesic_distance
+from jcone.jcalc import log_J, polar_decompose_bullet, pow_J, random_invertible, random_pj
+from jcone.jstruct import Signature, is_j_positive
+from jcone.matcore import QMatrix, fnorm, psi_matrix
+from jcone.means import weighted_mean
 
 ROUTINES = ("eigh", "eigvalsh", "cholesky", "inv")
 SRC = Path(jcone.lapack.__file__).parent
@@ -57,9 +63,43 @@ def _parts(result):
 def test_same_bytes_and_dtypes_as_numpy(routine, name):
     a = INPUTS[name]
     ours = _parts(getattr(jcone.lapack, routine)(a))
+    if a.dtype.char in "fF":   # single precision: numpy.linalg on its double widening
+        a = a.astype(np.result_type(a.dtype, np.float64))
     theirs = _parts(getattr(np.linalg, routine)(a))
     assert [(x.dtype, x.shape) for x in ours] == [(y.dtype, y.shape) for y in theirs]
     assert [x.tobytes() for x in ours] == [y.tobytes() for y in theirs]
+
+
+def _single_precision_outputs(A, B):
+    """The outputs of a pair's cone operations, each as an array."""
+    half = weighted_mean(A, B, 0.5)
+    outputs = [half.mean.matrix, weighted_mean(A, B, 0.3).mean.matrix, half.riccati_residual,
+               geodesic_distance(A, B), pow_J(A, 0.3).matrix, pow_J(A, 2.0).matrix,
+               log_J(A), A.lambda_min_of_jx, fnorm(A.matrix)]
+    return [np.asarray(x) for x in outputs]
+
+
+@pytest.mark.parametrize("single", [np.float32, np.complex64])
+def test_single_precision_gives_its_double_widenings_bytes(single):
+    sig = Signature(2, 1)
+    field = "C" if single is np.complex64 else "R"
+    pair = [random_pj(sig, field, seed).matrix.astype(single) for seed in (3, 13)]
+    ours = _single_precision_outputs(*(is_j_positive(X, sig) for X in pair))
+    wide = _single_precision_outputs(*(is_j_positive(X.astype(np.result_type(single, np.float64)),
+                                                     sig) for X in pair))
+    assert [(x.dtype, x.tobytes()) for x in ours] == [(x.dtype, x.tobytes()) for x in wide]
+    assert ours[2] < (3e-12 if field == "R" else 1e-13)   # the residual at t = 1/2
+
+
+@pytest.mark.parametrize("single", [np.float32, np.complex64])
+def test_single_precision_polar_gives_its_double_widenings_bytes(single):
+    sig = Signature(2, 1)
+    g = random_invertible(sig, "C" if single is np.complex64 else "R", 5).astype(single)
+    ours = polar_decompose_bullet(g, sig)
+    wide = polar_decompose_bullet(g.astype(np.result_type(single, np.float64)), sig)
+    assert [x.dtype for x in (ours[0], ours[1].matrix)] == [wide[0].dtype] * 2
+    assert ours[0].tobytes() == wide[0].tobytes()
+    assert ours[1].matrix.tobytes() == wide[1].matrix.tobytes()
 
 
 FAILURES = [("cholesky", np.array([[1.0, 2.0], [2.0, 1.0]])),

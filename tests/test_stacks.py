@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import jcone.propcheck
+import jcone.stacks
 from jcone.errors import NotJPositive, WeightOutOfRange
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (GeneratorStack, exp_J, pow_J, random_invertible,
@@ -19,7 +20,7 @@ from jcone.matcore import QMatrix, _embed, fnorm, from_real, is_positive_definit
 from jcone.means import (ando_hiai_check, ando_hiai_normalize, furuta_check,
                          harmonic_mean_J, weighted_mean)
 from jcone.order import j_leq
-from jcone.propcheck import REGISTRY_BY_ID, Context
+from jcone.propcheck import REGISTRY_BY_ID, Context, run_suite
 from jcone.stacks import member, power, scatter, select
 from test_cli import _modules_loaded_by
 
@@ -115,6 +116,59 @@ def test_stacked_norm_of_huge_entries_under_a_raising_state():
     with np.errstate(all="raise"):
         norms = fnorm(M)
     assert norms.tolist() == expected and np.isfinite(expected).all()
+
+
+# Stacks whose members are not C-ordered: each member's norm is taken alone.
+LAYOUTS = {"rows reversed": lambda M: M[..., ::-1, :],
+           "columns reversed": lambda M: M[..., ::-1],
+           "both reversed": lambda M: M[..., ::-1, ::-1],
+           "stepped by -2": lambda M: np.repeat(M, 2, axis=-1)[..., ::-1, ::-2],
+           "Fortran-ordered": np.asfortranarray,
+           "members transposed": lambda M: M.mT}
+
+
+def _wide_range_stack(field, rng, shape):
+    """Entries over twelve decades, so that the order of a sum of squares
+    shows in its bits; over H the top rows [A, B] that fnorm takes."""
+    def part():
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    if field == "R":
+        return part()
+    z = part() + 1j * part()
+    return z if field == "C" else _embed(QMatrix(z, part() + 1j * part()))[..., :shape[-2], :]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_stacked_norm_of_any_layout_is_its_members_lone_norms(layout, field):
+    rng = np.random.default_rng(11)
+    for shape in ((5, 3, 3), (2, 3, 4, 4), (4, 7, 7)):
+        for _ in range(4):
+            M = LAYOUTS[layout](_wide_range_stack(field, rng, shape))
+            lone = [fnorm(M[i]) for i in np.ndindex(M.shape[:-2])]
+            assert fnorm(M).tobytes() == np.array(lone).reshape(M.shape[:-2]).tobytes()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_only_the_inverse_oracle_takes_the_member_by_member_norm(monkeypatch, field):
+    # The member-by-member norm calls stacks._norm on each member through the
+    # module's own name, which no other module calls it by: every stack the
+    # suites build is C-ordered but the np.linalg.inv oracle's difference.
+    running, seen = [None], set()
+    norm, run_property = jcone.stacks._norm, jcone.propcheck.run_property
+
+    def member_norm(M):
+        seen.add(running[0])
+        return norm(M)
+
+    def run(spec, *args):
+        running[0] = spec.property_id
+        return run_property(spec, *args)
+
+    monkeypatch.setattr(jcone.stacks, "_norm", member_norm)
+    monkeypatch.setattr(jcone.propcheck, "run_property", run)
+    run_suite("all", SIG, field, trials=5, seed=3)
+    assert seen == {"quat.psi_homomorphism"}
 
 
 def test_one_failing_member_rejects_the_stack():
@@ -302,6 +356,28 @@ def test_a_grid_makes_the_linalg_calls_of_one_point(monkeypatch, lapack_calls, p
     assert spec.grid == 9 and grid == run() and sum(grid.values()) > 0
 
 
+def test_each_grid_size_is_the_grid_its_property_stacks(monkeypatch):
+    # PropertySpec.grid sizes run_property's blocks; it must be the number of
+    # points the property puts on its grid axis, by _grid or, for
+    # powers.inverse_generic_gap, by its draw stack.
+    sizes, grid, draw = [], jcone.propcheck._grid, jcone.propcheck._random_matrix
+
+    def recorded_grid(rng, *values):
+        sizes.append(len(values))
+        return grid(rng, *values)
+
+    def recorded_draw(n, field, rng, stack=()):
+        sizes.extend(stack)
+        return draw(n, field, rng, stack)
+
+    monkeypatch.setattr(jcone.propcheck, "_grid", recorded_grid)
+    monkeypatch.setattr(jcone.propcheck, "_random_matrix", recorded_draw)
+    for spec in jcone.propcheck.REGISTRY:
+        sizes.clear()
+        spec.func(Context(SIG, "C", 1e-8), _generators(2))
+        assert set(sizes) <= {spec.grid} and bool(sizes) == (spec.grid > 1), spec.property_id
+
+
 def _generators(count, first=0):
     return GeneratorStack([np.random.default_rng(first + i) for i in range(count)])
 
@@ -342,7 +418,7 @@ def test_stacked_distances_are_their_lone_calls(p, q, field):
 # The helpers of the stack contract, each written once, in jcone.stacks.
 STACK_HELPERS = {"_out", "min_of", "max_of", "all_of", "any_of", "first_failed",
                  "per_member", "_real", "member", "select", "scatter", "_norm",
-                 "_raveled", "_sum_of_squares", "_row_norms", "power", "_under"}
+                 "_sum_of_squares", "_row_norms", "power", "_under"}
 SRC = Path(jcone.propcheck.__file__).parent
 
 
