@@ -4,7 +4,9 @@ Each property is registered under a stable id and grouped into suites
 (powers, order, geometry, means, inequalities, quaternion).  A trial draws
 its own generator from (seed, trial index, property id), so reports are
 deterministic and trials are order-independent.  The counterexample is the
-last failing trial's own inputs, reproducible from (seed, trial, id).
+last failing trial's own inputs, reproducible from (seed, trial, id): the
+trial's generator is np.random.default_rng((seed, crc32(id), trial)), bit for
+bit, built by _trial_rng from numpy's public SeedSequence and ISeedSequence.
 
 A property f(ctx, rng) runs a block of trials in one call: rng is a
 GeneratorStack of the block's trial generators, each draw returns one result
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -583,8 +585,58 @@ REGISTRY = [
 REGISTRY_BY_ID = {spec.property_id: spec for spec in REGISTRY}
 
 
+# A trial's generator is np.random.default_rng((seed, crc32(id), trial)), bit
+# for bit, built without default_rng's wrappers: numpy's SeedSequence mixes the
+# tuple's entropy words into its pool, and the output hash of its
+# generate_state(4, np.uint64) runs here on the pool cycled twice, a (2, 4)
+# layout.  Its constants depend on no data: word i is XORed with
+# INIT_B * MULT_B**i and multiplied by INIT_B * MULT_B**(i + 1), mod 2**32.
+_HASH = np.array([0x8B51F9DD * 0x58F38DED ** i & 0xFFFFFFFF for i in range(9)],
+                 dtype=np.uint32)
+_HASH_XOR, _HASH_MUL = _HASH[:8].reshape(2, 4), _HASH[1:].reshape(2, 4)
+
+
+def _entropy_words(n: int) -> list:
+    """numpy's coercion of an int seed: its little-endian 32-bit words, [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@cache
+def _numpy_random() -> tuple:
+    """SeedSequence, PCG64, Generator, and a seed sequence that hands PCG64
+    its ready-made state words (so a trial's generator neither spawns nor
+    pickles).  Importing numpy.random costs about 10 ms, so it loads at the
+    first trial, not with this module."""
+    class ReadyState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return np.random.SeedSequence, np.random.PCG64, np.random.Generator, ReadyState
+
+
 def _trial_rng(seed: int, property_id: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), zlib.crc32(property_id.encode()), trial))
+    SeedSequence, PCG64, Generator, ReadyState = _numpy_random()
+    entropy = (_entropy_words(int(seed)) + [zlib.crc32(property_id.encode())]
+               + _entropy_words(trial))
+    # uint32 arrays wrap on overflow, with no warning and no error state.
+    s = SeedSequence(np.array(entropy, dtype=np.uint32)).pool ^ _HASH_XOR
+    s *= _HASH_MUL
+    s ^= s >> 16
+    # generate_state reads each pair of hashed words, as '<u4', as one '<u8';
+    # on a little-endian host neither cast copies.
+    words = s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return Generator(PCG64(ReadyState(words.ravel())))
 
 
 # Entries of one stacked n x n array of a block, over the grid points and

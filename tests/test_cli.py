@@ -360,6 +360,13 @@ def test_cli_import_loads_no_scipy(module):
     assert _modules_loaded_by(module, "scipy", run) == "[]"
 
 
+@pytest.mark.parametrize("module", ["jcone", "jcone.propcheck"])
+def test_import_loads_no_numpy_random(module):
+    # Importing numpy.random costs about 10 ms; the property runner loads it
+    # at its first trial, so a process that runs no trial goes without it.
+    assert _modules_loaded_by(module, "numpy.random") == "[]"
+
+
 def test_cli_import_loads_no_propcheck():
     # The property suites are the largest module; only `jcone check` runs
     # them, so every other command's process goes without them.

@@ -166,6 +166,20 @@ class TestOdeResidual:
         with pytest.raises(StepTooSmall):
             geodesic_ode_residual(A, B, 0.5, 1e-8)
 
+    @pytest.mark.parametrize("at", ["h", "1-h"])
+    def test_t_on_the_boundary_raises(self, at):
+        # t must lie strictly inside (h, 1-h): at either end a central
+        # difference would reach past [0, 1].
+        rng = np.random.default_rng(11)
+        A = random_pj_bounded(SIG, "R", rng)
+        B = random_pj_bounded(SIG, "R", rng)
+        h = 1e-4
+        t = h if at == "h" else 1.0 - h
+        with pytest.raises(ValueError, match=r"need t in \(h, 1-h\)"):
+            curve_ode_residual(lambda s: A.matrix, t, h)
+        with pytest.raises(ValueError, match=r"need t in \(h, 1-h\)"):
+            geodesic_ode_residual(A, B, t, h)
+
     def test_nan_step_is_named(self):
         rng = np.random.default_rng(11)
         A = random_pj_bounded(SIG, "R", rng)

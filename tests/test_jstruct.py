@@ -206,6 +206,13 @@ class TestSchur:
         with pytest.raises(IndeterminateSchur):
             schur_j_positive(block_decompose(H, SIG))
 
+    def test_indeterminate_at_the_limit(self):
+        # lambda_min of the leading block equals its limit tol * max(1, |lambda|)
+        # exactly: not above it, so the verdict is indeterminate.
+        H = np.array([[1e-10]])
+        with pytest.raises(IndeterminateSchur):
+            schur_j_positive(block_decompose(H, Signature(1, 0)), 1e-10)
+
     def test_blocks_not_retested(self):
         # J-Hermitian to 5.7e-10 at ||H|| = 2.6: inside tol 1e-9, and the
         # blocks of H must not be tested again at a fixed 1e-10.

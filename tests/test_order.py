@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jcone.errors import NotHermitian, NotJHermitian
-from jcone.jcalc import pow_J, random_invertible, random_pj_bounded
+from jcone.jcalc import pow_J, random_invertible, random_pj, random_pj_bounded
 from jcone.jstruct import Signature, is_j_positive, phi_J_inv, sharp
 from jcone.matcore import adjoint, fnorm, mat_inverse
 from jcone.order import j_leq, loewner_leq
@@ -93,3 +93,20 @@ class TestOrderLemmas:
             X, Y = comparable_pair(sig, field, rng)
             assert j_leq(mat_inverse(Y.matrix), mat_inverse(X.matrix), sig,
                          tol=1e-8).holds
+
+
+@pytest.mark.parametrize("single", [np.float32, np.complex64])
+def test_single_precision_margin_is_its_double_widenings(single):
+    # The difference of two single-precision images is formed in double, so
+    # the margins are those of the pair widened to double; a float32
+    # difference gave the R pair a margin 2e-7 above its widening's.
+    sig = Signature(2, 1)
+    field = "C" if single is np.complex64 else "R"
+    pair = [random_pj(sig, field, seed).matrix.astype(single) for seed in (3, 13)]
+    wide = [X.astype(np.result_type(single, np.float64)) for X in pair]
+    certified, certified_wide = ([is_j_positive(X, sig) for X in p] for p in (pair, wide))
+    margins = [j_leq(*certified).margin, j_leq(*pair, sig).margin,
+               loewner_leq(*(A.jx for A in certified)).margin]
+    theirs = [j_leq(*certified_wide).margin, j_leq(*wide, sig).margin,
+              loewner_leq(*(A.jx for A in certified_wide)).margin]
+    assert np.array(margins).tobytes() == np.array(theirs).tobytes()

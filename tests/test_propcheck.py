@@ -1,10 +1,12 @@
 import inspect
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from jcone import propcheck
 from jcone.errors import JConeError, UnknownSuite, threshold
 from jcone.jcalc import GeneratorStack
 from jcone.jstruct import Signature
@@ -122,6 +124,47 @@ class TestRunner:
             assert payload["property_id"] == r.property_id
             assert payload["failures"] == 0
             assert isinstance(payload["worst_margin"], float)
+
+
+def _default_rng_trial(seed, property_id, trial):
+    """A trial's generator as numpy's default_rng builds it from the tuple."""
+    return np.random.default_rng((int(seed), zlib.crc32(property_id.encode()), trial))
+
+
+class TestTrialStreams:
+    """_trial_rng builds default_rng((seed, crc32(id), trial))'s generator
+    from numpy's SeedSequence pool: the same state, so every counterexample
+    still reruns from (seed, id, trial), and a NumPy release that changes
+    SeedSequence fails here."""
+
+    # crc32 below 2**31, and at or above it.
+    IDS = ("means.scaling", "means.symmetry")
+    assert [zlib.crc32(i.encode()) >= 2 ** 31 for i in IDS] == [False, True]
+
+    @pytest.mark.parametrize("property_id", IDS)
+    @pytest.mark.parametrize("trial", [0, 1, 199, 7280, 2 ** 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+    def test_state_is_default_rngs(self, seed, trial, property_id):
+        ours = _trial_rng(seed, property_id, trial)
+        theirs = _default_rng_trial(seed, property_id, trial)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.standard_normal(4).tobytes() == theirs.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_trial_raises_value_error(self, seed, trial):
+        with pytest.raises(ValueError):
+            _default_rng_trial(seed, "means.symmetry", trial)
+        with pytest.raises(ValueError):
+            _trial_rng(seed, "means.symmetry", trial)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reports_are_default_rngs(self, monkeypatch, field, seed):
+        ctx = Context(Signature(2, 1), field, 1e-8)
+        ours = [run_property(spec, ctx, 3, seed).to_json_line() for spec in REGISTRY]
+        monkeypatch.setattr(propcheck, "_trial_rng", _default_rng_trial)
+        theirs = [run_property(spec, ctx, 3, seed).to_json_line() for spec in REGISTRY]
+        assert ours == theirs
 
 
 def _nan_margin(monkeypatch, name):
