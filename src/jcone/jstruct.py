@@ -34,7 +34,7 @@ from .matcore import (_check_hermitian, _embed, _finite, _positivity,
                       adjoint, block2x2, cholesky_factor, eigvals_unchecked,
                       field_of, fnorm, from_real, identity, mat_inverse,
                       negate_rows)
-from .stacks import _out, all_of, any_of, member, per_member, scatter, select
+from .stacks import _double, _out, all_of, any_of, member, per_member, scatter, select
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _is_identity(product, g, tol: float):
     within threshold(tol, ||h||_F^2) for h = g / c, the same test over c^2
     (||h||_F >= 1 when c > 1).  Raises NotFinite on a non-finite entry."""
     c = threshold(1.0, _out(np.abs(_finite(_embed(g))).max(axis=(-2, -1))))
-    h = g / per_member(c)
+    h = _double(g) / per_member(c)
     eye = identity(g.shape[-1], field_of(g)) * per_member((1.0 / c) ** 2)
     return fnorm(product(h) - eye) <= threshold(tol, fnorm(h) ** 2)
 
@@ -238,13 +238,7 @@ def _holding(jx, sig: Signature, lam) -> JPositive:
 
 def is_j_positive(X, sig: Signature, tol: float = 1e-10) -> JPositive:
     """Certify membership in P_J of X from outside the library; raises on rejection."""
-    _check_dim(X, sig)
-    return _certify_image(sig.flip(X), sig, tol)
-
-
-def _certify_image(jx, sig: Signature, tol: float) -> JPositive:
-    """is_j_positive(X) taken on its image jx = JX, which the member holds."""
-    _j_hermitian(jx, tol)
+    jx = phi_J(X, sig, tol)
     lam_min, limit = _positivity(eigvals_unchecked(jx), tol)
     require(lam_min > limit, NotJPositive, "lambda_min(JX) = {:.3e} not above {:.3e}",
             lam_min, limit)

@@ -38,8 +38,8 @@ up to 40 rows, and wider one that skips the zero blocks above the diagonal.
 LAPACK rule: every eigh, eigvalsh, cholesky and inv here is a call to
 jcone.lapack, numpy.linalg's own gufuncs without its per-call wrapper, which
 costs more than the factorization at n = 3, or its error state built on each
-call; polar's svd stays on numpy.linalg.  Each factorization is taken in
-double, single precision widened on entry.  The calls go through the module
+call; polar's svd stays on numpy.linalg.  Raw input is widened to double
+where first read (stacks._double).  The calls go through the module
 (lapack.eigh), so a count or trace patched onto jcone.lapack sees each one.
 
 Stack rule: every function here keeps the stack contract (see stacks).
@@ -56,7 +56,7 @@ from . import lapack
 from .errors import (NotFinite, NotHermitian, NotInImage, NotPositive, Singular,
                      certify, require, threshold)
 from .scalars import Quaternion
-from .stacks import _IGNORED, _norm, _out, _real, _under, min_of, power
+from .stacks import _IGNORED, _double, _norm, _out, _real, _under, min_of, power
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -311,8 +311,8 @@ def _unembed(T: np.ndarray, X):
 
 
 def negate_rows(X, p: int):
-    """X with its rows from p on negated, over H those of both halves of
-    Psi(X).  Negation is exact, so an infinite entry stays infinite where a
+    """X in double with its rows from p on negated, over H those of both halves
+    of Psi(X).  Negation is exact, so an infinite entry stays infinite where a
     product with a complex sign would add 0 * inf, a NaN, to its other part."""
     if isinstance(X, QMatrix):
         M = X.m.copy()
@@ -321,7 +321,7 @@ def negate_rows(X, p: int):
         np.negative(top, out=top)
         np.negative(bottom, out=bottom)
         return QMatrix._of(M)
-    M = np.array(X)
+    M = np.array(_double(X))
     rows = M[..., p:, :]
     np.negative(rows, out=rows)
     return M
@@ -330,7 +330,7 @@ def negate_rows(X, p: int):
 def mat_inverse(X):
     """X^{-1} from one inv.  Raises Singular if inv fails or the 1-norm
     condition number ||X||_1 ||X^{-1}||_1 is not below 1e13."""
-    M = _embed(X)
+    M = _double(_embed(X))
     try:
         inv = lapack.inv(M)
     except np.linalg.LinAlgError as exc:
@@ -341,7 +341,8 @@ def mat_inverse(X):
 
 
 def _check_hermitian(X, tol: float = 1e-10, error=NotHermitian, invariant="adjoint-symmetry"):
-    """(X, ||X||_F), once X passes the one Hermitian test."""
+    """(X in double, ||X||_F), once X passes the one Hermitian test."""
+    X = _double(X)
     nrm = fnorm(X)
     certify(fnorm(X - adjoint(X)), threshold(tol, nrm), error, invariant)
     return X, nrm
@@ -414,13 +415,13 @@ def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
     """Quaternionic unitary factor from the descending eigenpairs of Psi(X).
 
     Eigenvectors of Psi(X) come in pairs spanning one quaternionic line each;
-    a quaternionic Gram-Schmidt pass selects n of the 2n and orthonormalizes
-    inside degenerate clusters.
+    a quaternionic Gram-Schmidt pass orthonormalizes inside degenerate
+    clusters and keeps n of the 2n: V is unitary and a dropped column lies
+    within 1e-3 of the kept span, so were fewer kept, its complement W would
+    have 2 <= ||P_W V||_F^2 <= 2n 1e-6, which needs n >= 10^6.
     """
     n = V.shape[-2] // 2
     U, kept = _orthonormal_columns(V, n, 1e-3)
-    if any(len(k) != n for k in (kept if V.ndim > 2 else [kept])):
-        raise NotHermitian("quaternionic eigenvector selection failed")
     kept = np.array(kept).reshape(w.shape[:-1] + (n,))
     return SpectralDecomposition(U, np.take_along_axis(w, kept, -1))
 
@@ -692,8 +693,7 @@ def polar(X):
     Over H the svd of Psi(X) leaves K off the image of Psi by eps / s_min,
     so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
     """
-    M = _embed(X)
-    W, s, Vh = np.linalg.svd(_finite(M.astype(np.result_type(M.dtype, np.float64), copy=False)))
+    W, s, Vh = np.linalg.svd(_finite(_double(_embed(X))))
     require(s[..., -1] > 1e-13 * s[..., 0], Singular,
             "singular-value ratio {:.3e} not above 1e-13",
             s[..., -1] / np.maximum(s[..., 0], 1e-300))

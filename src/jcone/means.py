@@ -31,9 +31,8 @@ from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
                      certify, require, threshold)
 from .geometry import _check_pair, _pencil
 from .jcalc import pow_J
-from .jstruct import (JPositive, _certify_image, certify_constructed, merged,
-                      phi_J)
-from .matcore import Pencil, block2x2, eigvals_unchecked, fnorm, identity
+from .jstruct import JPositive, certify_constructed, merged, phi_J
+from .matcore import Pencil, adjoint, block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, _psd_verdict, j_leq
 from .stacks import _out, _real, any_of, per_member, scatter, select
 
@@ -148,13 +147,15 @@ def harmonic_mean_J(A: JPositive, B: JPositive, t=0.5) -> JPositive:
 def commuting_bullet_mean(A: JPositive, B: JPositive, t: float = 0.5,
                           tol: float = 1e-8) -> JPositive:
     """Closed form A^{1-t}_J . B^t_J, valid when A and B bullet-commute.  Since
-    J(X . Y) = JX JY, it is tested and certified on images, as is_j_positive would."""
+    J(X . Y) = JX JY, it is tested on images, and certified as built: JX is
+    the Hermitian part of JA^{1-t} JB^t, Hermitian as far as they commute."""
     _check_pair(A, B)
     ja, jb = A.jx, B.jx
     certify(fnorm(ja @ jb - jb @ ja), threshold(tol, fnorm(ja) * fnorm(jb)),
             NotBulletCommuting, "bullet-commutator")
     t = _weight(t)
-    return _certify_image(pow_J(A, 1.0 - t).jx @ pow_J(B, t).jx, A.signature, 1e-10)
+    P = pow_J(A, 1.0 - t).jx @ pow_J(B, t).jx
+    return certify_constructed((P + adjoint(P)) * 0.5, A.signature)
 
 
 @dataclass(frozen=True)

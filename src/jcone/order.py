@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, SignatureMismatch, threshold
 from .jstruct import JPositive, Signature, _check_dim, _j_hermitian
 from .matcore import _check_hermitian, eigvals_unchecked, fnorm
@@ -31,17 +29,7 @@ def loewner_leq(X, Y, tol: float = 1e-9) -> OrderVerdict:
     if X.shape[-2:] != Y.shape[-2:]:
         raise DimensionMismatch("operands differ in shape")
     (X, nx), (Y, ny) = _check_hermitian(X, 1e-8), _check_hermitian(Y, 1e-8)
-    return _psd_verdict(_difference(Y, X), tol, nx, ny)
-
-
-def _difference(Y, X):
-    """Y - X, formed in double where it would round to single precision: the
-    eigenvalue test widens single precision exactly, so the margin is then
-    the one of the operands' double widening."""
-    D = Y - X
-    if type(D) is np.ndarray and D.dtype.char in "fF":   # a QMatrix is complex double
-        D = np.subtract(Y, X, dtype=np.result_type(D.dtype, np.float64))
-    return D
+    return _psd_verdict(Y - X, tol, nx, ny)
 
 
 def _psd_verdict(D, tol: float, *scales: float) -> OrderVerdict:
@@ -65,4 +53,4 @@ def j_leq(X, Y, sig: Signature = None, tol: float = 1e-9) -> OrderVerdict:
             raise SignatureMismatch("operands live over different signatures")
         return Z.jx, fnorm(Z.jx)
     (jx, nx), (jy, ny) = image(X), image(Y)
-    return _psd_verdict(_difference(jy, jx), tol, nx, ny)
+    return _psd_verdict(jy - jx, tol, nx, ny)

@@ -43,6 +43,14 @@ def _under(state, f, *args):
         _extobj_contextvar.reset(token)
 
 
+def _double(x):
+    """x with integers, booleans and half or single precision widened exactly
+    to double; double and a QMatrix pass as they are.  Raw input meets it
+    where the library first reads it."""
+    narrow = isinstance(x, np.ndarray) and x.dtype.char not in "dD"
+    return x.astype(np.result_type(x.dtype, np.float64)) if narrow else x
+
+
 def _out(x):
     """A per-member value as returned: the array over a stack, a Python
     scalar for one matrix."""
@@ -152,8 +160,7 @@ def _row_norms(x: np.ndarray):
     whose sum of squares overflows is taken again as s ||x / s|| with s its
     largest |entry|, so finite entries give a finite norm wherever the norm
     itself is finite."""
-    if x.dtype.char not in "dD":   # integers and single precision, widened
-        x = x.astype(np.result_type(x.dtype, np.float64))
+    x = _double(x)
     if x.ndim > 1:
         # np.vecdot takes each row's dot as np.vdot takes one row's, but
         # warns when it overflows.

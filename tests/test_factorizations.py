@@ -128,6 +128,16 @@ def test_flip_count(monkeypatch, op, make, field):
         assert len(calls) == FLIPS[op], calls
 
 
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_commuting_bullet_mean_factorization_count(lapack_calls, field):
+    # Two J-powers and the Cholesky factorization that certifies the result.
+    A = random_pj(SIG, field, 1)
+    B = pow_J(A, 0.3)
+    lapack_calls.clear()
+    commuting_bullet_mean(A, B, 0.3)
+    assert Counter(lapack_calls) == Counter({"eigh": 2, "cholesky": 1}), lapack_calls
+
+
 def _member_of(value, i):
     """Member i of an operation's stacked output, whatever its type."""
     if isinstance(value, JPositive):

@@ -2,7 +2,8 @@
 whatever the caller's error state, and no other module of the library
 reaching the four routines around it, nor entering numpy's errstate.
 Single precision is computed and returned in double, so float32 and
-complex64 input gets the bytes numpy.linalg gives its widening."""
+complex64 input gets the bytes numpy.linalg gives its widening, from each
+LAPACK routine and from each cone operation on raw input."""
 
 import ast
 import re
@@ -16,10 +17,13 @@ from numpy.linalg import LinAlgError
 
 import jcone.lapack
 from jcone.geometry import geodesic_distance
-from jcone.jcalc import log_J, polar_decompose_bullet, pow_J, random_invertible, random_pj
-from jcone.jstruct import Signature, is_j_positive
+from jcone.jcalc import (log_J, polar_decompose_bullet, pow_J, random_invertible, random_kj,
+                         random_pj)
+from jcone.jstruct import Signature, is_in_U_J, is_j_positive, phi_J, sharp
 from jcone.matcore import QMatrix, fnorm, psi_matrix
-from jcone.means import weighted_mean
+from jcone.means import (arithmetic_mean_J, commuting_bullet_mean, harmonic_mean_J,
+                         maximality_check, weighted_mean)
+from jcone.order import j_leq, loewner_leq
 
 ROUTINES = ("eigh", "eigvalsh", "cholesky", "inv")
 SRC = Path(jcone.lapack.__file__).parent
@@ -70,25 +74,83 @@ def test_same_bytes_and_dtypes_as_numpy(routine, name):
     assert [x.tobytes() for x in ours] == [y.tobytes() for y in theirs]
 
 
-def _single_precision_outputs(A, B):
-    """The outputs of a pair's cone operations, each as an array."""
-    half = weighted_mean(A, B, 0.5)
-    outputs = [half.mean.matrix, weighted_mean(A, B, 0.3).mean.matrix, half.riccati_residual,
-               geodesic_distance(A, B), pow_J(A, 0.3).matrix, pow_J(A, 2.0).matrix,
-               log_J(A), A.lambda_min_of_jx, fnorm(A.matrix)]
-    return [np.asarray(x) for x in outputs]
+def _single_image(Z, sig):
+    """JZ in the precision of Z: its last q rows negated, exactly."""
+    out = Z.copy()
+    out[sig.p:] *= -1
+    return out
+
+
+SP_SIG = Signature(2, 1)
+
+# Each output of the cone operations, by name, on the raw single-precision
+# matrices r: X and Y (J-positive), their images JX and JY, M (J-Hermitian)
+# and g (J-unitary), each passed through entry first: as it is, or widened
+# to double.  A and B are the members certified from r's X and Y, and
+# C = A^0.7_J bullet-commutes with A.
+SINGLE_PRECISION_OUTPUTS = {
+    "jx": lambda r, A, B, C: A.jx,
+    "weighted_mean_t0.5": lambda r, A, B, C: weighted_mean(A, B, 0.5).mean.matrix,
+    "weighted_mean_t0.3": lambda r, A, B, C: weighted_mean(A, B, 0.3).mean.matrix,
+    "riccati_residual": lambda r, A, B, C: weighted_mean(A, B, 0.5).riccati_residual,
+    "geodesic_distance": lambda r, A, B, C: geodesic_distance(A, B),
+    "pow_J_t0.3": lambda r, A, B, C: pow_J(A, 0.3).matrix,
+    "pow_J_t2": lambda r, A, B, C: pow_J(A, 2.0).matrix,
+    "log_J": lambda r, A, B, C: log_J(A),
+    "lambda_min_of_jx": lambda r, A, B, C: A.lambda_min_of_jx,
+    "fnorm": lambda r, A, B, C: fnorm(A.matrix),
+    "arithmetic_mean_J": lambda r, A, B, C: arithmetic_mean_J(A, B, 0.3).matrix,
+    "harmonic_mean_J": lambda r, A, B, C: harmonic_mean_J(A, B, 0.3).matrix,
+    "commuting_bullet_mean": lambda r, A, B, C: commuting_bullet_mean(A, C, 0.3).matrix,
+    "j_leq_members": lambda r, A, B, C: j_leq(A, B).margin,
+    "j_leq_raw": lambda r, A, B, C: j_leq(r["X"], r["Y"], SP_SIG).margin,
+    "loewner_leq": lambda r, A, B, C: loewner_leq(r["JX"], r["JY"]).margin,
+    "maximality_check": lambda r, A, B, C: maximality_check(r["M"], A, B).margin,
+    "sharp": lambda r, A, B, C: sharp(r["X"], SP_SIG),
+    "phi_J": lambda r, A, B, C: phi_J(r["X"], SP_SIG),
+    "is_in_U_J": lambda r, A, B, C: is_in_U_J(r["g"], SP_SIG, 1e-6),
+}
+
+
+def _single_precision_outputs(single, entry):
+    field = "C" if single is np.complex64 else "R"
+    X, Y = (random_pj(SP_SIG, field, seed).matrix.astype(single) for seed in (3, 13))
+    A, B = (is_j_positive(Z.astype(np.result_type(single, np.float64)), SP_SIG)
+            for Z in (X, Y))
+    raw = {"X": X, "Y": Y, "JX": _single_image(X, SP_SIG), "JY": _single_image(Y, SP_SIG),
+           "M": weighted_mean(A, B, 0.5).mean.matrix.astype(single),
+           "g": random_kj(SP_SIG, field, 5).astype(single)}
+    raw = {k: entry(v) for k, v in raw.items()}
+    A, B = (is_j_positive(raw[k], SP_SIG) for k in "XY")
+    C = pow_J(A, 0.7)
+    return {name: np.asarray(out(raw, A, B, C))
+            for name, out in SINGLE_PRECISION_OUTPUTS.items()}
 
 
 @pytest.mark.parametrize("single", [np.float32, np.complex64])
 def test_single_precision_gives_its_double_widenings_bytes(single):
-    sig = Signature(2, 1)
-    field = "C" if single is np.complex64 else "R"
-    pair = [random_pj(sig, field, seed).matrix.astype(single) for seed in (3, 13)]
-    ours = _single_precision_outputs(*(is_j_positive(X, sig) for X in pair))
-    wide = _single_precision_outputs(*(is_j_positive(X.astype(np.result_type(single, np.float64)),
-                                                     sig) for X in pair))
-    assert [(x.dtype, x.tobytes()) for x in ours] == [(x.dtype, x.tobytes()) for x in wide]
-    assert ours[2] < (3e-12 if field == "R" else 1e-13)   # the residual at t = 1/2
+    # Raw input is widened where J or the Hermitian test first reads it, so
+    # every output has the dtype and the bytes of the double widening's.
+    ours = _single_precision_outputs(single, lambda Z: Z)
+    wide = _single_precision_outputs(single, lambda Z: Z.astype(np.result_type(Z, np.float64)))
+    assert {k: (x.dtype, x.tobytes()) for k, x in ours.items()} == \
+        {k: (x.dtype, x.tobytes()) for k, x in wide.items()}
+    assert ours["jx"].dtype == np.result_type(single, np.float64)
+    assert ours["riccati_residual"] < (3e-12 if single is np.float32 else 1e-13)
+    assert ours["is_in_U_J"] and ours["maximality_check"] > -1e-6
+
+
+_SMALL = np.array([[4, 1, 0], [1, 3, 0], [0, 0, -2]])
+
+
+@pytest.mark.parametrize("X, sig", [(_SMALL, Signature(2, 1)),
+                                    (_SMALL.astype(np.float16), Signature(2, 1)),
+                                    (np.eye(3, dtype=bool), Signature(3, 0))],
+                         ids=["int64", "float16", "bool"])
+def test_integer_and_half_precision_input_is_certified_in_double(X, sig):
+    ours, wide = is_j_positive(X, sig), is_j_positive(X.astype(np.float64), sig)
+    assert ours.jx.dtype == np.float64 and ours.jx.tobytes() == wide.jx.tobytes()
+    assert ours.lambda_min_of_jx == wide.lambda_min_of_jx
 
 
 @pytest.mark.parametrize("single", [np.float32, np.complex64])

@@ -289,6 +289,19 @@ class TestCommutingClosedForm:
                 assert allclose(commuting_bullet_mean(A, B, t).matrix,
                                 weighted_mean(A, B, t).mean.matrix, tol=1e-9)
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_nearly_commuting_pair_gives_the_mean(self, field):
+        # B = A^0.7_J + 1e-9 J P, P Hermitian, commutes with A to about 1e-9
+        # relative, inside the 1e-8 bullet-commutator test, and their product
+        # is Hermitian only that far: the result is certified by the
+        # Cholesky factorization of its Hermitian part alone.
+        sig = Signature(2, 1)
+        A = random_pj(sig, field, 3)
+        g = random_invertible(sig, field, 102)
+        B = is_j_positive(pow_J(A, 0.7).matrix + sig.flip((g + adjoint(g)) * 0.5) * 1e-9, sig)
+        mean = commuting_bullet_mean(A, B, 0.3)
+        assert allclose(mean.matrix, weighted_mean(A, B, 0.3).mean.matrix, tol=1e-9)
+
     def test_product_commuting_pair_rejected(self):
         A = is_j_positive(PAPER_A, SIG)
         B = is_j_positive(PAPER_B, SIG)

@@ -97,9 +97,10 @@ class TestOrderLemmas:
 
 @pytest.mark.parametrize("single", [np.float32, np.complex64])
 def test_single_precision_margin_is_its_double_widenings(single):
-    # The difference of two single-precision images is formed in double, so
-    # the margins are those of the pair widened to double; a float32
-    # difference gave the R pair a margin 2e-7 above its widening's.
+    # Single-precision operands are widened where J or the Hermitian test
+    # first reads them, so the margins are those of the pair widened to
+    # double; a float32 difference gave the R pair a margin 2e-7 above its
+    # widening's.
     sig = Signature(2, 1)
     field = "C" if single is np.complex64 else "R"
     pair = [random_pj(sig, field, seed).matrix.astype(single) for seed in (3, 13)]

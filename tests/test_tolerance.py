@@ -151,7 +151,7 @@ _SITES = {
         lambda X: JPositive(X, _S11, None).lambda_min_of_jx, NotJPositive,
         "lambda_min(JX) = -1.000e+00 of a Cholesky-certified member not finite "
         "and positive", (_JI, _diag(1.0, 1.0), _diag(1.0, 2.0))),
-    "_certify_image": (
+    "is_j_positive": (
         lambda X: is_j_positive(X, _S11), NotJPositive,
         "lambda_min(JX) = -1.000e+00 not above 1.000e-10",
         (_JI, _diag(1.0, 1.0), _diag(1.0, 2.0))),
