@@ -21,23 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SignatureMismatch, StepTooSmall
-from .jstruct import JPositive, certify_constructed, phi_J
+from .errors import StepTooSmall
+from .jstruct import JPositive, _check_pair, certify_constructed, phi_J
 from .matcore import Pencil, fnorm, mat_inverse
 from .stacks import _out
 
 MIN_STEP = 1e-7
 
 
-def _check_pair(A: JPositive, B: JPositive):
-    if A.signature != B.signature or A.field != B.field:
-        raise SignatureMismatch("operands live over different signatures or fields")
-
-
 def metric_omega(P: JPositive, U, V) -> float:
     """omega_P(U, V) = trd(P^{-1} U P^{-1} V) on J-Hermitian tangent vectors."""
-    sig = P.signature
-    return Pencil(P.jx, phi_J(U, sig)).inner(phi_J(V, sig))
+    _check_pair(P, U)
+    _check_pair(P, V)
+    return Pencil(P.jx, phi_J(U, P.signature)).inner(phi_J(V, P.signature))
 
 
 def _pencil(A: JPositive, B: JPositive) -> Pencil:

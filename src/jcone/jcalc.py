@@ -19,12 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Singular, require
-from .jstruct import (JPositive, Signature, _check_dim, certify_constructed,
+from .jstruct import (JPositive, Signature, _check_dim, _check_pair, certify_constructed,
                       is_j_positive, phi_J, sharp)
-from .matcore import (adjoint, block2x2, eigvals_unchecked, fnorm, from_real_parts,
-                      mat_inverse, polar, spectral_function, unitary_from_columns,
-                      zeros)
-from .stacks import _real, all_of, any_of, per_member, power, scatter, select
+from .matcore import (_finite, _finite_product, adjoint, block2x2, eigvals_unchecked, fnorm,
+                      from_real_parts, mat_inverse, polar, spectral_function, zeros)
+from .stacks import _IGNORED, _real, _under, all_of, any_of, per_member, power, scatter, select
 
 MAX_POWER = 32.0
 
@@ -34,24 +33,21 @@ def _mat(X):
 
 
 def bullet(A, B, sig: Signature):
-    """A . B = A J B."""
-    A, B = _mat(A), _mat(B)
-    _check_dim(A, sig)
-    _check_dim(B, sig)
-    return A @ sig.flip(B)
+    """A . B = A J B; raises NotFinite where an entry of it is not finite."""
+    A, B = _check_dim(_mat(A), sig), _check_dim(_mat(B), sig)
+    _check_pair(A, B)
+    return _finite_product(A, sig.flip(B))
 
 
 def bullet_inverse(A, sig: Signature):
     """Inverse for the bullet product: A . (J A^{-1} J) = J, with
     J A^{-1} J = J (JA)^{-1}."""
-    A = _mat(A)
-    _check_dim(A, sig)
-    return sig.flip(mat_inverse(sig.flip(A)))
+    return sig.flip(mat_inverse(sig.flip(_check_dim(_mat(A), sig))))
 
 
 def bullet_commutator(X, Y, sig: Signature):
-    """[X, Y]_J = X . Y - Y . X."""
-    return bullet(X, Y, sig) - bullet(Y, X, sig)
+    """[X, Y]_J = X . Y - Y . X; raises NotFinite where an entry of it is not finite."""
+    return _finite(_under(_IGNORED, lambda: bullet(X, Y, sig) - bullet(Y, X, sig)))
 
 
 def exp_J(X, sig: Signature, tol: float = 1e-10) -> JPositive:
@@ -82,8 +78,7 @@ def polar_decompose_bullet(g, sig: Signature):
     that k . p = k J J ptilde = k ptilde = g.  One svd gives k, ptilde and the
     eigenvalues of J p = ptilde, the singular values of g.
     """
-    _check_dim(g, sig)
-    k, ptilde, s = polar(g)
+    k, ptilde, s = polar(_check_dim(g, sig))
     return k, certify_constructed(ptilde, sig, s)
 
 
@@ -192,8 +187,8 @@ def _random_unitary_block(n: int, field: str, rng):
     if n == 0:
         return g   # empty: it drew nothing
     if field == "H":
-        # numpy has no quaternionic QR: Gram-Schmidt on the columns of g.
-        return unitary_from_columns(g)
+        # Haar: polar(U g) = U polar(g), and U g has g's law, for unitary U.
+        return polar(g)[0]
     q, r = np.linalg.qr(g)
     # Fix the phase so the distribution does not depend on the QR convention.
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, IndeterminateSchur, NotJHermitian,
-                     NotJPositive, NotPositive, require, threshold)
-from .matcore import (_check_hermitian, _embed, _finite, _positivity,
-                      adjoint, block2x2, cholesky_factor, eigvals_unchecked,
-                      field_of, fnorm, from_real, identity, mat_inverse,
-                      negate_rows)
-from .stacks import _double, _out, all_of, any_of, member, per_member, scatter, select
+                     NotJPositive, NotPositive, SignatureMismatch, require, threshold)
+from .matcore import (QMatrix, _check_hermitian, _embed, _finite, _finite_product,
+                      _positivity, adjoint, block2x2, cholesky_factor, eigvals_unchecked,
+                      field_of, fnorm, from_real, identity, mat_inverse, negate_rows)
+from .stacks import _array, _double, _out, all_of, any_of, member, per_member, scatter, select
 
 
 @dataclass(frozen=True)
@@ -76,14 +75,16 @@ class Signature:
 
 
 def _check_dim(X, sig: Signature):
+    """X, a nested list as an array (stacks._array), once it is n x n."""
+    X = _array(X)
     if X.shape[-2:] != (sig.n, sig.n):
         raise DimensionMismatch(f"expected {sig.n}x{sig.n}, got {X.shape}")
+    return X
 
 
 def sharp(X, sig: Signature):
     """The indefinite adjoint X -> J X* J."""
-    _check_dim(X, sig)
-    return sig.flip(adjoint(sig.flip(X)))
+    return sig.flip(adjoint(sig.flip(_check_dim(X, sig))))
 
 
 def is_j_hermitian(X, sig: Signature, tol: float = 1e-10) -> bool:
@@ -100,7 +101,7 @@ def _is_identity(product, g, tol: float):
     scale c = max(1, max |g_ij|) where nothing overflows: product(h) = Id / c^2
     within threshold(tol, ||h||_F^2) for h = g / c, the same test over c^2
     (||h||_F >= 1 when c > 1).  Raises NotFinite on a non-finite entry."""
-    c = threshold(1.0, _out(np.abs(_finite(_embed(g))).max(axis=(-2, -1))))
+    c = threshold(1.0, _out(np.abs(_embed(_finite(g))).max(axis=(-2, -1))))
     h = _double(g) / per_member(c)
     eye = identity(g.shape[-1], field_of(g)) * per_member((1.0 / c) ** 2)
     return fnorm(product(h) - eye) <= threshold(tol, fnorm(h) ** 2)
@@ -108,12 +109,12 @@ def _is_identity(product, g, tol: float):
 
 def is_in_U_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in the J-unitary group: g# g = Id."""
-    _check_dim(g, sig)
-    return _is_identity(lambda h: sharp(h, sig) @ h, g, tol)
+    return _is_identity(lambda h: sharp(h, sig) @ h, _check_dim(g, sig), tol)
 
 
 def is_in_K_J(g, sig: Signature, tol: float = 1e-10) -> bool:
     """Membership in K_J = U_J intersect U, the block-diagonal unitaries."""
+    g = _check_dim(g, sig)
     return is_in_U_J(g, sig, tol) & _is_identity(lambda h: adjoint(h) @ h, g, tol)
 
 
@@ -132,6 +133,7 @@ class JHermitianBlocks:
 
 
 def block_decompose(H, sig: Signature, tol: float = 1e-10) -> JHermitianBlocks:
+    H = _check_dim(H, sig)
     phi_J(H, sig, tol)
     p = sig.p
     return JHermitianBlocks(H[..., :p, :p], H[..., :p, p:], H[..., p:, p:], sig)
@@ -229,6 +231,20 @@ class JPositive:
         return f"JPositive(matrix={self.matrix!r}, signature={self._signature!r})"
 
 
+def _check_pair(A, B):
+    """Raise SignatureMismatch unless A and B may meet in one operation: two
+    members share a signature and a field, and otherwise both or neither are
+    over H (numpy promotes a real matrix beside a complex one)."""
+    if isinstance(A, JPositive) and isinstance(B, JPositive):
+        if A.signature != B.signature or A.field != B.field:
+            raise SignatureMismatch("operands live over different signatures or fields")
+    else:
+        a = A.jx if isinstance(A, JPositive) else A
+        b = B.jx if isinstance(B, JPositive) else B
+        if isinstance(a, QMatrix) is not isinstance(b, QMatrix):
+            raise SignatureMismatch("operands live over different fields")
+
+
 def _holding(jx, sig: Signature, lam) -> JPositive:
     """The member that holds the certified image jx, made with no flip."""
     member = object.__new__(JPositive)
@@ -297,8 +313,7 @@ def in_pj(X, sig: Signature, tol: float = 1e-10) -> bool:
 
 def phi_J(X, sig: Signature, tol: float = 1e-10):
     """X -> JX from the J-Hermitian onto the Hermitian space; the one J-Hermitian test."""
-    _check_dim(X, sig)
-    return _j_hermitian(sig.flip(X), tol)[0]
+    return _j_hermitian(sig.flip(_check_dim(X, sig)), tol)[0]
 
 
 def _j_hermitian(jx, tol: float) -> tuple:
@@ -309,14 +324,13 @@ def _j_hermitian(jx, tol: float) -> tuple:
 
 def phi_J_inv(P, sig: Signature, tol: float = 1e-10):
     """Inverse bijection P -> JP from Hermitian matrices into the J-Hermitian space."""
-    _check_dim(P, sig)
-    return sig.flip(_check_hermitian(P, tol)[0])
+    return sig.flip(_check_hermitian(_check_dim(P, sig), tol)[0])
 
 
 def j_inner(x, y, sig: Signature):
-    """The indefinite form B(x, y) = x* J y on vectors of length n or n x 1 columns."""
-    n = sig.n
+    """The indefinite form B(x, y) = x* J y on vectors of length n or n x 1
+    columns; raises NotFinite where it is not finite."""
+    n, x, y = sig.n, _array(x), _array(y)
     if x.shape not in ((n,), (n, 1)) or y.shape not in ((n,), (n, 1)):
         raise DimensionMismatch(f"expected vectors of length {n}")
-    x, y = x.reshape(n, 1), y.reshape(n, 1)
-    return (adjoint(x) @ sig.flip(y))[0, 0]
+    return _finite_product(adjoint(x.reshape(n, 1)), sig.flip(y.reshape(n, 1)))[0, 0]

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import matmul, sub
 
 import numpy as np
 
@@ -272,13 +273,14 @@ def psi_matrix(X: QMatrix) -> np.ndarray:
 def psi_structural_residual(M: np.ndarray) -> float:
     """Distance of the 2r x 2c matrix M from the image of the embedding:
     ||M J2c - J2r conj(M)||_F with J2k = [[0, I_k], [-I_k, 0]], taken block by
-    block."""
+    block: NaN, with no numpy warning, where inf - inf meets an infinite entry."""
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-2] % 2 or M.shape[-1] % 2:
         raise ValueError("expected a matrix with an even number of rows and of columns")
     r, c = M.shape[-2] // 2, M.shape[-1] // 2
     A, B, C, D = M[..., :r, :c], M[..., :r, c:], M[..., r:, :c], M[..., r:, c:]
-    return _norm(_assemble(-B - C.conj(), A - D.conj(), A.conj() - D, C + B.conj()))
+    return _norm(_under(_IGNORED, lambda: _assemble(-B - C.conj(), A - D.conj(),
+                                                    A.conj() - D, C + B.conj())))
 
 
 def psi_inverse(M: np.ndarray, tol: float = 1e-8) -> QMatrix:
@@ -341,10 +343,11 @@ def mat_inverse(X):
 
 
 def _check_hermitian(X, tol: float = 1e-10, error=NotHermitian, invariant="adjoint-symmetry"):
-    """(X in double, ||X||_F), once X passes the one Hermitian test."""
+    """(X in double, ||X||_F), once X passes the one Hermitian test; X - X* is
+    formed under _IGNORED, so an infinite entry meets the named error alone."""
     X = _double(X)
     nrm = fnorm(X)
-    certify(fnorm(X - adjoint(X)), threshold(tol, nrm), error, invariant)
+    certify(fnorm(_under(_IGNORED, sub, X, adjoint(X))), threshold(tol, nrm), error, invariant)
     return X, nrm
 
 
@@ -370,60 +373,40 @@ class SpectralDecomposition:
         return U @ from_real(D, field_of(U)) @ adjoint(U)
 
 
-def _orthonormal_columns(V: np.ndarray, count: int, floor: float):
-    """Up to count orthonormal quaternionic columns from the columns of V, in
-    order (Gram-Schmidt over H); returns them as a QMatrix with the indices of
-    the columns of V kept.
-
-    A column v of V is the first column of the 2n x 2 embedding of a
-    quaternionic column x, which fixes x, and J2n conj(v) is the second.  The
-    embeddings of the columns kept so far fill E, so x - U (U* x) is
-    v - E (E* v); it is kept, normalized, when its norm ||x|| exceeds floor.
-    Which columns are kept depends on the data, so a stack of V is taken
-    member by member: kept is then one list per member.
-    """
-    if V.ndim > 2:
-        flat = [_orthonormal_columns(v, count, floor) for v in V.reshape((-1,) + V.shape[-2:])]
-        m = np.stack([U.m for U, _ in flat]).reshape(V.shape[:-2] + flat[0][0].m.shape)
-        return QMatrix._of(m), [kept for _, kept in flat]
-    n = V.shape[0] // 2
-    E = np.zeros((2 * n, 2 * count), dtype=complex)
-    kept = []
-    for k in range(V.shape[1]):
-        m = len(kept)
-        if m == count:
-            break
-        Em = E[:, :2 * m]
-        x = V[:, k] - Em @ (Em.conj().T @ V[:, k])
-        nrm = float(np.linalg.norm(x))
-        if nrm > floor:
-            x = x / nrm
-            E[:, 2 * m] = x
-            E[:n, 2 * m + 1], E[n:, 2 * m + 1] = -np.conj(x[n:]), np.conj(x[:n])
-            kept.append(k)
-    first = E[:, 0::2]
-    return QMatrix(first[:n], -np.conj(first[n:])), kept
-
-
-def unitary_from_columns(g: QMatrix) -> QMatrix:
-    """The unitary factor of g's quaternionic QR, by Gram-Schmidt on its columns."""
-    n = g.shape[-1]
-    return _orthonormal_columns(g.m[..., :n], n, 0.0)[0]
-
-
 def _quaternionic_eig(w: np.ndarray, V: np.ndarray) -> SpectralDecomposition:
     """Quaternionic unitary factor from the descending eigenpairs of Psi(X).
 
     Eigenvectors of Psi(X) come in pairs spanning one quaternionic line each;
-    a quaternionic Gram-Schmidt pass orthonormalizes inside degenerate
-    clusters and keeps n of the 2n: V is unitary and a dropped column lies
-    within 1e-3 of the kept span, so were fewer kept, its complement W would
-    have 2 <= ||P_W V||_F^2 <= 2n 1e-6, which needs n >= 10^6.
+    one classical Gram-Schmidt pass over H keeps n of the 2n columns of V, in
+    order, orthonormalizing inside degenerate clusters.  A column v of V is the
+    first column of the 2n x 2 embedding of a quaternionic column x, which
+    fixes x, and J2n conj(v) is the second.  The embeddings of the columns
+    kept so far fill E, so x - U (U* x) is v - E (E* v); it is kept,
+    normalized, when its norm ||x|| exceeds 1e-3.  V is unitary and a dropped
+    column lies within 1e-3 of the kept span, so were fewer kept, its
+    complement W would have 2 <= ||P_W V||_F^2 <= 2n 1e-6, which needs
+    n >= 10^6.  Which columns are kept depends on the data, so a stack is
+    taken member by member.
     """
     n = V.shape[-2] // 2
-    U, kept = _orthonormal_columns(V, n, 1e-3)
-    kept = np.array(kept).reshape(w.shape[:-1] + (n,))
-    return SpectralDecomposition(U, np.take_along_axis(w, kept, -1))
+    E = np.zeros(V.shape, dtype=complex)
+    kept = np.empty(w.shape[:-1] + (n,), dtype=int)
+    for i in np.ndindex(V.shape[:-2]):
+        v, e, m = V[i], E[i], 0
+        for k in range(2 * n):
+            if m == n:
+                break
+            Em = e[:, :2 * m]
+            x = v[:, k] - Em @ (Em.conj().T @ v[:, k])
+            nrm = float(np.linalg.norm(x))
+            if nrm > 1e-3:
+                x = x / nrm
+                e[:, 2 * m] = x
+                e[:n, 2 * m + 1], e[n:, 2 * m + 1] = -np.conj(x[n:]), np.conj(x[:n])
+                kept[i + (m,)], m = k, m + 1
+    first = E[..., 0::2]
+    return SpectralDecomposition(QMatrix(first[..., :n, :], -np.conj(first[..., n:, :])),
+                                 np.take_along_axis(w, kept, -1))
 
 
 def hermitian_eig(X, tol: float = 1e-10) -> SpectralDecomposition:
@@ -503,11 +486,16 @@ def mat_sqrt_pd(X):
     return mat_pow_pd(X, 0.5)
 
 
-def _finite(M: np.ndarray, error: type = NotFinite) -> np.ndarray:
-    """M itself once every entry is finite, else raises error: svd need not
+def _finite(X, error: type = NotFinite):
+    """X itself once every entry is finite, else raises error: svd need not
     return on an infinite entry, and a factorization need not name it."""
-    require(np.isfinite(M).all(), error, "an entry is not finite")
-    return M
+    require(np.isfinite(_embed(X)).all(), error, "an entry is not finite")
+    return X
+
+
+def _finite_product(X, Y):
+    """X @ Y, raising NotFinite where an entry is not finite, with no numpy warning."""
+    return _finite(_under(_IGNORED, matmul, X, Y))
 
 
 def cholesky_factor(X) -> np.ndarray:
@@ -516,7 +504,7 @@ def cholesky_factor(X) -> np.ndarray:
     reason, if an entry of X is not finite or the factorization fails: it
     reads one triangle and does not stop at a NaN or infinite pivot, so it
     need not fail on such an entry."""
-    M = _finite(_embed(X), NotPositive)
+    M = _embed(_finite(X, NotPositive))
     try:
         return lapack.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -693,7 +681,7 @@ def polar(X):
     Over H the svd of Psi(X) leaves K off the image of Psi by eps / s_min,
     so K and R are projected onto it, which keeps K unitary to (eps / s_min)^2.
     """
-    W, s, Vh = np.linalg.svd(_finite(_double(_embed(X))))
+    W, s, Vh = np.linalg.svd(_double(_embed(_finite(X))))
     require(s[..., -1] > 1e-13 * s[..., 0], Singular,
             "singular-value ratio {:.3e} not above 1e-13",
             s[..., -1] / np.maximum(s[..., 0], 1e-300))

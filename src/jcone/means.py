@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import (NotBulletCommuting, PremiseViolated, WeightOutOfRange,
                      certify, require, threshold)
-from .geometry import _check_pair, _pencil
+from .geometry import _pencil
 from .jcalc import pow_J
-from .jstruct import JPositive, certify_constructed, merged, phi_J
+from .jstruct import JPositive, _check_pair, certify_constructed, merged, phi_J
 from .matcore import Pencil, adjoint, block2x2, eigvals_unchecked, fnorm, identity
 from .order import OrderVerdict, _psd_verdict, j_leq
 from .stacks import _out, _real, any_of, per_member, scatter, select
@@ -116,8 +116,7 @@ def maximality_check(X, A: JPositive, B: JPositive, tol: float = 1e-9) -> OrderV
     maximum: feasible with zero margin.
     """
     _check_pair(A, B)
-    if isinstance(X, JPositive):
-        _check_pair(A, X)
+    _check_pair(A, X)
     jx = X.jx if isinstance(X, JPositive) else phi_J(X, A.signature, 1e-8)
     block = block2x2(A.jx, jx, jx, B.jx)
     return _psd_verdict(block, tol, fnorm(block))

@@ -51,6 +51,11 @@ def _double(x):
     return x.astype(np.result_type(x.dtype, np.float64)) if narrow else x
 
 
+def _array(x):
+    """A nested list as the array numpy makes of it; any other operand as it is."""
+    return np.asarray(x) if type(x) is list else x
+
+
 def _out(x):
     """A per-member value as returned: the array over a stack, a Python
     scalar for one matrix."""

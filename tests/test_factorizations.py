@@ -15,7 +15,7 @@ import pytest
 import jcone.matcore
 from jcone.geometry import geodesic, geodesic_distance, metric_omega
 from jcone.jcalc import (GeneratorStack, bullet_inverse, exp_J, log_J,
-                         polar_decompose_bullet, pow_J, random_kj, random_pj,
+                         polar_decompose_bullet, pow_J, random_pj,
                          random_pj_bounded)
 from jcone.jstruct import (JPositive, Signature, block_decompose, certify_constructed,
                            is_j_positive, schur_j_positive)
@@ -288,9 +288,9 @@ def test_one_embedding_per_operand(monkeypatch, op):
     assert len(calls) == 0, calls
 
 
-@pytest.mark.parametrize("op", ["hermitian_eig", "random_kj"])
-def test_quaternionic_gram_schmidt_builds_no_quaternion(monkeypatch, op):
-    # The Gram-Schmidt pass works on embedded columns, not entry by entry.
+def test_quaternionic_gram_schmidt_builds_no_quaternion(monkeypatch):
+    # The Gram-Schmidt pass of hermitian_eig works on embedded columns, not
+    # entry by entry.
     X = random_pj(SIG, "H", 1).matrix
     H = (X + X.H) * 0.5
     calls = []
@@ -301,10 +301,7 @@ def test_quaternionic_gram_schmidt_builds_no_quaternion(monkeypatch, op):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Quaternion, "__init__", counted)
-    if op == "hermitian_eig":
-        hermitian_eig(H)
-    else:
-        random_kj(SIG, "H", 3)
+    hermitian_eig(H)
     assert calls == []
 
 

@@ -498,3 +498,26 @@ class TestSamplersByConstruction:
         lapack_calls.clear()
         random_invertible(Signature(2, 1), field, _generators(stacked, 3))
         assert lapack_calls == ["eigvalsh"] and hermitian_tests == []
+
+
+class TestRandomKJ:
+    """random_kj draws diag(u_p, u_q) with each block Haar on O(n), U(n) or
+    Sp(n): over R and C the phase-fixed QR factor of a Gaussian block, over
+    H its unitary polar factor."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("sig", [Signature(2, 1), Signature(3, 2)], ids=str)
+    def test_blocks_are_haar_unitaries(self, sig, field):
+        draws, p = 4000, sig.p
+        g = random_kj(sig, field, GeneratorStack(np.random.default_rng(s) for s in range(draws)))
+        for off in (g[..., :p, p:], g[..., p:, :p]):
+            assert not np.any(_embed(off))
+        assert np.all(is_in_K_J(g, sig))
+        for i in range(5):
+            assert _bits(member(g, i)) == _bits(random_kj(sig, field, np.random.default_rng(i)))
+        # Haar moments of a block u: E tr u = 0 and E |tr u|^2 = 1, the trace
+        # of Psi(u) over H, where Sp(n) acts irreducibly on C^2n.
+        for block in (g[..., :p, :p], g[..., p:, p:]):
+            tr = np.trace(_embed(block), axis1=-2, axis2=-1)
+            assert abs(tr.mean()) <= 0.1
+            assert abs(np.mean(abs(tr) ** 2) - 1.0) <= 0.1
